@@ -37,14 +37,15 @@ class EntanglementReport:
     c_opt: np.ndarray | None = None
 
 
-def _gram(z2, chi, K):
-    n = np.arange(K + 1)
-    d = n[None, :] - n[:, None]  # G[m, n] = <z_m|z_n> = exp(z2 (e^{i chi (n-m)} - 1))
-    return np.exp(z2 * (np.exp(1j * chi * d) - 1))
+def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
+    """G[m, n] = <|z| e^{i bra[m]}  |  |z| e^{i ket[n]}> for |z|^2 = z2 (angle arrays)."""
+    ph = ket_angles[None, :] - bra_angles[:, None]
+    return np.exp(z2 * (np.exp(1j * ph) - 1))
 
 
 def pair_gram(K: int, alpha, beta, chi) -> GramPair:
-    return GramPair(_gram(abs(alpha) ** 2, chi, K), _gram(abs(beta) ** 2, chi, K))
+    th = chi * np.arange(K + 1)
+    return GramPair(_rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th))
 
 
 def entropy_of_coefficients(c, alpha, beta, chi, floor=EIG_FLOOR) -> EntanglementReport:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TargetCoefficients, semi_success_coeffs, solve_roots
-from .entangle import pair_gram
+from .entangle import _rot_gram, pair_gram
+from .errors import DomainError
 from .fock import DensOp, TruncationSpec, min_cutoff
 from .protocol import analytic_target_state, success_probability_ideal
 
@@ -59,35 +60,6 @@ class NoiseParams:
             raise ValueError(f"lambda_det must lie in (0, 1], got {self.lambda_det}")
         if not 0 <= self.zeta < 1:
             raise ValueError(f"zeta must lie in [0, 1), got {self.zeta}")
-
-
-@dataclass(frozen=True)
-class CoeffPairState:
-    """Hermitian matrix of coefficient pairs rho[n1][n2] ~ c_{n1} c_{n2}*.
-
-    Entry (n1, n2) weights |alpha e^{i chi n1}, beta e^{i chi n1}><pair n2|;
-    the physical trace therefore carries the Gram overlaps of those labels
-    (see pair_trace), not the plain matrix trace.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"coefficient-pair matrix must be square, got {m.shape}")
-        scale = float(np.max(np.abs(m))) or 1.0
-        if np.max(np.abs(m - m.conj().T)) > 1e-8 * scale:
-            raise ValueError("coefficient-pair matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_target(cls, target: TargetCoefficients) -> "CoeffPairState":
-        return cls(np.outer(target.c, np.conj(target.c)))
-
-    @property
-    def K(self) -> int:
-        return self.matrix.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -139,38 +111,10 @@ class FeasibilityReport:
 # Gram helpers (coherent-pair representation)
 
 
-def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
-    """G[m, n] = <|z| e^{i bra[m]}  |  |z| e^{i ket[n]}> for |z|^2 = z2."""
-    ph = np.asarray(ket_angles)[None, :] - np.asarray(bra_angles)[:, None]
-    return np.exp(z2 * (np.exp(1j * ph) - 1))
-
-
 def pair_overlap_matrix(K: int, alpha, beta, chi) -> np.ndarray:
     """Combined Gram G[m, n] = <pair_m|pair_n> of the K+1 coherent pairs."""
     g = pair_gram(K, alpha, beta, chi)
     return g.G_a * g.G_b
-
-
-def pair_trace(state: CoeffPairState, alpha, beta, chi) -> float:
-    """Physical trace of the pair-represented operator."""
-    G = pair_overlap_matrix(state.K, alpha, beta, chi)
-    return float(np.real(np.sum(state.matrix * G.T)))
-
-
-def pair_fidelity(
-    state: CoeffPairState, target: TargetCoefficients, alpha, beta, chi
-) -> float:
-    """<Psi|rho|Psi> / (Tr rho * <Psi|Psi>) for a pair-represented rho."""
-    c = np.asarray(target.c, dtype=complex)
-    if len(c) != state.K + 1:
-        raise ValueError(
-            f"target has {len(c)} coefficients but the state holds {state.K + 1}"
-        )
-    G = pair_overlap_matrix(state.K, alpha, beta, chi)
-    u = np.conj(c) @ G  # u[n] = <Psi|pair_n>
-    val = float(np.real(u @ state.matrix @ np.conj(u)))
-    norm2 = float(np.real(np.conj(c) @ G @ c))
-    return val / (pair_trace(state, alpha, beta, chi) * norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +138,43 @@ def eta_params(noise: NoiseParams, alpha, beta, chi_ac, chi_bc):
     return float(eta1), float(eta2)
 
 
-def apply_M0(state: CoeffPairState, eta1, eta2) -> CoeffPairState:
-    """Multiply each pair by e^{i eta1 (n1-n2) - eta2 (n1-n2)^2}."""
-    n = np.arange(state.K + 1)
-    d = n[:, None] - n[None, :]  # n1 - n2
-    return CoeffPairState(state.matrix * np.exp(1j * eta1 * d - eta2 * d * d))
-
-
 def _poisson_weights(s: float):
-    """Normalized truncated Poisson weights s^k/k!; drops terms below SERIES_TOL."""
+    """Normalized truncated Poisson weights s^k/k!.
+
+    The terms rise up to the mode k ~ s, so the series is cut only past it, at
+    the first term below SERIES_TOL of the full sum e^s.  Raises DomainError
+    when e^s is beyond float range (s > ~709.78).
+    """
     ws = [1.0]
     if s > 0:
-        total, term, k = math.exp(s), 1.0, 0
+        try:
+            total = math.exp(s)
+        except OverflowError as err:
+            raise DomainError(
+                f"Poisson parameter Lambda |gamma|^2 = {s:g}: e^s is beyond float range"
+            ) from err
+        term, k = 1.0, 0
         while True:
             k += 1
             term *= s / k
-            if term < SERIES_TOL * total:
+            if k > s and term < SERIES_TOL * total:
                 break
             ws.append(term)
     w = np.array(ws)
     return w / w.sum()
 
 
-def apply_discrete_phase_channel(rho, Lambda, gamma, chi_ac, mode=None):
+def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac, mode=None) -> DensOp:
     """Poisson mixture of phase rotations e^{i chi_ac k n} on one mode.
 
-    For a DensOp the rotated copies are summed and the output is rescaled to
-    the input trace (the raw series is trace-increasing by e^{Lambda|gamma|^2}).
-    For a CoeffPairState the rotation shifts the coherent labels of mode a out
-    of the shared basis, so the mixture cannot close in a single pair matrix;
-    the components are returned as (weight, a_phase, state) triples instead.
+    The rotated copies are summed and the output is rescaled to the input
+    trace (the raw series is trace-increasing by e^{Lambda|gamma|^2}).  This
+    dense Fock form is the test oracle for superop_pipeline_fidelity, which
+    evaluates the same mixture through rotated-label Gram overlaps.
     """
-    s = Lambda * abs(gamma) ** 2
-    w = _poisson_weights(s)
-    if isinstance(rho, CoeffPairState):
-        return [(float(wk), chi_ac * k, rho) for k, wk in enumerate(w)]
+    w = _poisson_weights(Lambda * abs(gamma) ** 2)
     if not isinstance(rho, DensOp):
-        raise TypeError(f"expected DensOp or CoeffPairState, got {type(rho).__name__}")
+        raise TypeError(f"expected DensOp, got {type(rho).__name__}")
     if mode is None:
         mode = rho.modes[0]
     if mode not in rho.modes:
@@ -413,6 +357,8 @@ def superop_pipeline_fidelity(
     c_n -> c_n e^{i eta1 n}, which is exactly the state a scheme with roots
     rotated by e^{-i eta1} heralds.  All overlaps are closed-form Gram
     entries, so the only approximation left is the Poisson series cutoff.
+    Raises DomainError when Lambda |gamma|^2 is too large for that series
+    (see _poisson_weights).
     """
     c = np.asarray(target.c, dtype=complex)
     K = target.K

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -164,28 +163,30 @@ def _branch_labels(params: ProtocolParams):
     return arms, mu * z + nu
 
 
-def _pattern_kernel(arms, probe, pattern, n_cut=None):
+def _pattern_kernel(arms, probe, pattern):
     """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
 
-    n_cut=None uses the exact click complement 1 - |0><0|; a finite n_cut
-    sums explicit photon-count terms 1..n_cut instead (operator path).
+    Per arm, False is the silent projector |0><0|, True the exact click
+    complement 1 - |0><0|, and a range of photon counts (all >= 1) sums the
+    count projectors |n><n| over it term by term (operator path).
     """
     w = _coh_overlap(probe[None, :], probe[:, None])
-    for d, clicked in zip(arms, pattern):
+    for d, arm in zip(arms, pattern):
         bra, ket = d[None, :], d[:, None]
         vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
-        if not clicked:
-            w = w * vac
-        elif n_cut is None:
-            w = w * (_coh_overlap(bra, ket) - vac)
-        else:
+        if isinstance(arm, range):
             x = np.conj(bra) * ket
             acc = np.zeros_like(x)
             term = np.ones_like(x)
-            for n in range(1, n_cut + 1):
+            for n in range(1, arm.stop):
                 term = term * x / n
-                acc = acc + term
+                if n in arm:
+                    acc = acc + term
             w = w * (acc * vac)
+        elif arm:
+            w = w * (_coh_overlap(bra, ket) - vac)
+        else:
+            w = w * vac
     return w
 
 
@@ -270,11 +271,7 @@ def operator_path_final_state(params: ProtocolParams, counts) -> DensOp:
     if len(counts) != params.scheme.K or any(n < 1 for n in counts):
         raise ValueError(f"need K={params.scheme.K} counts, all >= 1, got {counts}")
     arms, probe = _branch_labels(params)
-    w = _coh_overlap(probe[None, :], probe[:, None])
-    for d, n in zip(arms, counts):
-        bra, ket = d[None, :], d[:, None]
-        vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
-        w = w * ((np.conj(bra) * ket) ** n / factorial(n) * vac)
+    w = _pattern_kernel(arms, probe, [range(n, n + 1) for n in counts])
     rho = _assemble_rho(params, w)
     return rho.normalized() if rho.trace() > 1e-30 else rho
 
@@ -284,7 +281,8 @@ def operator_path_pattern(
 ) -> DensOp:
     """Unnormalized pattern state from count sums 1..n_cut on clicked arms."""
     arms, probe = _branch_labels(params)
-    return _assemble_rho(params, _pattern_kernel(arms, probe, pattern, n_cut=n_cut))
+    arm_counts = [range(1, n_cut + 1) if clicked else False for clicked in pattern]
+    return _assemble_rho(params, _pattern_kernel(arms, probe, arm_counts))
 
 
 def build_target_by_elimination(params: ProtocolParams) -> FockVector:

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from kerrlink.design import TargetCoefficients, solve_roots
+from kerrlink.entangle import _rot_gram
+from kerrlink.errors import DomainError
 from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutoff
 from kerrlink.noise import (
-    CoeffPairState,
     NoiseParams,
-    apply_M0,
+    _poisson_weights,
     apply_discrete_phase_channel,
     attenuation_db,
     budget_success,
@@ -26,13 +28,11 @@ from kerrlink.noise import (
     fidelity_sweep,
     loss_sweep,
     min_distinguishability,
-    pair_fidelity,
-    pair_overlap_matrix,
-    pair_trace,
     practical_cutoff_db,
     success_probability,
     superop_pipeline_fidelity,
 )
+from kerrlink.presets import get_preset
 from kerrlink.protocol import analytic_target_state
 
 
@@ -101,28 +101,6 @@ class TestNoiseParams:
             NoiseParams(zeta=1.0)
 
 
-class TestPairState:
-    def test_from_target_trace_matches_gram_norm(self):
-        t = bell_target(10.0, 10.0, 0.3)
-        st = CoeffPairState.from_target(t)
-        G = pair_overlap_matrix(1, math.sqrt(10), math.sqrt(10), 0.3)
-        want = float(np.real(np.conj(t.c) @ G @ t.c))
-        got = pair_trace(st, math.sqrt(10), math.sqrt(10), 0.3)
-        assert abs(got - want) < 1e-12, f"trace {got} != Gram norm {want}"
-
-    def test_self_fidelity_is_one(self):
-        t = bell_target(10.0, 10.0, 0.3)
-        st = CoeffPairState.from_target(t)
-        f = pair_fidelity(st, t, math.sqrt(10), math.sqrt(10), 0.3)
-        assert abs(f - 1.0) < 1e-12, f"self fidelity {f}"
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            CoeffPairState(np.array([[1.0, 0.5], [0.3, 1.0]]))
-        with pytest.raises(ValueError):
-            CoeffPairState(np.ones((2, 3)))
-
-
 class TestEtaParams:
     def test_worked_example(self):
         noise = NoiseParams(Lambda1=0.01)
@@ -143,41 +121,21 @@ class TestEtaParams:
         assert abs(eta1 - 4 * 0.1 * 0.02) < 1e-15
         assert abs(eta2 - 0.5 * 4 * 0.01 * 0.02) < 1e-15
 
-
-class TestApplyM0:
-    def test_pure_decay_factor(self):
-        st = CoeffPairState(np.ones((3, 3), dtype=complex))
-        out = apply_M0(st, 0.0, 0.1)
-        ratio = abs(out.matrix[2, 0]) / abs(st.matrix[2, 0])
-        assert abs(ratio - math.exp(-0.4)) < 1e-12, f"|Delta|=2 decay {ratio}"
-
-    def test_diagonal_invariant_and_hermitian(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = m + m.conj().T
-        out = apply_M0(CoeffPairState(m), 0.37, 0.05)
-        assert np.allclose(np.diag(out.matrix), np.diag(m), atol=1e-14)
-        assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
-
-    def test_phase_only_preserves_magnitudes(self):
-        t = bell_target(1.0, 1.0, 0.4)
-        st = CoeffPairState.from_target(t)
-        out = apply_M0(st, 0.8, 0.0)
-        assert np.allclose(np.abs(out.matrix), np.abs(st.matrix), atol=1e-14)
-
     def test_eta1_cancelled_by_redesigned_roots(self):
         # rotating every root by e^{-i eta1} re-phases c_n by e^{i eta1 n},
-        # which is exactly what the phase-drift map does to the pairs
-        a, chi, gamma, eta1 = math.sqrt(10), 0.3, 0.25, 0.6
+        # which is exactly what the phase drift eta1 does to the pairs
+        gamma, eta1 = 0.25, 0.6
         t = TargetCoefficients(
             np.array([0.5, -1.1 + 0.2j, 1.0], dtype=complex)
         )
         roots = solve_roots(t, gamma)
-        rotated = [v * np.exp(-1j * eta1) for v in roots.expanded()]
-        redesigned = TargetCoefficients(np.poly(np.array(rotated) / gamma)[::-1])
-        drifted = apply_M0(CoeffPairState.from_target(t), eta1, 0.0)
-        f = pair_fidelity(drifted, redesigned, a, a, chi)
-        assert f >= 1 - 1e-10, f"compensated fidelity {f}"
+        rotated = np.array(roots.expanded()) * np.exp(-1j * eta1)
+        redesigned = np.poly(rotated / gamma)[::-1]
+        want = t.c * np.exp(1j * eta1 * np.arange(t.K + 1))
+        scale = redesigned[-1] / want[-1]
+        assert np.allclose(redesigned, scale * want, rtol=0, atol=1e-12), (
+            f"{redesigned} is not a multiple of {want}"
+        )
 
 
 class TestDiscretePhaseChannel:
@@ -216,13 +174,22 @@ class TestDiscretePhaseChannel:
             rough = a2 * chi**2 * (s + s * s)
             assert rough / 2.5 < (1 - f) < 2.5 * rough
 
-    def test_pair_state_returns_component_list(self):
-        st = CoeffPairState.from_target(bell_target(1.0, 1.0, 0.1))
-        comps = apply_discrete_phase_channel(st, 0.5, 0.4, 0.1)
-        weights = [w for w, _, _ in comps]
-        assert abs(sum(weights) - 1.0) < 1e-12
-        assert comps[0][1] == 0.0 and comps[1][1] == 0.1
-        assert weights[0] > weights[1] > weights[2]
+    @pytest.mark.parametrize("s", [0.08, 1.0, 36.0, 100.0, 700.0])
+    def test_poisson_weights_keep_the_mass(self, s):
+        w = _poisson_weights(s)
+        k = np.arange(len(w))
+        kept = poisson.cdf(k[-1], s)
+        assert kept >= 1 - 1e-12, f"s={s}: kept mass {kept} over {len(w)} terms"
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.allclose(w, poisson.pmf(k, s) / kept, rtol=1e-9, atol=1e-15)
+        # rising up to the mode, falling after it
+        mode = int(np.argmax(w))
+        assert s - 1 <= mode <= s
+        assert np.all(np.diff(w[: mode + 1]) >= 0) and np.all(np.diff(w[mode:]) <= 0)
+
+    def test_poisson_weights_beyond_float_range(self):
+        with pytest.raises(DomainError):
+            _poisson_weights(1000.0)
 
 
 class TestChiError:
@@ -449,6 +416,31 @@ class TestPipeline:
         s = 0.05
         want = (2 + 1 / (4 * a2)) * a2 * chi**2 * (s + s * s)
         assert abs((1 - f) - want) < 0.01 * want, f"{1 - f} vs {want}"
+
+    def test_long_distance_weighs_the_full_poisson_law(self):
+        # 40 dB (~200 km at 0.2 dB/km) puts s = Lambda |gamma|^2 near 100, far
+        # past the Poisson mode; every rotation chi k counts with weight
+        # Poisson(k; s).  F is not monotone in dB here: at 30 dB the mean
+        # rotation chi s is near pi and F dips below its large-s plateau.
+        p = get_preset("bell-k1")
+        lam = db_to_loss(40.0)
+        s = lam * abs(p.gamma) ** 2
+        got = superop_pipeline_fidelity(
+            p.target, NoiseParams(Lambda=lam), p.alpha, p.beta, p.gamma, p.chi
+        )
+        c = p.target.c
+        th = p.chi * np.arange(p.target.K + 1)
+        a2, b2 = abs(p.alpha) ** 2, abs(p.beta) ** 2
+        G_b = _rot_gram(b2, th, th)
+        norm2 = float(np.real(np.conj(c) @ (_rot_gram(a2, th, th) * G_b) @ c))
+        k = np.arange(int(s + 20 * math.sqrt(s)))
+        f_k = [
+            abs(np.conj(c) @ (_rot_gram(a2, th, th + p.chi * kk) * G_b) @ c) ** 2 / norm2**2
+            for kk in k
+        ]
+        want = float(np.sum(poisson.pmf(k, s) * f_k))
+        assert got < 0.5, f"F(40 dB) = {got}"
+        assert abs(got - want) < 1e-9, f"pipeline {got} vs full Poisson mixture {want}"
 
 
 class TestSuccessProbability:

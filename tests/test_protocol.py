@@ -1,6 +1,8 @@
 """Protocol simulation: independent routes must agree with each other and
 with the analytic constructions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from kerrlink.fock import (
 )
 from kerrlink.protocol import (
     ProtocolParams,
+    _branch_labels,
+    _pattern_kernel,
     all_click_record,
     analytic_target_state,
     build_target_by_elimination,
@@ -225,6 +229,19 @@ class TestOperatorPath:
                 params, (True,) * params.scheme.K, n_cut=4
             ).normalized()
             assert trace_distance(net, op) < 1e-6
+
+    def test_count_range_kernel_is_sum_of_single_counts(self):
+        n_cut = 3
+        for params in (small_k1(), small_k2()):
+            arms, probe = _branch_labels(params)
+            K = params.scheme.K
+            whole = _pattern_kernel(arms, probe, [range(1, n_cut + 1)] * K)
+            parts = sum(
+                _pattern_kernel(arms, probe, [range(n, n + 1) for n in counts])
+                for counts in itertools.product(range(1, n_cut + 1), repeat=K)
+            )
+            err = np.max(np.abs(whole - parts))
+            assert err < 1e-13 * np.max(np.abs(whole)), f"K={K}: {err:.2e}"
 
     def test_single_count_state_is_elimination_product(self):
         # small delta: the end probe barely depends on the branch, so the
