@@ -26,6 +26,7 @@ from .errors import (
     DegenerateLeadingCoefficient,
     DomainError,
     KerrlinkError,
+    MemoryBudgetExceeded,
     NonConvergence,
     NoSolution,
     ShapeMismatch,

@@ -7,9 +7,10 @@ front, so each artifact is self-describing.  The same configuration (flags
 plus seed) always produces byte-identical output.  Channel loss Lambda is the
 relative intensity loss (I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
 
-Exit codes: 2 invalid configuration, 3 scheme synthesis failure,
-4 truncation overflow, 5 optimizer non-convergence (rows still written,
-flagged in the flag column).
+Exit codes: 2 invalid configuration (a nan or inf number among the flags
+included), 3 scheme synthesis failure, 4 truncation overflow, 5 optimizer
+non-convergence (rows still written, flagged in the flag column), 6 dense
+simulation over the memory budget (checked before allocating).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .entangle import optimize_coefficients, schmidt_entropy, semi_success_entro
 from .errors import (
     DegenerateLeadingCoefficient,
     DomainError,
+    MemoryBudgetExceeded,
     NonConvergence,
     NoSolution,
     TailTooHeavy,
@@ -78,6 +80,16 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _check_finite(args):
+    """Reject nan or inf in any float flag and in the numeric list flags."""
+    for dest, val in vars(args).items():
+        nums = val
+        if dest in ("coeffs", "x_grid", "db_grid", "fixed_db") and val:
+            nums = [complex(tok) for tok in val.split(",") if tok.strip()]
+        if isinstance(nums, (float, list)) and not np.all(np.isfinite(nums)):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {val}")
 
 
 def _emit(args, params, header, rows, preface=""):
@@ -387,6 +399,7 @@ def main(argv=None) -> int:
     if args.subcommand == "feasibility" and args.dphi2 == 0.0:
         args.dphi2 = 2.5e-5  # sweep default; zero would put no floor under x
     try:
+        _check_finite(args)
         return args.func(args)
     except (ValueError, DomainError) as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
@@ -400,6 +413,9 @@ def main(argv=None) -> int:
     except NonConvergence as err:
         print(f"optimizer did not converge: {err}", file=sys.stderr)
         return 5
+    except MemoryBudgetExceeded as err:
+        print(f"over the memory budget: {err}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ Fock truncation; a truncated-Fock partial trace serves as an oracle in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy.optimize import minimize
@@ -108,110 +107,69 @@ def optimize_coefficients(
 ) -> EntanglementReport:
     """Maximize the entropy over c with the gauge c_0 = 1.
 
-    Direct-search (Nelder-Mead) from structured plus random starting points:
-    alternating-binomial patterns with the known per-index phase twists cover
-    the weak-coupling optimum, flat alternating patterns the well-separated
-    regime, root patterns split symmetrically in angle the transition, and
-    seeded random vectors the rest.  The winner is then refined in root space
-    (per-root modulus and angle), which stays well conditioned in the
-    weak-coupling regime where the coefficient parametrization squeezes the
-    optimum into a narrow curved valley.  Raises NonConvergence (with the
-    best report attached) if no restart converges.
+    One Nelder-Mead search per start in root space: each of the K roots of
+    c(z) = sum_n c_n z^n as a modulus and an angle.  Structured starts come
+    first, per phase twist theta: the K-fold root e^{i theta} (alternating
+    binomial c, weak coupling), -e^{i theta} w over the K non-unit (K+1)-th
+    roots of unity w (flat alternating c, separated components) and unit
+    roots fanned about theta (the transition).  Repeated root sets are
+    dropped; seeded random roots fill up to ``restarts``.  A point replaces
+    the best only by a margin, so a flat optimum keeps the first start's
+    phase.  Raises NonConvergence (with the best report attached) if no
+    start converges.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     a2b2 = abs(alpha) ** 2 + abs(beta) ** 2
-    n = np.arange(1, K + 1)
-    sigma = abs(chi) * np.sqrt(a2b2)
-    mu = np.arange(K) - (K - 1) / 2.0
+    fan = 2.0 * abs(chi) * np.sqrt(a2b2) * (np.arange(K) - (K - 1) / 2.0)
+    unity = np.exp(2j * np.pi * np.arange(1, K + 1) / (K + 1))
 
-    def unpack(x):
-        return np.concatenate(([1.0 + 0j], x[:K] + 1j * x[K:]))
+    def coeffs(params):
+        return np.poly(params[:K] * np.exp(1j * params[K:]))[::-1]
 
-    def neg_entropy(x):
-        return -entropy_of_coefficients(unpack(x), alpha, beta, chi).E
-
-    starts = []
-    for theta in (a2b2 * np.sin(chi), a2b2 * np.sin(chi) + chi / 2, a2b2 * chi):
-        twist = np.exp(-1j * theta * n)
-        binom = np.array([comb(K, int(k)) for k in n], dtype=float)
-        starts.append(((-1.0) ** n) * binom * twist)
-        starts.append(((-1.0) ** n) * twist)
-        if K >= 2:
-            # unit-modulus roots fanned out around the twist angle; the fan
-            # width sqrt((|alpha|^2+|beta|^2)) chi matches the known K=2
-            # weak-coupling optimum at f = 1
-            for f in (0.7, 1.5):
-                roots = np.exp(1j * (theta + 2.0 * f * sigma * mu))
-                c = np.poly(roots)[::-1]
-                starts.append((c / c[0])[1:])
-    starts = starts[:restarts]
-    rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        starts.append(rng.normal(size=K) + 1j * rng.normal(size=K))
-
-    best = None
-    converged = False
-    for c_tail in starts:
-        x0 = np.concatenate((np.real(c_tail), np.imag(c_tail)))
-        res = minimize(
-            neg_entropy,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000},
-        )
-        converged = converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    # one polishing pass from the winner
-    res = minimize(
-        neg_entropy,
-        best.x,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 6000, "maxfev": 9000},
-    )
-    converged = converged or bool(res.success)
-    if res.fun < best.fun:
-        best = res
-    c_opt = unpack(best.x)
-
-    # stage two: refine in root space from the winner's roots and from the
-    # fanned unit-modulus patterns
-    def neg_entropy_roots(params):
-        roots = params[:K] * np.exp(1j * params[K:])
-        c = np.poly(roots)[::-1]
+    def neg_entropy(params):
+        c = coeffs(params)
         if not np.all(np.isfinite(c)):
             return 0.0
         return -entropy_of_coefficients(c, alpha, beta, chi).E
 
-    cands = []
-    poly_hi = c_opt[::-1]
-    if abs(poly_hi[0]) > 1e-9 * np.max(np.abs(poly_hi)):
-        r = np.roots(poly_hi)
-        if len(r) == K and np.all(np.abs(r) > 1e-9) and np.all(np.abs(r) < 1e9):
-            cands.append(np.concatenate((np.abs(r), np.angle(r))))
-    theta0 = a2b2 * np.sin(chi)
-    for f in (0.7, 1.5):
-        cands.append(np.concatenate((np.ones(K), theta0 + 2.0 * f * sigma * mu)))
-    best_r = None
-    for p0 in cands:
-        res = minimize(
-            neg_entropy_roots,
-            p0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 20000, "maxfev": 30000},
-        )
+    def candidates():
+        for theta in (a2b2 * np.sin(chi), a2b2 * np.sin(chi) + chi / 2, a2b2 * chi):
+            yield np.full(K, np.exp(1j * theta))
+            yield -np.exp(1j * theta) * unity
+            # the fan width sqrt(|alpha|^2+|beta|^2) chi matches the known
+            # K=2 weak-coupling optimum at f = 1
+            for f in (0.7, 1.5):
+                yield np.exp(1j * (theta + f * fan))
+        rng = np.random.default_rng(seed)
+        while True:
+            yield rng.normal(size=K) + 1j * rng.normal(size=K)
+
+    starts = []
+    for roots in candidates():
+        if not any(np.allclose(np.poly(roots), np.poly(r), rtol=0, atol=1e-12)
+                   for r in starts):
+            starts.append(roots)
+        if len(starts) == restarts:
+            break
+
+    opts = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000}
+    best_x, best_f, converged = None, np.inf, False
+    for roots in starts:
+        x0 = np.concatenate((np.abs(roots), np.angle(roots)))
+        res = minimize(neg_entropy, x0, method="Nelder-Mead", options=opts)
         converged = converged or bool(res.success)
-        if best_r is None or res.fun < best_r.fun:
-            best_r = res
-    if best_r is not None and best_r.fun < best.fun:
-        roots = best_r.x[:K] * np.exp(1j * best_r.x[K:])
-        c = np.poly(roots)[::-1]
-        if abs(c[0]) > 1e-12 * np.max(np.abs(c)):
-            c = c / c[0]
-        c_opt = c
-    rep = entropy_of_coefficients(c_opt, alpha, beta, chi)
-    report = EntanglementReport(rep.E, rep.schmidt, c_opt)
+        # a start or its search result takes over only by a margin
+        for x, f in ((x0, neg_entropy(x0)), (res.x, res.fun)):
+            if f < best_f - 1e-12:
+                best_x, best_f = x, f
+    c = coeffs(best_x)
+    if abs(c[0]) > 1e-12 * np.max(np.abs(c)):
+        c = c / c[0]
+    rep = entropy_of_coefficients(c, alpha, beta, chi)
+    report = EntanglementReport(rep.E, rep.schmidt, c)
     if not converged:
         raise NonConvergence(
             f"no restart converged for K={K}; best E = {report.E:.6f}", best=report

@@ -42,3 +42,7 @@ class NonConvergence(KerrlinkError):
 
 class DomainError(KerrlinkError):
     """An argument lies outside the mathematical domain of the function."""
+
+
+class MemoryBudgetExceeded(KerrlinkError):
+    """A dense simulation would allocate more than the package's memory budget."""

@@ -35,6 +35,7 @@ from .design import (
     build_scheme,
     probe_affine,
 )
+from .errors import MemoryBudgetExceeded
 from .fock import (
     DensOp,
     FockVector,
@@ -52,6 +53,8 @@ from .fock import (
 )
 
 DEFAULT_N_CUT = 3
+# dense-array budget of run_full_protocol; bell-k1 (82 MB) is the largest preset run
+DENSE_BYTES_LIMIT = 2**30
 
 
 @dataclass(frozen=True)
@@ -206,18 +209,34 @@ def _record(params, pattern, rho: DensOp) -> OutcomeRecord:
     return OutcomeRecord(tuple(pattern), state, float(p))
 
 
-def run_full_protocol(params: ProtocolParams, method: str = "blocked"):
-    """All 2^K click-pattern outcomes with heralded states and probabilities."""
+def _dense_bytes(params: ProtocolParams, method: str) -> int:
+    """Dense bytes of a route: the blocked kernel plus 2^K two-mode operators,
+    or the dim^(K+3) product state of the Fock routes."""
+    dim, K = params.trunc.dim, params.scheme.K
     if method == "blocked":
-        arms, probe = _branch_labels(params)
-        out = []
-        for pattern in itertools.product((True, False), repeat=params.scheme.K):
-            rho = _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
-            out.append(_record(params, pattern, rho))
-        return out
+        return 16 * ((2 * dim - 1) ** 2 + 2**K * dim**4)
     if method in ("monolithic", "displaced"):
-        return _run_fock_pipeline(params, displaced=(method == "displaced"))
+        return 16 * dim ** (K + 3)
     raise ValueError(f"unknown method {method!r}")
+
+
+def run_full_protocol(params: ProtocolParams, method: str = "blocked"):
+    """All 2^K click-pattern outcomes with heralded states and probabilities;
+    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
+    need = _dense_bytes(params, method)
+    if need > DENSE_BYTES_LIMIT:
+        raise MemoryBudgetExceeded(
+            f"{method} route needs {need:.3g} B of dense arrays (n_max "
+            f"{params.trunc.n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"
+        )
+    if method != "blocked":
+        return _run_fock_pipeline(params, displaced=(method == "displaced"))
+    arms, probe = _branch_labels(params)
+    out = []
+    for pattern in itertools.product((True, False), repeat=params.scheme.K):
+        rho = _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
+        out.append(_record(params, pattern, rho))
+    return out
 
 
 def _run_fock_pipeline(params: ProtocolParams, displaced: bool):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from kerrlink import cli
+from kerrlink import cli, protocol
 from kerrlink.design import from_json
 from kerrlink.entangle import EntanglementReport
 from kerrlink.errors import NonConvergence, TruncationOverflow
@@ -71,6 +71,46 @@ class TestExitCodes:
         assert rc == 5
         assert header == ["x", "K", "pattern", "E", "flag"]
         assert rows == [["1", "1", "full", "0.5", "1"]], f"rows = {rows}"
+
+
+NONFINITE_ARGV = [
+    (["simulate", "--preset", "bell-k1", "--alpha", "inf"], "--alpha"),
+    (["simulate", "--preset", "bell-k1", "--gamma", "inf"], "--gamma"),
+    (["simulate", "--preset", "bell-k1", "--gamma", "nan"], "--gamma"),
+    (["feasibility", "--Lambda", "nan"], "--Lambda"),
+    (["feasibility", "--Lambda", "inf"], "--Lambda"),
+    (["feasibility", "--eps-ac", "inf"], "--eps-ac"),
+    (["feasibility", "--db-grid", "0,inf"], "--db-grid"),
+    (["feasibility", "--fixed-db", "nan"], "--fixed-db"),
+    (["design", "--preset", "bell-k1", "--gamma", "nan"], "--gamma"),
+    (["design", "--coeffs", "1,-1", "--alpha", "1", "--gamma", "0.1", "--chi", "inf"],
+     "--chi"),
+    (["design", "--coeffs", "1,nan", "--alpha", "1", "--gamma", "0.1", "--chi", "0.1"],
+     "--coeffs"),
+    (["entangle-scan", "--x-grid", "1,nan", "--K", "1"], "--x-grid"),
+    (["entangle-scan", "--x-grid", "1", "--K", "1", "--gamma", "nan"], "--gamma"),
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv,flag", NONFINITE_ARGV,
+                             ids=[" ".join(a) for a, _ in NONFINITE_ARGV])
+    def test_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {flag} must be finite" in err, err
+        assert not out.exists()
+
+
+class TestMemoryBudgetExit:
+    def test_over_budget_simulation_exits_6(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", 1000)
+        out = tmp_path / "artifact.csv"
+        rc = cli.main(["simulate", "--preset", "photon-correlated:2,2", "--out", str(out)])
+        assert rc == 6
+        assert "memory budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDesign:

@@ -1,8 +1,12 @@
 """Entanglement entropy: Gram-span computation against Fock-space oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from kerrlink import entangle
 from kerrlink.design import (
     TargetCoefficients,
     coeffs_from_photon_target,
@@ -180,6 +184,52 @@ class TestOptimizer:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             optimize_coefficients(0, 1.0, 1.0, 0.5)
+
+
+def counted_starts(monkeypatch):
+    """Record the start point of every Nelder-Mead search optimize_coefficients runs."""
+    starts = []
+    real = entangle.minimize
+
+    def counting(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0, dtype=float))
+        return real(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(entangle, "minimize", counting)
+    return starts
+
+
+class TestSingleStageSearch:
+    """One root-space search per start: no polishing pass, no second stage."""
+
+    @pytest.mark.parametrize("K,restarts", [(1, 1), (1, 5), (2, 3)])
+    def test_one_search_per_start(self, monkeypatch, K, restarts):
+        starts = counted_starts(monkeypatch)
+        optimize_coefficients(K, np.sqrt(10), np.sqrt(10), 1 / np.sqrt(10),
+                              restarts=restarts, seed=0)
+        assert len(starts) == restarts
+
+    @pytest.mark.parametrize("K,restarts", [(1, 20), (2, 8)])
+    def test_start_roots_are_distinct(self, monkeypatch, K, restarts):
+        starts = counted_starts(monkeypatch)
+        optimize_coefficients(K, np.sqrt(10), np.sqrt(10), 1 / np.sqrt(10),
+                              restarts=restarts, seed=0)
+        polys = [np.poly(x[:K] * np.exp(1j * x[K:])) for x in starts]
+        for i, j in itertools.combinations(range(len(polys)), 2):
+            gap = np.max(np.abs(polys[i] - polys[j]))
+            assert gap > 1e-9, f"starts {i} and {j} share their roots"
+
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 100.0])
+    def test_k1_single_start_reaches_one_bit(self, x):
+        # entangle-scan's rule: alpha^2 = max(10, x), chi = sqrt(x)/alpha
+        alpha = math.sqrt(max(10.0, x))
+        rep = optimize_coefficients(1, alpha, alpha, math.sqrt(x) / alpha,
+                                    restarts=1, seed=1)
+        assert abs(rep.E - 1.0) < 1e-9, f"x={x}: E = {rep.E!r}"
+
+    def test_restarts_validation(self):
+        with pytest.raises(ValueError):
+            optimize_coefficients(1, 1.0, 1.0, 0.5, restarts=0)
 
 
 class TestSemiSuccess:

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kerrlink import protocol
 from kerrlink.design import (
     EliminationRoots,
     TargetCoefficients,
@@ -15,6 +16,7 @@ from kerrlink.design import (
     transmittances,
 )
 from kerrlink.entangle import pair_gram, schmidt_entropy
+from kerrlink.errors import MemoryBudgetExceeded
 from kerrlink.fock import (
     FockVector,
     TruncationSpec,
@@ -26,9 +28,12 @@ from kerrlink.fock import (
     project_click,
     trace_distance,
 )
+from kerrlink.presets import get_preset
 from kerrlink.protocol import (
+    DENSE_BYTES_LIMIT,
     ProtocolParams,
     _branch_labels,
+    _dense_bytes,
     _pattern_kernel,
     all_click_record,
     analytic_target_state,
@@ -173,6 +178,40 @@ class TestFullProtocol:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_full_protocol(small_k1(), method="magic")
+
+
+def preset_protocol(name):
+    p = get_preset(name)
+    return make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
+
+
+class TestMemoryBudget:
+    """The dense-size estimate only: nothing here allocates an oversized route."""
+
+    def test_maxent_k2_high_is_over_budget(self):
+        prot = preset_protocol("maxent-k2-high")
+        dim = prot.trunc.dim
+        assert dim == 10712
+        kernel = 16 * (2 * dim - 1) ** 2  # 7.3 GB on its own
+        operators = 4 * 16 * dim**4
+        assert _dense_bytes(prot, "blocked") == kernel + operators
+        assert kernel > DENSE_BYTES_LIMIT
+        assert _dense_bytes(prot, "monolithic") == 16 * dim**5 > DENSE_BYTES_LIMIT
+
+    @pytest.mark.parametrize("name", ["bell-k1", "maxent-k2-low", "photon-correlated:2,2",
+                                      "photon-correlated:1,3", "photon-correlated:2,4"])
+    def test_simulate_presets_fit(self, name):
+        need = _dense_bytes(preset_protocol(name), "blocked")
+        assert need <= DENSE_BYTES_LIMIT
+        if name == "bell-k1":
+            assert 81e6 < need < 83e6, f"bell-k1 needs {need} B"
+
+    @pytest.mark.parametrize("method", ["blocked", "monolithic", "displaced"])
+    def test_over_budget_raises_before_simulating(self, monkeypatch, method):
+        prot = small_k2()
+        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", _dense_bytes(prot, method) - 1)
+        with pytest.raises(MemoryBudgetExceeded):
+            run_full_protocol(prot, method=method)
 
 
 class TestEliminationSoundness:
