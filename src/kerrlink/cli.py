@@ -1,16 +1,20 @@
 """Command-line front end: scheme design, protocol simulation, entanglement
 scans and feasibility analysis, emitting reproducible CSV/JSON artifacts.
 
-Conventions shared by every subcommand: CSV output is comma-separated with a
-'.' decimal point, one header row, and '#'-prefixed parameter echo lines in
-front, so each artifact is self-describing.  The same configuration (flags
-plus seed) always produces byte-identical output.  Channel loss Lambda is the
-relative intensity loss (I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
+Each subcommand accepts only the flags its cmd_* function reads (SUBCOMMANDS
+lists them, FLAGS defines each flag once): the noise flags belong to
+feasibility alone, the target flags to design and simulate.  CSV output is
+comma-separated with a '.' decimal point, one header row, and '#'-prefixed
+parameter echo lines in front, so each artifact is self-describing.  The same
+configuration (flags plus seed) always produces byte-identical output.
+Channel loss Lambda is the relative intensity loss (I0 - I)/I and
+attenuation_dB = 10 log10(Lambda + 1).
 
-Exit codes: 2 invalid configuration (a nan or inf number among the flags
-included), 3 scheme synthesis failure, 4 truncation overflow, 5 optimizer
-non-convergence (rows still written, flagged in the flag column), 6 dense
-simulation over the memory budget (checked before allocating).
+Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
+nan or inf number among the flags, or --dphi2 <= 0), 3 scheme synthesis
+failure, 4 truncation overflow, 5 optimizer non-convergence (rows still
+written, flagged in the flag column), 6 dense simulation over the memory
+budget (checked before allocating).
 """
 
 from __future__ import annotations
@@ -268,6 +272,8 @@ def cmd_feasibility(args) -> int:
     a2 = abs(alpha) ** 2
     Ks = _parse_ints(args.K) if args.K else [1, 2]
     dphi2 = args.dphi2
+    if not dphi2 > 0:
+        raise ValueError(f"--dphi2 must be > 0, got {dphi2}")
 
     report = [f"feasibility: eps = {_fmt(eps)}  F_target = {_fmt(f_target)}  "
               f"zeta = {_fmt(zeta)}  lambda_det = {_fmt(lam_det)}  |alpha|^2 = {_fmt(a2)}"]
@@ -328,6 +334,56 @@ def cmd_feasibility(args) -> int:
 # parser
 
 
+# Every flag once; each subcommand lists only the flags its cmd_* function reads.
+FLAGS = {
+    "--preset": {"help": "named parameter bundle"},
+    "--coeffs": {"help": "explicit target c_0,c_1,... (complex allowed)"},
+    "--alpha": {"type": float, "help": "mode a amplitude"},
+    "--beta": {"type": float, "help": "mode b amplitude (default: alpha)"},
+    "--gamma": {"type": float, "help": "probe amplitude"},
+    "--chi": {"type": float, "help": "cross-Kerr phase per photon"},
+    "--K": {"help": "detector count (a comma list for entangle-scan and feasibility)"},
+    "--delta": {"type": float, "help": "last-splitter transmittance"},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"help": "output path (default: stdout)"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--x-grid": {"help": "comma list of x = alpha^2 chi^2"},
+    "--Lambda": {"type": float, "default": 0.0, "help": "channel loss (I0-I)/I"},
+    "--Lambda1": {"type": float, "default": 0.0, "help": "Kerr-stage loss"},
+    "--Lambda2": {"type": float, "default": 0.0, "help": "storage loss"},
+    "--dphi2": {"type": float, "default": 2.5e-5,
+                "help": "phase noise variance, rad^2 (> 0; it floors x)"},
+    "--lambda-det": {"type": float, "help": "detector efficiency in (0, 1]"},
+    "--zeta": {"type": float, "help": "dark-count probability per detector per window"},
+    "--eps-ac": {"type": float, "default": 0.0, "help": "relative a-probe nonlinearity error"},
+    "--eps-bc": {"type": float, "default": 0.0, "help": "relative b-probe nonlinearity error"},
+    "--epsilon": {"type": float, "help": "per-term infidelity budget (default (1-F)/6)"},
+    "--detector": {"choices": tuple(DETECTOR_PRESETS), "default": "low-dark",
+                   "help": "detector preset: low-dark (zeta=1e-8, lambda=1e-2) "
+                   "or high-eff (zeta=1e-6, lambda=0.1)"},
+    "--f-target": {"type": float, "default": 0.9},
+    "--db-grid": {"help": "comma list of Lambda_dB"},
+    "--fixed-db": {"default": "14,28", "help": "Lambda_dB values for the p_K(F) sweep"},
+}
+TARGET_FLAGS = ("--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi",
+                "--K", "--delta")
+SUBCOMMANDS = {
+    "design": (cmd_design, "synthesize the detection scheme; prints the root "
+               "table, --out writes the scheme JSON", (*TARGET_FLAGS, "--out")),
+    "simulate": (cmd_simulate, "full protocol run, one row per click pattern",
+                 (*TARGET_FLAGS, "--seed", "--out", "--format")),
+    "entangle-scan": (cmd_entangle_scan, "E versus distinguishability x, optimal "
+                      "targets plus silent-detector curves",
+                      ("--x-grid", "--K", "--gamma", "--seed", "--out", "--format")),
+    "feasibility": (cmd_feasibility, "six-inequality report plus p_K(Lambda) and "
+                    "p_K(F) sweeps",
+                    ("--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",
+                     "--Lambda2", "--dphi2", "--lambda-det", "--zeta", "--eps-ac",
+                     "--eps-bc", "--epsilon", "--detector", "--f-target", "--db-grid",
+                     "--fixed-db", "--out", "--format")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kerrlink",
@@ -337,67 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(photon-correlated takes its parameters as photon-correlated:s,K).",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--preset", help="named parameter bundle")
-        p.add_argument("--coeffs", help="explicit target c_0,c_1,... (complex allowed)")
-        p.add_argument("--alpha", type=float, help="mode a amplitude")
-        p.add_argument("--beta", type=float, help="mode b amplitude (default: alpha)")
-        p.add_argument("--gamma", type=float, help="probe amplitude")
-        p.add_argument("--chi", type=float, help="cross-Kerr phase per photon")
-        p.add_argument("--K", help="detector count (list allowed where it scans)")
-        p.add_argument("--delta", type=float, help="last-splitter transmittance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--Lambda", type=float, default=0.0, help="channel loss (I0-I)/I")
-        p.add_argument("--Lambda1", type=float, default=0.0, help="Kerr-stage loss")
-        p.add_argument("--Lambda2", type=float, default=0.0, help="storage loss")
-        p.add_argument("--dphi2", type=float, default=0.0, help="phase noise variance, rad^2")
-        p.add_argument("--lambda-det", dest="lambda_det", type=float, default=None,
-                       help="detector efficiency in (0, 1]")
-        p.add_argument("--zeta", type=float, default=None,
-                       help="dark-count probability per detector per window")
-        p.add_argument("--eps-ac", dest="eps_ac", type=float, default=0.0,
-                       help="relative a-probe nonlinearity error")
-        p.add_argument("--eps-bc", dest="eps_bc", type=float, default=0.0,
-                       help="relative b-probe nonlinearity error")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="per-term infidelity budget (default (1-F)/6)")
-
-    p = sub.add_parser("design", help="synthesize the detection scheme; "
-                       "prints the root table, --out writes the scheme JSON")
-    common(p)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("simulate", help="full protocol run, one row per click pattern")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("entangle-scan", help="E versus distinguishability x, "
-                       "optimal targets plus silent-detector curves")
-    common(p)
-    p.add_argument("--x-grid", dest="x_grid", help="comma list of x = alpha^2 chi^2")
-    p.set_defaults(func=cmd_entangle_scan)
-
-    p = sub.add_parser("feasibility", help="six-inequality report plus "
-                       "p_K(Lambda) and p_K(F) sweeps")
-    common(p)
-    p.add_argument("--detector", choices=tuple(DETECTOR_PRESETS), default="low-dark",
-                   help="detector preset: low-dark (zeta=1e-8, lambda=1e-2) "
-                   "or high-eff (zeta=1e-6, lambda=0.1)")
-    p.add_argument("--f-target", dest="f_target", type=float, default=0.9)
-    p.add_argument("--db-grid", dest="db_grid", help="comma list of Lambda_dB")
-    p.add_argument("--fixed-db", dest="fixed_db", default="14,28",
-                   help="Lambda_dB values for the p_K(F) sweep")
-    p.set_defaults(func=cmd_feasibility)
+    for name, (func, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.subcommand == "feasibility" and args.dphi2 == 0.0:
-        args.dphi2 = 2.5e-5  # sweep default; zero would put no floor under x
     try:
         _check_finite(args)
         return args.func(args)

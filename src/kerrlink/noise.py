@@ -37,6 +37,8 @@ from .protocol import analytic_target_state, success_probability_ideal
 
 DB_PER_KM = 0.20
 SERIES_TOL = 1e-14
+PROBE_CAP = 0.5  # ceiling on |gamma|^2 where the probe inequality allows more
+P_FLOOR = 1e-6  # success probability that defines the practical cutoff
 
 
 @dataclass(frozen=True)
@@ -475,21 +477,15 @@ def min_distinguishability(K: int, eps: float, dphi2: float) -> float:
     return dphi2 / (eps * f)
 
 
-def probe_ceiling(eps: float, x: float, Lambda: float, cap: float = 0.5) -> float:
-    """Largest |gamma|^2 allowed by the probe-intensity inequality, capped."""
+def probe_ceiling(eps: float, x: float, Lambda: float) -> float:
+    """Largest |gamma|^2 allowed by the probe-intensity inequality, capped at PROBE_CAP."""
     if Lambda <= 0 or x <= 0:
-        return cap
-    return min(eps / (x * Lambda), cap)
+        return PROBE_CAP
+    return min(eps / (x * Lambda), PROBE_CAP)
 
 
 def budget_success(
-    K: int,
-    Lambda: float,
-    eps: float,
-    lambda_det: float,
-    zeta: float,
-    dphi2: float,
-    cap: float = 0.5,
+    K: int, Lambda: float, eps: float, lambda_det: float, zeta: float, dphi2: float
 ) -> float:
     """Closed-form p_K at the probe ceiling and minimum distinguishability.
 
@@ -500,27 +496,18 @@ def budget_success(
     if Lambda > darkcount_loss_limit(eps, lambda_det, zeta):
         return 0.0
     x = min_distinguishability(K, eps, dphi2)
-    g2 = probe_ceiling(eps, x, Lambda, cap)
+    g2 = probe_ceiling(eps, x, Lambda)
     return (lambda_det * g2 / K) ** K
 
 
-def practical_cutoff_db(
-    K: int, eps: float, lambda_det: float, dphi2: float, p_floor: float = 1e-6
-) -> float:
-    """Attenuation where the budget success probability drops to p_floor."""
+def practical_cutoff_db(K: int, eps: float, lambda_det: float, dphi2: float) -> float:
+    """Attenuation where the budget success probability drops to P_FLOOR."""
     x = min_distinguishability(K, eps, dphi2)
-    lam = lambda_det * eps / (K * x * p_floor ** (1.0 / K))
+    lam = lambda_det * eps / (K * x * P_FLOOR ** (1.0 / K))
     return attenuation_db(lam)
 
 
-def loss_sweep(
-    K: int,
-    db_grid,
-    fidelity: float = 0.9,
-    lambda_det: float = 1e-2,
-    zeta: float = 1e-8,
-    dphi2: float = 2.5e-5,
-):
+def loss_sweep(K: int, db_grid, fidelity: float, lambda_det: float, zeta: float, dphi2: float):
     """Rows (Lambda_dB, F, p_K) at fixed target fidelity."""
     eps = (1.0 - fidelity) / 6.0
     return [
@@ -529,14 +516,7 @@ def loss_sweep(
     ]
 
 
-def fidelity_sweep(
-    K: int,
-    db: float,
-    f_grid,
-    lambda_det: float = 1e-2,
-    zeta: float = 1e-8,
-    dphi2: float = 2.5e-5,
-):
+def fidelity_sweep(K: int, db: float, f_grid, lambda_det: float, zeta: float, dphi2: float):
     """Rows (Lambda_dB, F, p_K) at fixed channel attenuation."""
     lam = db_to_loss(db)
     return [

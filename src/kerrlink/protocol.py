@@ -203,40 +203,51 @@ def _assemble_rho(params: ProtocolParams, kernel) -> DensOp:
     return DensOp(("a", "b"), rho, params.trunc)
 
 
-def _record(params, pattern, rho: DensOp) -> OutcomeRecord:
+def _record(pattern, rho: DensOp) -> OutcomeRecord:
     p = rho.trace()
     state = rho.normalized() if p > 1e-30 else rho
     return OutcomeRecord(tuple(pattern), state, float(p))
 
 
 def _dense_bytes(params: ProtocolParams, method: str) -> int:
-    """Dense bytes of a route: the blocked kernel plus 2^K two-mode operators,
-    or the dim^(K+3) product state of the Fock routes."""
+    """Dense bytes of a route: the blocked kernel plus 2^K two-mode operators
+    (one for a single pattern), or the dim^(K+3) product state of the Fock
+    routes."""
     dim, K = params.trunc.dim, params.scheme.K
-    if method == "blocked":
-        return 16 * ((2 * dim - 1) ** 2 + 2**K * dim**4)
+    if method in ("blocked", "pattern"):
+        return 16 * ((2 * dim - 1) ** 2 + (2**K if method == "blocked" else 1) * dim**4)
     if method in ("monolithic", "displaced"):
         return 16 * dim ** (K + 3)
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_full_protocol(params: ProtocolParams, method: str = "blocked"):
-    """All 2^K click-pattern outcomes with heralded states and probabilities;
-    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
+def _check_budget(params: ProtocolParams, method: str) -> None:
     need = _dense_bytes(params, method)
     if need > DENSE_BYTES_LIMIT:
         raise MemoryBudgetExceeded(
             f"{method} route needs {need:.3g} B of dense arrays (n_max "
             f"{params.trunc.n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"
         )
+
+
+def _pattern_rho(params: ProtocolParams, pattern) -> DensOp:
+    """Unnormalized heralded rho for one per-arm pattern of _pattern_kernel;
+    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
+    _check_budget(params, "pattern")
+    arms, probe = _branch_labels(params)
+    return _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
+
+
+def run_full_protocol(params: ProtocolParams, method: str = "blocked"):
+    """All 2^K click-pattern outcomes with heralded states and probabilities;
+    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
+    _check_budget(params, method)
     if method != "blocked":
         return _run_fock_pipeline(params, displaced=(method == "displaced"))
-    arms, probe = _branch_labels(params)
-    out = []
-    for pattern in itertools.product((True, False), repeat=params.scheme.K):
-        rho = _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
-        out.append(_record(params, pattern, rho))
-    return out
+    return [
+        _record(pattern, _pattern_rho(params, pattern))
+        for pattern in itertools.product((True, False), repeat=params.scheme.K)
+    ]
 
 
 def _run_fock_pipeline(params: ProtocolParams, displaced: bool):
@@ -264,7 +275,7 @@ def _run_fock_pipeline(params: ProtocolParams, displaced: bool):
         for j, clicked in enumerate(pattern, start=1):
             proj = project_click(proj, f"r{j}", clicked)
         rho = reduce_to_density(proj, ("a", "b"))
-        out.append(_record(params, pattern, rho))
+        out.append(_record(pattern, rho))
     return out
 
 
@@ -289,9 +300,7 @@ def operator_path_final_state(params: ProtocolParams, counts) -> DensOp:
     counts = tuple(int(n) for n in counts)
     if len(counts) != params.scheme.K or any(n < 1 for n in counts):
         raise ValueError(f"need K={params.scheme.K} counts, all >= 1, got {counts}")
-    arms, probe = _branch_labels(params)
-    w = _pattern_kernel(arms, probe, [range(n, n + 1) for n in counts])
-    rho = _assemble_rho(params, w)
+    rho = _pattern_rho(params, [range(n, n + 1) for n in counts])
     return rho.normalized() if rho.trace() > 1e-30 else rho
 
 
@@ -299,9 +308,9 @@ def operator_path_pattern(
     params: ProtocolParams, pattern, n_cut: int = DEFAULT_N_CUT
 ) -> DensOp:
     """Unnormalized pattern state from count sums 1..n_cut on clicked arms."""
-    arms, probe = _branch_labels(params)
-    arm_counts = [range(1, n_cut + 1) if clicked else False for clicked in pattern]
-    return _assemble_rho(params, _pattern_kernel(arms, probe, arm_counts))
+    return _pattern_rho(
+        params, [range(1, n_cut + 1) if clicked else False for clicked in pattern]
+    )
 
 
 def build_target_by_elimination(params: ProtocolParams) -> FockVector:
@@ -332,17 +341,15 @@ def oracle_equivalence(
     exponent: two-point |gamma| scaling of the residual (expected ~ 2).
     """
     full = tuple([True] * params.scheme.K)
-    records = run_full_protocol(params)
-    net = all_click_record(records).state
+    net = all_click_record(run_full_protocol(params)).state
     op = operator_path_pattern(params, full, n_cut=n_cut)
     td = trace_distance(net, op)
 
-    def residual_at(p):
-        rec = all_click_record(run_full_protocol(p))
+    def residual_at(p, state):
         tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, p.trunc)
-        return 1.0 - fidelity(rec.state, tgt)
+        return 1.0 - fidelity(state, tgt)
 
-    r1 = residual_at(params)
+    r1 = residual_at(params, net)
     half = make_protocol(
         params.alpha,
         params.beta,
@@ -353,7 +360,7 @@ def oracle_equivalence(
         tail_tol=params.trunc.tail_tol,
         n_max=params.trunc.n_max,
     )
-    r2 = residual_at(half)
+    r2 = residual_at(half, all_click_record(run_full_protocol(half)).state)
     exponent = float(np.log2(r1 / r2)) if r2 > 0 else float("nan")
     return EquivalenceReport(float(td), float(r1), exponent)
 

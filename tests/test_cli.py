@@ -2,7 +2,10 @@
 and the documented per-subcommand behaviors.  Everything runs in-process
 through cli.main so the suite stays fast."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +104,59 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert f"invalid configuration: {flag} must be finite" in err, err
         assert not out.exists()
+
+
+SUBCOMMAND_FLAGS = {
+    "design": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi", "--K",
+               "--delta", "--out"},
+    "simulate": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi", "--K",
+                 "--delta", "--seed", "--out", "--format"},
+    "entangle-scan": {"--x-grid", "--K", "--gamma", "--seed", "--out", "--format"},
+    "feasibility": {"--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",
+                    "--Lambda2", "--dphi2", "--lambda-det", "--zeta", "--eps-ac",
+                    "--eps-bc", "--epsilon", "--detector", "--f-target", "--db-grid",
+                    "--fixed-db", "--out", "--format"},
+}
+
+FOREIGN_FLAG_ARGV = [
+    ["simulate", "--preset", "bell-k1", "--Lambda", "0.3"],
+    ["entangle-scan", "--alpha", "5"],
+    ["design", "--preset", "bell-k1", "--format", "json"],
+    ["feasibility", "--preset", "bell-k1"],
+]
+
+
+class TestFlagSets:
+    def test_each_subcommand_takes_only_its_flags(self):
+        ap = cli.build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(SUBCOMMAND_FLAGS)
+        for name, p in sub.choices.items():
+            opts = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            assert opts == SUBCOMMAND_FLAGS[name], f"{name}: {sorted(opts)}"
+        assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 45
+
+    @pytest.mark.parametrize("argv", FOREIGN_FLAG_ARGV, ids=" ".join)
+    def test_foreign_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.001"])
+    def test_feasibility_rejects_nonpositive_dphi2(self, value, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        assert cli.main(["feasibility", "--dphi2", value, "--out", str(out)]) == 2
+        assert "invalid configuration: --dphi2 must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_command_lines_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [l.strip() for l in readme.read_text().splitlines()]
+        cmds = [shlex.split(l)[1:] for l in lines if l.startswith("kerrlink ")]
+        assert len(cmds) >= 6, f"{len(cmds)} command lines in README"
+        for argv in cmds:
+            cli.build_parser().parse_args(argv)
 
 
 class TestMemoryBudgetExit:

@@ -28,6 +28,7 @@ from kerrlink.noise import (
     fidelity_sweep,
     loss_sweep,
     min_distinguishability,
+    pair_overlap_matrix,
     practical_cutoff_db,
     success_probability,
     superop_pipeline_fidelity,
@@ -272,6 +273,46 @@ class TestDarkCounts:
         approx = zeta / (2 * lam * g2 * a2 * chi**2)
         assert abs((1 - f) - approx) < 0.1 * approx
 
+    @staticmethod
+    def dense_and_budget(t, a2, chi, gamma, lam, zeta):
+        """1 - F of the dense dark-count mixture against the target, and the
+        budget's t_darkcount, at equal intensities a2 in both modes."""
+        a = math.sqrt(a2)
+        rho = dark_count_mixture(t, solve_roots(t, gamma), a, a, chi, gamma, lam, zeta)
+        psi = analytic_target_state(t, a, a, chi, rho.trunc).amplitudes.ravel()
+        f = float(np.real(np.vdot(psi, rho.matrix @ psi))) / rho.trace()
+        noise = NoiseParams(lambda_det=lam, zeta=zeta)
+        return 1 - f, fidelity_leading_order(t, noise, a, a, gamma, chi).t_darkcount
+
+    @pytest.mark.parametrize("a2,chi,gamma,lam,zeta", [
+        (10.0, 0.2, 0.3, 0.5, 1e-4),
+        (10.0, 0.01, math.sqrt(0.1), 0.1, 1e-6),
+        (1.0, 0.5, 0.3, 0.5, 1e-4),
+    ])
+    def test_k1_budget_term_is_dense_infidelity(self, a2, chi, gamma, lam, zeta):
+        # one silent-detector state of weight w1 ck2 beside the target:
+        # 1 - F = t_dark / (1 + w1 ck2) exactly (measured gap <= 2e-15)
+        t = bell_target(a2, a2, chi)
+        infid, t_dark = self.dense_and_budget(t, a2, chi, gamma, lam, zeta)
+        a = math.sqrt(a2)
+        G = pair_overlap_matrix(1, a, a, chi)
+        ck2 = abs(t.c[-1]) ** 2 / float(np.real(np.conj(t.c) @ G @ t.c))
+        w1 = zeta / (lam * gamma**2)
+        want = t_dark / (1 + w1 * ck2)
+        assert abs(infid - want) < 1e-12, f"dense {infid} vs budget {want}"
+
+    @pytest.mark.parametrize("c,a2,chi", [
+        ([1, 0.4 - 0.2j, 0.7j], 1.0, 0.8),
+        ([1, -1, 1], 2.0, 0.6),
+    ])
+    @pytest.mark.parametrize("zeta", [1e-6, 1e-5, 1e-4])
+    def test_k2_budget_term_matches_to_second_order(self, c, a2, chi, zeta):
+        # the budget drops the trace renormalization and the two-dark-count
+        # states, both O(t_dark^2) (measured gap 1.4-3.2 t_dark^2)
+        t = TargetCoefficients(np.array(c, dtype=complex))
+        infid, t_dark = self.dense_and_budget(t, a2, chi, 0.3, 0.5, zeta)
+        assert abs(infid - t_dark) <= 5 * t_dark**2, f"dense {infid} vs budget {t_dark}"
+
     def test_warns_when_truncation_unreliable(self):
         t = bell_target(1.0, 1.0, 0.5)
         roots = solve_roots(t, 0.1)
@@ -363,6 +404,34 @@ class TestBreakdown:
             fidelity_leading_order(
                 t2, NoiseParams(dphi2=0.05), 1.0, 1.0, 0.3, 0.01
             )
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 0.1])
+    def test_discrete_phase_interpolation_tracks_exact(self, s):
+        # between the small- and large-x closed forms the budget interpolates
+        # log-linearly; Lambda-only noise, so 1 - F is the discrete-phase term
+        # alone.  Measured lead/exact ratios over this grid: 0.535-1.364.
+        a2, gamma = 10.0, 0.3
+        a = math.sqrt(a2)
+        noise = NoiseParams(Lambda=s / gamma**2)
+        ratios = []
+        for x in np.geomspace(0.3, 3, 9):
+            chi = math.sqrt(x / a2)
+            u = np.exp(-2j * a2 * chi)
+            targets = (
+                [1, -np.exp(-2j * a2 * np.sin(chi))],
+                [1, -u, u * u],
+                [1, -2 * u, u * u],
+            )
+            for c in targets:
+                t = TargetCoefficients(np.array(c, dtype=complex))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    lead = 1 - fidelity_leading_order(t, noise, a, a, gamma, chi).F
+                exact = 1 - superop_pipeline_fidelity(t, noise, a, a, gamma, chi)
+                ratios.append(lead / exact)
+        assert 0.5 <= min(ratios) and max(ratios) <= 2.0, (
+            f"s={s}: lead/exact ratios {min(ratios):.3f}-{max(ratios):.3f}"
+        )
 
 
 class TestPipeline:
@@ -540,10 +609,10 @@ class TestBudgetSweeps:
             assert abs(p - 1e-6) < 1e-12, f"K={K} p at cutoff {p}"
 
     def test_sweep_rows_are_monotone(self):
-        rows = loss_sweep(2, np.linspace(5, 20, 16))
+        rows = loss_sweep(2, np.linspace(5, 20, 16), 0.9, 1e-2, 1e-8, 2.5e-5)
         ps = [r[2] for r in rows]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
-        rows_f = fidelity_sweep(1, 14.0, np.linspace(0.5, 0.95, 10))
+        rows_f = fidelity_sweep(1, 14.0, np.linspace(0.5, 0.95, 10), 1e-2, 1e-8, 2.5e-5)
         ps_f = [r[2] for r in rows_f]
         assert all(b <= a for a, b in zip(ps_f, ps_f[1:]))
 

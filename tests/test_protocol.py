@@ -213,6 +213,19 @@ class TestMemoryBudget:
         with pytest.raises(MemoryBudgetExceeded):
             run_full_protocol(prot, method=method)
 
+    def test_operator_path_routes_are_guarded(self, monkeypatch):
+        prot = small_k1()
+        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", 1000)
+        with pytest.raises(MemoryBudgetExceeded):
+            operator_path_pattern(prot, (True,))
+        with pytest.raises(MemoryBudgetExceeded):
+            operator_path_final_state(prot, (1,))
+
+    def test_single_pattern_estimate(self):
+        prot = small_k2()
+        dim = prot.trunc.dim
+        assert _dense_bytes(prot, "pattern") == 16 * ((2 * dim - 1) ** 2 + dim**4)
+
 
 class TestEliminationSoundness:
     def probe_cascade_click_probability(self, scheme, probe_amp, arm, n_max=25):
@@ -333,6 +346,17 @@ class TestEquivalenceAndProbability:
         assert rep.trace_distance < 1e-6
         assert rep.residual < 5e-2
         assert 1.5 < rep.exponent < 2.5
+
+    def test_equivalence_simulates_each_protocol_once(self, monkeypatch):
+        calls = []
+
+        def counted(params, *args, **kwargs):
+            calls.append(params)
+            return run_full_protocol(params, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_full_protocol", counted)
+        oracle_equivalence(small_k1())
+        assert len(calls) == 2, f"{len(calls)} full simulations"
 
     def test_success_probability_formula(self):
         for params in (small_k1(), small_k2()):
