@@ -3,10 +3,12 @@ scans and feasibility analysis, emitting reproducible CSV/JSON artifacts.
 
 Each subcommand accepts only the flags its cmd_* function reads (SUBCOMMANDS
 lists them, FLAGS defines each flag once): the noise flags belong to
-feasibility alone, the target flags to design and simulate.  CSV output is
-comma-separated with a '.' decimal point, one header row, and '#'-prefixed
-parameter echo lines in front, so each artifact is self-describing.  The same
-configuration (flags plus seed) always produces byte-identical output.
+feasibility alone, the target flags to design and simulate, and design, whose
+scheme depends only on the target, gamma and delta, takes no mode amplitudes
+or chi.  Only entangle-scan takes a seed (its optimizer's random starts).
+CSV output is comma-separated with a '.' decimal point, one header row, and
+'#'-prefixed parameter echo lines in front, so each artifact is
+self-describing.  The same flags always produce byte-identical output.
 Channel loss Lambda is the relative intensity loss (I0 - I)/I and
 attenuation_dB = 10 log10(Lambda + 1).
 
@@ -115,38 +117,31 @@ def _emit(args, params, header, rows, preface=""):
         sys.stdout.write(text)
 
 
-def _resolve(args):
-    """Merge preset values with explicit flags into one parameter set."""
-    alpha = beta = gamma = chi = delta = target = None
-    if args.preset:
-        p = get_preset(args.preset)
-        alpha, beta, gamma = p.alpha, p.beta, p.gamma
-        chi, delta, target = p.chi, p.delta, p.target
+def _resolve(args, *names):
+    """(target, delta, *names): each value from its flag, else the preset;
+    beta falls back to alpha and delta to 1e-3."""
+    p = get_preset(args.preset) if args.preset else None
+    target = p.target if p else None
     if args.coeffs:
         target = TargetCoefficients(
             np.array([complex(tok) for tok in args.coeffs.split(",")])
         )
-    if args.alpha is not None:
-        alpha = args.alpha
-    if args.beta is not None:
-        beta = args.beta
-    if args.gamma is not None:
-        gamma = args.gamma
-    if args.chi is not None:
-        chi = args.chi
-    if args.delta is not None:
-        delta = args.delta
-    if beta is None:
-        beta = alpha
+    vals = {}
+    for name in ("delta", *names):
+        flag = getattr(args, name)
+        vals[name] = flag if flag is not None else getattr(p, name, None)
+    if "beta" in vals and vals["beta"] is None:
+        vals["beta"] = vals["alpha"]
     if target is None:
         raise ValueError("no target: give --preset or --coeffs")
-    if alpha is None or gamma is None or chi is None:
-        raise ValueError("alpha, gamma and chi must come from a preset or flags")
-    if delta is None:
-        delta = 1e-3
+    missing = [n for n in names if vals[n] is None]
+    if missing:
+        raise ValueError(f"{' and '.join(missing)} must come from a preset or flags")
+    if vals["delta"] is None:
+        vals["delta"] = 1e-3
     if args.K is not None and _parse_ints(args.K) != [target.K]:
         raise ValueError(f"--K {args.K} does not match the target (K={target.K})")
-    return alpha, beta, gamma, chi, delta, target
+    return (target, *vals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def _resolve(args):
 
 
 def cmd_design(args) -> int:
-    alpha, beta, gamma, chi, delta, target = _resolve(args)
+    target, delta, gamma = _resolve(args, "gamma")
     scheme = build_scheme(target, gamma, delta=delta)
     out = [
         f"K = {scheme.K}  gamma = {_fmt(gamma.real) if isinstance(gamma, complex) else _fmt(gamma)}"
@@ -187,7 +182,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    alpha, beta, gamma, chi, delta, target = _resolve(args)
+    target, delta, alpha, beta, gamma, chi = _resolve(args, "alpha", "beta", "gamma", "chi")
     prot = make_protocol(alpha, beta, gamma, chi, target, delta=delta)
     records = run_full_protocol(prot)
     tgt = analytic_target_state(target, alpha, beta, chi, prot.trunc)
@@ -214,7 +209,7 @@ def cmd_simulate(args) -> int:
         ("alpha", complex(alpha).real), ("beta", complex(beta).real),
         ("gamma", complex(gamma).real), ("chi", float(chi)),
         ("delta", float(delta)), ("K", target.K),
-        ("n_max", prot.trunc.n_max), ("seed", args.seed),
+        ("n_max", prot.trunc.n_max),
         ("probability_sum", sum(r[1] for r in rows)),
     ]
     header = ("pattern", "probability", "fidelity_vs_target", "entanglement",
@@ -226,7 +221,6 @@ def cmd_simulate(args) -> int:
 def cmd_entangle_scan(args) -> int:
     xs = _parse_floats(args.x_grid) if args.x_grid else [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
     Ks = _parse_ints(args.K) if args.K else [1, 2]
-    gamma = args.gamma if args.gamma is not None else 0.1
     rows = []
     flagged = False
     for x in xs:
@@ -241,7 +235,8 @@ def cmd_entangle_scan(args) -> int:
                 rep, flag, flagged = err.best, 1, True
             rows.append((x, K, "full", rep.E, flag))
             t_opt = TargetCoefficients(rep.c_opt)
-            roots = solve_roots(t_opt, gamma)
+            # the silent-detector states depend only on the roots of c
+            roots = solve_roots(t_opt, 1.0)
             for r in range(1, K):
                 for missing in itertools.combinations(range(1, K + 1), r):
                     ent = semi_success_entropy(
@@ -255,7 +250,7 @@ def cmd_entangle_scan(args) -> int:
         ("subcommand", "entangle-scan"),
         ("x_grid", ",".join(_fmt(x) for x in xs)),
         ("K_list", ",".join(str(k) for k in Ks)),
-        ("gamma", float(gamma)), ("seed", args.seed),
+        ("seed", args.seed),
         ("alpha_rule", "alpha^2 = max(10, x), chi = sqrt(x)/alpha"),
     ]
     _emit(args, params, ("x", "K", "pattern", "E", "flag"), rows)
@@ -369,12 +364,13 @@ TARGET_FLAGS = ("--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi",
                 "--K", "--delta")
 SUBCOMMANDS = {
     "design": (cmd_design, "synthesize the detection scheme; prints the root "
-               "table, --out writes the scheme JSON", (*TARGET_FLAGS, "--out")),
+               "table, --out writes the scheme JSON",
+               ("--preset", "--coeffs", "--gamma", "--K", "--delta", "--out")),
     "simulate": (cmd_simulate, "full protocol run, one row per click pattern",
-                 (*TARGET_FLAGS, "--seed", "--out", "--format")),
+                 (*TARGET_FLAGS, "--out", "--format")),
     "entangle-scan": (cmd_entangle_scan, "E versus distinguishability x, optimal "
                       "targets plus silent-detector curves",
-                      ("--x-grid", "--K", "--gamma", "--seed", "--out", "--format")),
+                      ("--x-grid", "--K", "--seed", "--out", "--format")),
     "feasibility": (cmd_feasibility, "six-inequality report plus p_K(Lambda) and "
                     "p_K(F) sweeps",
                     ("--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",

@@ -47,12 +47,12 @@ def pair_gram(K: int, alpha, beta, chi) -> GramPair:
     return GramPair(_rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th))
 
 
-def entropy_of_coefficients(c, alpha, beta, chi, floor=EIG_FLOOR) -> EntanglementReport:
+def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     """Entropy of sum_n c_n |alpha e^{i chi n}>|beta e^{i chi n}> across the modes.
 
     The reduced operator of mode a in the coherent span is X[n, m] =
     c_n c_m* <beta_m|beta_n>; whitening with G_a^{1/2} turns its spectrum into
-    the Schmidt weights.  Eigenvalues below ``floor`` are discarded (the span
+    the Schmidt weights.  Eigenvalues below EIG_FLOOR are discarded (the span
     is heavily ill-conditioned when the constituent states nearly coalesce).
     """
     c = np.asarray(c, dtype=complex)
@@ -61,10 +61,10 @@ def entropy_of_coefficients(c, alpha, beta, chi, floor=EIG_FLOOR) -> Entanglemen
     norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
     X = np.outer(c, np.conj(c)) * g.G_b.T
     w, v = np.linalg.eigh(g.G_a)
-    w = np.where(w > floor, w, 0.0)
+    w = np.where(w > EIG_FLOOR, w, 0.0)
     s = (v * np.sqrt(w)) @ v.conj().T
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
-    lam = np.sort(lam[lam > floor])[::-1]
+    lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
     return EntanglementReport(float(-np.sum(lam * np.log2(lam))), lam)
 
 
@@ -83,13 +83,13 @@ def semi_success_entropy(
     return entropy_of_coefficients(ctil.c, alpha, beta, chi)
 
 
-def schmidt_entropy(state, floor=EIG_FLOOR) -> float:
+def schmidt_entropy(state) -> float:
     """Entanglement entropy (bits) of a pure two-mode Fock-space state."""
     if len(state.modes) != 2:
         raise ShapeMismatch(f"need exactly two modes, got {state.modes}")
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = sv**2 / np.sum(sv**2)
-    lam = lam[lam > floor]
+    lam = lam[lam > EIG_FLOOR]
     return float(-np.sum(lam * np.log2(lam)))
 
 

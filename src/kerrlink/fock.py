@@ -7,7 +7,6 @@ mutated in place, so states can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,11 +45,6 @@ class TruncationSpec:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if not 0 < self.tail_tol < 1:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-
-    @classmethod
-    def for_amplitudes(cls, amplitudes, tail_tol=DEFAULT_TAIL_TOL):
-        """Adaptive cutoff: smallest n_max accommodating all given amplitudes."""
-        return cls(min_cutoff(amplitudes, tail_tol), tail_tol)
 
     @property
     def dim(self) -> int:
@@ -359,30 +353,3 @@ def trace_distance(rho: DensOp, sigma: DensOp) -> float:
     _check_same(rho, sigma)
     diff = rho.matrix / rho.trace() - sigma.matrix / sigma.trace()
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-# ---------------------------------------------------------------------------
-# serialization (test fixtures)
-
-
-def dump_state(state: FockVector) -> bytes:
-    """Serialize: one JSON header line, then little-endian complex pairs."""
-    header = json.dumps(
-        {
-            "modes": list(state.modes),
-            "n_max": state.trunc.n_max,
-            "tail_tol": state.trunc.tail_tol,
-        }
-    )
-    return header.encode() + b"\n" + np.ascontiguousarray(
-        state.amplitudes, dtype="<c16"
-    ).tobytes()
-
-
-def load_state(buf: bytes) -> FockVector:
-    head, raw = buf.split(b"\n", 1)
-    meta = json.loads(head.decode())
-    trunc = TruncationSpec(meta["n_max"], meta["tail_tol"])
-    dim = trunc.dim
-    amp = np.frombuffer(raw, dtype="<c16").reshape((dim,) * len(meta["modes"])).copy()
-    return FockVector(tuple(meta["modes"]), amp.astype(complex), trunc)

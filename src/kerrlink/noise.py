@@ -166,8 +166,9 @@ def _poisson_weights(s: float):
     return w / w.sum()
 
 
-def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac, mode=None) -> DensOp:
-    """Poisson mixture of phase rotations e^{i chi_ac k n} on one mode.
+def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac) -> DensOp:
+    """Poisson mixture of phase rotations e^{i chi_ac k n_a} on mode a, the
+    first of rho's modes.
 
     The rotated copies are summed and the output is rescaled to the input
     trace (the raw series is trace-increasing by e^{Lambda|gamma|^2}).  This
@@ -177,13 +178,8 @@ def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac, mode=None) 
     w = _poisson_weights(Lambda * abs(gamma) ** 2)
     if not isinstance(rho, DensOp):
         raise TypeError(f"expected DensOp, got {type(rho).__name__}")
-    if mode is None:
-        mode = rho.modes[0]
-    if mode not in rho.modes:
-        raise ValueError(f"mode {mode!r} not among {rho.modes}")
-    axis = rho.modes.index(mode)
     dim, nmodes = rho.trunc.dim, len(rho.modes)
-    idx = (np.arange(dim ** nmodes) // dim ** (nmodes - 1 - axis)) % dim
+    idx = np.arange(dim**nmodes) // dim ** (nmodes - 1)
     out = np.zeros_like(rho.matrix)
     for k, wk in enumerate(w):
         u = np.exp(1j * chi_ac * k * idx)
@@ -398,17 +394,13 @@ def success_probability(
     target: TargetCoefficients,
     gamma,
     lambda_det,
-    K: int | None = None,
     q: float | None = None,
     norm_squared: float = 1.0,
 ) -> float:
     """All-click probability with detector efficiency: (q^2 lambda |gamma|^2)^K N / |c_K|^2."""
     if not 0 < lambda_det <= 1:
         raise ValueError(f"lambda_det must lie in (0, 1], got {lambda_det}")
-    if K is None:
-        K = target.K
-    elif K != target.K:
-        raise ValueError(f"K={K} does not match the target (K={target.K})")
+    K = target.K
     if q is None:
         q = 1.0 / math.sqrt(K)
     return lambda_det**K * success_probability_ideal(target, gamma, q, K, norm_squared)

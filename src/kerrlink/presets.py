@@ -78,11 +78,9 @@ def _photon_correlated(s: int, K: int) -> Preset:
     )
 
 
-def get_preset(name: str, s: int | None = None, K: int | None = None) -> Preset:
-    """Look up a preset by name; photon-correlated takes s and K.
-
-    The pair may ride along in the name as "photon-correlated:s,K".
-    """
+def get_preset(name: str) -> Preset:
+    """Look up a preset by name; photon-correlated takes its s and K in the
+    name, as "photon-correlated:s,K"."""
     base, _, tail = name.partition(":")
     if base == "bell-k1":
         return _bell_k1()
@@ -91,14 +89,11 @@ def get_preset(name: str, s: int | None = None, K: int | None = None) -> Preset:
     if base == "maxent-k2-high":
         return _maxent_k2_high()
     if base == "photon-correlated":
-        if tail:
-            try:
-                s, K = (int(v) for v in tail.split(","))
-            except ValueError:
-                raise ValueError(
-                    f"cannot parse {tail!r}; expected photon-correlated:s,K"
-                ) from None
-        if s is None or K is None:
-            raise ValueError("photon-correlated preset needs s and K")
+        try:
+            s, K = (int(v) for v in tail.split(","))
+        except ValueError:
+            raise ValueError(
+                f"cannot parse {tail!r}; expected photon-correlated:s,K"
+            ) from None
         return _photon_correlated(s, K)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -3,17 +3,16 @@
 The interaction entangles the two held modes (a, b) with a weak coherent
 probe through cross-Kerr phases, then sends the probe through the synthesized
 splitter chain where each arm meets its reference beam and a non-resolving
-detector.  Three routes to the heralded (a, b) state are provided:
+detector.  ``run_full_protocol`` takes the blocked route: the total held-mode
+photon number s = n_a + n_b is conserved and tags the probe branch, so the
+linear cascade acts on exact coherent labels per s and projector overlaps are
+evaluated in closed form.  No truncation anywhere except the (a, b) amplitude
+grid itself.
 
-* ``blocked`` (default): the total held-mode photon number s = n_a + n_b is
-  conserved and tags the probe branch, so the linear cascade acts on exact
-  coherent labels per s; projector overlaps are evaluated in closed form.
-  No truncation anywhere except the (a, b) amplitude grid itself.
-* ``monolithic``: literal truncated-Fock simulation of every mode through
-  the gate layer; exercises the whole fock module, small instances only.
-* ``displaced``: the cascade runs with vacuum reference ports and each arm
-  is displaced by -i q gamma_j before detection; equivalent network, used
-  as a cross-check of the displacement-based layout.
+Two truncated-Fock routes serve as its test oracle (``_run_fock_pipeline``):
+the monolithic one simulates every mode literally through the gate layer
+(small instances only), and the displaced one runs the cascade with vacuum
+reference ports, displacing each arm by -i q gamma_j before detection.
 
 The operator path applies the per-detector polynomial operators
 (q^n/sqrt(n!)) (c - gamma_j)^n branch by branch and sums photon counts up to
@@ -53,7 +52,8 @@ from .fock import (
 )
 
 DEFAULT_N_CUT = 3
-# dense-array budget of run_full_protocol; bell-k1 (82 MB) is the largest preset run
+# dense-array budget of every route; bell-k1 (205 MB, counting the working
+# copies) is the largest preset run
 DENSE_BYTES_LIMIT = 2**30
 
 
@@ -105,19 +105,17 @@ def make_protocol(
     chi,
     target: TargetCoefficients,
     delta: float = 1e-3,
-    tail_tol: float = 1e-12,
     n_max: int | None = None,
 ) -> ProtocolParams:
     """Bundle a full parameter set, synthesizing the scheme and the cutoff.
 
     The cutoff covers every coherent amplitude appearing in the network
-    (held modes, probe, references, master), so the same ProtocolParams can
-    drive any of the simulation methods.
+    (held modes, probe, references, master) within fock.DEFAULT_TAIL_TOL, so
+    the same ProtocolParams can drive any of the simulation routes.
     """
     scheme = build_scheme(target, gamma, delta=delta)
     if n_max is None:
-        amps = [alpha, beta, gamma, scheme.ref_net.master, *scheme.gtilde]
-        n_max = min_cutoff(amps, tail_tol)
+        n_max = min_cutoff([alpha, beta, gamma, scheme.ref_net.master, *scheme.gtilde])
     return ProtocolParams(
         complex(alpha),
         complex(beta),
@@ -125,7 +123,7 @@ def make_protocol(
         float(chi),
         target,
         scheme,
-        TruncationSpec(n_max, tail_tol),
+        TruncationSpec(n_max),
     )
 
 
@@ -209,23 +207,19 @@ def _record(pattern, rho: DensOp) -> OutcomeRecord:
     return OutcomeRecord(tuple(pattern), state, float(p))
 
 
-def _dense_bytes(params: ProtocolParams, method: str) -> int:
-    """Dense bytes of a route: the blocked kernel plus 2^K two-mode operators
-    (one for a single pattern), or the dim^(K+3) product state of the Fock
-    routes."""
-    dim, K = params.trunc.dim, params.scheme.K
-    if method in ("blocked", "pattern"):
-        return 16 * ((2 * dim - 1) ** 2 + (2**K if method == "blocked" else 1) * dim**4)
-    if method in ("monolithic", "displaced"):
-        return 16 * dim ** (K + 3)
-    raise ValueError(f"unknown method {method!r}")
+def _dense_bytes(params: ProtocolParams, n: int) -> int:
+    """Peak dense bytes of n heralded two-mode operators built one by one: the
+    blocked kernel, the n normalized operators kept, and three dim^4 working
+    arrays while the last is built (its unnormalized form and the two
+    temporaries of DensOp's Hermiticity check)."""
+    dim = params.trunc.dim
+    return 16 * ((2 * dim - 1) ** 2 + (n + 3) * dim**4)
 
 
-def _check_budget(params: ProtocolParams, method: str) -> None:
-    need = _dense_bytes(params, method)
+def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
     if need > DENSE_BYTES_LIMIT:
         raise MemoryBudgetExceeded(
-            f"{method} route needs {need:.3g} B of dense arrays (n_max "
+            f"{route} needs {need:.3g} B of dense arrays (n_max "
             f"{params.trunc.n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"
         )
 
@@ -233,26 +227,31 @@ def _check_budget(params: ProtocolParams, method: str) -> None:
 def _pattern_rho(params: ProtocolParams, pattern) -> DensOp:
     """Unnormalized heralded rho for one per-arm pattern of _pattern_kernel;
     MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
-    _check_budget(params, "pattern")
+    _check_budget(params, "one pattern", _dense_bytes(params, 1))
     arms, probe = _branch_labels(params)
     return _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
 
 
-def run_full_protocol(params: ProtocolParams, method: str = "blocked"):
-    """All 2^K click-pattern outcomes with heralded states and probabilities;
-    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
-    _check_budget(params, method)
-    if method != "blocked":
-        return _run_fock_pipeline(params, displaced=(method == "displaced"))
+def run_full_protocol(params: ProtocolParams):
+    """All 2^K click-pattern outcomes with heralded states and probabilities,
+    along the blocked route; MemoryBudgetExceeded, before any allocation,
+    past DENSE_BYTES_LIMIT."""
+    K = params.scheme.K
+    _check_budget(params, "blocked route", _dense_bytes(params, 2**K))
     return [
         _record(pattern, _pattern_rho(params, pattern))
-        for pattern in itertools.product((True, False), repeat=params.scheme.K)
+        for pattern in itertools.product((True, False), repeat=K)
     ]
 
 
-def _run_fock_pipeline(params: ProtocolParams, displaced: bool):
+def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
+    """Test oracle for run_full_protocol: every mode in truncated Fock space,
+    monolithic (references at the ports) or displaced (vacuum ports, arms
+    displaced before detection).  Checks its dim^(K+3) product state against
+    DENSE_BYTES_LIMIT before allocating."""
     K = params.scheme.K
     trunc = params.trunc
+    _check_budget(params, "Fock route", 16 * trunc.dim ** (K + 3))
     modes = ["a", "b", "c"] + [f"r{j}" for j in range(1, K + 1)]
     refs = np.zeros(K, dtype=complex) if displaced else params.scheme.gtilde
     amps = [
@@ -331,18 +330,17 @@ def build_target_by_elimination(params: ProtocolParams) -> FockVector:
     return FockVector(("a", "b"), amp / np.linalg.norm(amp), trunc)
 
 
-def oracle_equivalence(
-    params: ProtocolParams, n_cut: int = DEFAULT_N_CUT
-) -> EquivalenceReport:
+def oracle_equivalence(params: ProtocolParams) -> EquivalenceReport:
     """Compare the network and operator paths on the all-click outcome.
 
-    trace_distance: network vs operator-path heralded state.
+    trace_distance: network vs operator-path heralded state (count sums up
+    to DEFAULT_N_CUT).
     residual: infidelity of the network state against the analytic target.
     exponent: two-point |gamma| scaling of the residual (expected ~ 2).
     """
     full = tuple([True] * params.scheme.K)
     net = all_click_record(run_full_protocol(params)).state
-    op = operator_path_pattern(params, full, n_cut=n_cut)
+    op = operator_path_pattern(params, full)
     td = trace_distance(net, op)
 
     def residual_at(p, state):
@@ -357,7 +355,6 @@ def oracle_equivalence(
         params.chi,
         params.target,
         delta=params.scheme.delta,
-        tail_tol=params.trunc.tail_tol,
         n_max=params.trunc.n_max,
     )
     r2 = residual_at(half, all_click_record(run_full_protocol(half)).state)

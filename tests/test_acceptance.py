@@ -124,7 +124,7 @@ def test_criterion_04_oracle_equivalence():
     for name in ("bell-k1", "maxent-k2-low"):
         p = get_preset(name)
         prot = make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
-        rep = oracle_equivalence(prot, n_cut=3)
+        rep = oracle_equivalence(prot)
         assert rep.trace_distance <= 1e-5, f"{name}: td = {rep.trace_distance}"
         assert 1.7 <= rep.exponent <= 2.3, f"{name}: exponent = {rep.exponent}"
     dt = time.perf_counter() - t0

@@ -43,16 +43,13 @@ class TestExitCodes:
         assert cli.main(["design", "--preset", "nope"]) == 2
 
     def test_missing_target(self):
-        assert cli.main(["design", "--alpha", "1", "--gamma", "0.1", "--chi", "0.1"]) == 2
+        assert cli.main(["design", "--gamma", "0.1"]) == 2
 
     def test_k_flag_contradicts_target(self):
         assert cli.main(["design", "--preset", "bell-k1", "--K", "2"]) == 2
 
     def test_degenerate_leading_coefficient(self):
-        rc = cli.main(
-            ["design", "--coeffs", "1,0", "--alpha", "1", "--gamma", "0.1", "--chi", "0.1"]
-        )
-        assert rc == 3
+        assert cli.main(["design", "--coeffs", "1,0", "--gamma", "0.1"]) == 3
 
     def test_truncation_overflow_maps_to_4(self, monkeypatch):
         def boom(*a, **k):
@@ -86,12 +83,9 @@ NONFINITE_ARGV = [
     (["feasibility", "--db-grid", "0,inf"], "--db-grid"),
     (["feasibility", "--fixed-db", "nan"], "--fixed-db"),
     (["design", "--preset", "bell-k1", "--gamma", "nan"], "--gamma"),
-    (["design", "--coeffs", "1,-1", "--alpha", "1", "--gamma", "0.1", "--chi", "inf"],
-     "--chi"),
-    (["design", "--coeffs", "1,nan", "--alpha", "1", "--gamma", "0.1", "--chi", "0.1"],
-     "--coeffs"),
+    (["design", "--coeffs", "1,-1", "--gamma", "0.1", "--delta", "inf"], "--delta"),
+    (["design", "--coeffs", "1,nan", "--gamma", "0.1"], "--coeffs"),
     (["entangle-scan", "--x-grid", "1,nan", "--K", "1"], "--x-grid"),
-    (["entangle-scan", "--x-grid", "1", "--K", "1", "--gamma", "nan"], "--gamma"),
 ]
 
 
@@ -107,11 +101,10 @@ class TestNonFiniteInput:
 
 
 SUBCOMMAND_FLAGS = {
-    "design": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi", "--K",
-               "--delta", "--out"},
+    "design": {"--preset", "--coeffs", "--gamma", "--K", "--delta", "--out"},
     "simulate": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi", "--K",
-                 "--delta", "--seed", "--out", "--format"},
-    "entangle-scan": {"--x-grid", "--K", "--gamma", "--seed", "--out", "--format"},
+                 "--delta", "--out", "--format"},
+    "entangle-scan": {"--x-grid", "--K", "--seed", "--out", "--format"},
     "feasibility": {"--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",
                     "--Lambda2", "--dphi2", "--lambda-det", "--zeta", "--eps-ac",
                     "--eps-bc", "--epsilon", "--detector", "--f-target", "--db-grid",
@@ -123,6 +116,9 @@ FOREIGN_FLAG_ARGV = [
     ["entangle-scan", "--alpha", "5"],
     ["design", "--preset", "bell-k1", "--format", "json"],
     ["feasibility", "--preset", "bell-k1"],
+    ["design", "--alpha", "1"],
+    ["simulate", "--seed", "0"],
+    ["entangle-scan", "--gamma", "0.1"],
 ]
 
 
@@ -134,7 +130,7 @@ class TestFlagSets:
         for name, p in sub.choices.items():
             opts = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
             assert opts == SUBCOMMAND_FLAGS[name], f"{name}: {sorted(opts)}"
-        assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 45
+        assert [len(SUBCOMMAND_FLAGS[n]) for n in sub.choices] == [6, 10, 5, 19]
 
     @pytest.mark.parametrize("argv", FOREIGN_FLAG_ARGV, ids=" ".join)
     def test_foreign_flag_is_a_usage_error(self, argv, capsys):
@@ -159,6 +155,15 @@ class TestFlagSets:
             cli.build_parser().parse_args(argv)
 
 
+class TestReadmeSession:
+    def test_python_block_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```python\n")[1:]
+        assert len(blocks) == 1, f"{len(blocks)} python blocks in README"
+        exec(blocks[0].split("```")[0], {})
+        assert capsys.readouterr().out.strip(), "the session printed nothing"
+
+
 class TestMemoryBudgetExit:
     def test_over_budget_simulation_exits_6(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", 1000)
@@ -169,7 +174,27 @@ class TestMemoryBudgetExit:
         assert not out.exists()
 
 
+# design's stdout for this target at gamma 0.1; the same as when design still
+# demanded --alpha and --chi (given as 1.5 and 0.2) and ignored them
+DESIGN_COEFFS_STDOUT = """\
+K = 2  gamma = 0.1  delta = 0.001  q = 0.706929893934
+target c: 1+0j,-1.2+0j,0.4+0j
+detector,root_re,root_im,mult,abs,arg
+1,0.15,-0.05,1,0.158113883008,-0.321750554397
+2,0.15,0.05,1,0.158113883008,0.321750554397
+splitter transmittances T: 0.500250125063,0.001
+reference amplitudes gtilde: -0.0499749937469-0.149924981241j,0.00111775430545-6.70317256976j
+reference cascade Tp: 0.999444475322
+reference cascade phi: -0.321917304437
+master beam: -6.70503523475-0.00111806490491j
+"""
+
+
 class TestDesign:
+    def test_coeffs_need_only_gamma(self, capsys):
+        assert cli.main(["design", "--coeffs", "1,-1.2,0.4", "--gamma", "0.1"]) == 0
+        assert capsys.readouterr().out == DESIGN_COEFFS_STDOUT
+
     def test_photon_correlated_prints_coefficients(self, capsys):
         assert cli.main(["design", "--preset", "photon-correlated:2,2"]) == 0
         out = capsys.readouterr().out

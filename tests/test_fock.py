@@ -19,10 +19,8 @@ from kerrlink.fock import (
     coherent_amplitudes,
     coherent_tail,
     discard_mode,
-    dump_state,
     fidelity,
     inner,
-    load_state,
     min_cutoff,
     partial_trace,
     product_state,
@@ -80,7 +78,8 @@ class TestTruncation:
             assert n == 1 or coherent_tail(z, n - 1) > tol, f"n={n} not minimal for z={z}"
 
     def test_for_amplitudes_uses_largest(self):
-        t = TruncationSpec.for_amplitudes([0.1, 2.0, 1.0], tail_tol=1e-10)
+        # several amplitudes: the cutoff is the one the largest needs
+        t = TruncationSpec(min_cutoff([0.1, 2.0, 1.0], 1e-10), tail_tol=1e-10)
         assert t.n_max == min_cutoff([2.0], 1e-10)
 
     def test_validation(self):
@@ -270,26 +269,6 @@ class TestMetrics:
         t = trace_distance(reduce_to_density(a, ("m0",)), reduce_to_density(b, ("m0",)))
         f = abs(inner(a.normalized(), b.normalized())) ** 2
         assert abs(t - np.sqrt(1 - f)) < 1e-8
-
-
-class TestSerialization:
-    def test_roundtrip_bytes(self):
-        trunc = TruncationSpec(9, tail_tol=1e-10)
-        st = coh_state([0.3 + 0.4j, -0.2j], trunc)
-        blob = dump_state(st)
-        back = load_state(blob)
-        assert back.modes == st.modes
-        assert back.trunc == st.trunc
-        assert np.array_equal(back.amplitudes, st.amplitudes)
-        assert dump_state(back) == blob
-
-    def test_layout_is_row_major_little_endian(self):
-        trunc = TruncationSpec(1)
-        amp = np.array([[1.0, 2.0j], [3.0, 4.0]], dtype=complex)
-        blob = dump_state(FockVector(("a", "b"), amp, trunc))
-        raw = blob.split(b"\n", 1)[1]
-        vals = np.frombuffer(raw, dtype="<c16")
-        assert np.array_equal(vals, np.array([1.0, 2.0j, 3.0, 4.0]))
 
 
 class TestValueChecks:

@@ -76,7 +76,7 @@ def fock_pipeline_fidelity(target, noise, alpha, beta, gamma, chi):
                 * np.outer(vecs[n1], np.conj(vecs[n2]))
             )
     rho = DensOp(("a", "b"), mat, trunc)
-    rho = apply_discrete_phase_channel(rho, noise.Lambda, gamma, chi_ac, mode="a")
+    rho = apply_discrete_phase_channel(rho, noise.Lambda, gamma, chi_ac)
     cb = TargetCoefficients(c * np.exp(1j * eta1 * np.arange(K + 1)))
     ref = analytic_target_state(cb, alpha, beta, chi, trunc).amplitudes.ravel()
     val = float(np.real(np.vdot(ref, rho.matrix @ ref)))
@@ -168,7 +168,7 @@ class TestDiscretePhaseChannel:
             psi = analytic_target_state(t, a, a, chi, trunc).amplitudes.ravel()
             rho = DensOp(("a", "b"), np.outer(psi, np.conj(psi)), trunc)
             s = 0.05
-            out = apply_discrete_phase_channel(rho, s, 1.0, chi, mode="a")
+            out = apply_discrete_phase_channel(rho, s, 1.0, chi)
             f = float(np.real(np.vdot(psi, out.matrix @ psi))) / out.trace()
             want = (2 + 1 / (4 * a2)) * a2 * chi**2 * (s + s * s)
             assert abs((1 - f) - want) < 0.01 * want, f"a2={a2}: {1 - f} vs {want}"
@@ -515,12 +515,12 @@ class TestPipeline:
 class TestSuccessProbability:
     def test_k1_example(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))
-        p = success_probability(t, math.sqrt(0.1), 0.01, K=1, q=1.0)
+        p = success_probability(t, math.sqrt(0.1), 0.01, q=1.0)
         assert abs(p - 1e-3) < 1e-15, f"p {p}"
 
     def test_k2_example(self):
         t = TargetCoefficients(np.array([1.0, -2.0, 1.0]))
-        p = success_probability(t, math.sqrt(0.1), 0.1, K=2)
+        p = success_probability(t, math.sqrt(0.1), 0.1)
         assert abs(p - 2.5e-5) < 1e-18, f"p {p}"
 
     def test_unit_efficiency_matches_ideal(self):
@@ -535,8 +535,6 @@ class TestSuccessProbability:
         t = TargetCoefficients(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             success_probability(t, 0.3, 0.0)
-        with pytest.raises(ValueError):
-            success_probability(t, 0.3, 0.5, K=2)
 
 
 class TestFeasibility:

@@ -44,7 +44,7 @@ def test_high_x_roots_sit_at_pi_thirds():
 
 
 def test_photon_correlated_example_coefficients():
-    p = get_preset("photon-correlated", s=2, K=2)
+    p = get_preset("photon-correlated:2,2")
     c = p.target.c
     # proportional to (e^{i chi}, -1 - e^{i chi}, 1)
     scale = c[2]

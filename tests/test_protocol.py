@@ -2,6 +2,7 @@
 with the analytic constructions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from kerrlink.protocol import (
     _branch_labels,
     _dense_bytes,
     _pattern_kernel,
+    _run_fock_pipeline,
     all_click_record,
     analytic_target_state,
     build_target_by_elimination,
@@ -132,8 +134,8 @@ class TestFullProtocol:
 
     def test_blocked_matches_monolithic(self):
         for params in (small_k1(), small_k2()):
-            fast = run_full_protocol(params, method="blocked")
-            slow = run_full_protocol(params, method="monolithic")
+            fast = run_full_protocol(params)
+            slow = _run_fock_pipeline(params)
             for rf, rs in zip(fast, slow):
                 assert rf.pattern == rs.pattern
                 assert abs(rf.probability - rs.probability) < 1e-9
@@ -142,8 +144,8 @@ class TestFullProtocol:
 
     def test_displaced_variant_matches(self):
         params = small_k2()
-        fast = run_full_protocol(params, method="blocked")
-        disp = run_full_protocol(params, method="displaced")
+        fast = run_full_protocol(params)
+        disp = _run_fock_pipeline(params, displaced=True)
         for rf, rd in zip(fast, disp):
             assert abs(rf.probability - rd.probability) < 1e-9
             if rf.probability > 1e-12:
@@ -175,10 +177,6 @@ class TestFullProtocol:
             f = fidelity(recs[pattern].state, want)
             assert f >= 1 - 8 * abs(params.gamma) ** 2, f"silent {silent}: {f:.4f}"
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            run_full_protocol(small_k1(), method="magic")
-
 
 def preset_protocol(name):
     p = get_preset(name)
@@ -186,32 +184,48 @@ def preset_protocol(name):
 
 
 class TestMemoryBudget:
-    """The dense-size estimate only: nothing here allocates an oversized route."""
+    """The dense-size estimate: nothing here allocates an oversized route."""
 
     def test_maxent_k2_high_is_over_budget(self):
         prot = preset_protocol("maxent-k2-high")
         dim = prot.trunc.dim
         assert dim == 10712
         kernel = 16 * (2 * dim - 1) ** 2  # 7.3 GB on its own
-        operators = 4 * 16 * dim**4
-        assert _dense_bytes(prot, "blocked") == kernel + operators
+        # 4 operators kept plus 3 working copies of the last
+        assert _dense_bytes(prot, 4) == kernel + 7 * 16 * dim**4
         assert kernel > DENSE_BYTES_LIMIT
-        assert _dense_bytes(prot, "monolithic") == 16 * dim**5 > DENSE_BYTES_LIMIT
 
     @pytest.mark.parametrize("name", ["bell-k1", "maxent-k2-low", "photon-correlated:2,2",
                                       "photon-correlated:1,3", "photon-correlated:2,4"])
     def test_simulate_presets_fit(self, name):
-        need = _dense_bytes(preset_protocol(name), "blocked")
+        prot = preset_protocol(name)
+        need = _dense_bytes(prot, 2**prot.scheme.K)
         assert need <= DENSE_BYTES_LIMIT
         if name == "bell-k1":
-            assert 81e6 < need < 83e6, f"bell-k1 needs {need} B"
+            assert 204e6 < need < 206e6, f"bell-k1 needs {need} B"
 
-    @pytest.mark.parametrize("method", ["blocked", "monolithic", "displaced"])
-    def test_over_budget_raises_before_simulating(self, monkeypatch, method):
+    def test_estimate_covers_the_traced_peak(self):
+        prot = preset_protocol("bell-k1")
+        tracemalloc.start()
+        try:
+            run_full_protocol(prot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = _dense_bytes(prot, 2)
+        assert peak <= need + 2**20, f"traced peak {peak} B, estimate {need} B"
+
+    @pytest.mark.parametrize("route", ["blocked", "monolithic", "displaced"])
+    def test_over_budget_raises_before_simulating(self, monkeypatch, route):
         prot = small_k2()
-        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", _dense_bytes(prot, method) - 1)
+        dim = prot.trunc.dim
+        limit = _dense_bytes(prot, 4) if route == "blocked" else 16 * dim**5
+        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", limit - 1)
         with pytest.raises(MemoryBudgetExceeded):
-            run_full_protocol(prot, method=method)
+            if route == "blocked":
+                run_full_protocol(prot)
+            else:
+                _run_fock_pipeline(prot, displaced=(route == "displaced"))
 
     def test_operator_path_routes_are_guarded(self, monkeypatch):
         prot = small_k1()
@@ -224,7 +238,7 @@ class TestMemoryBudget:
     def test_single_pattern_estimate(self):
         prot = small_k2()
         dim = prot.trunc.dim
-        assert _dense_bytes(prot, "pattern") == 16 * ((2 * dim - 1) ** 2 + dim**4)
+        assert _dense_bytes(prot, 1) == 16 * ((2 * dim - 1) ** 2 + (1 + 3) * dim**4)
 
 
 class TestEliminationSoundness:
