@@ -17,7 +17,6 @@ from .design import (
 from .entangle import (
     EntanglementReport,
     entropy_of_coefficients,
-    entropy_of_target,
     optimize_coefficients,
     schmidt_entropy,
     semi_success_entropy,
@@ -58,8 +57,6 @@ from .noise import (
     darkcount_loss_limit,
     feasibility_check,
     fidelity_leading_order,
-    fidelity_sweep,
-    loss_sweep,
     practical_cutoff_db,
     success_probability,
     superop_pipeline_fidelity,
@@ -75,7 +72,6 @@ from .protocol import (
     operator_path_final_state,
     oracle_equivalence,
     run_full_protocol,
-    success_probability_ideal,
 )
 
 __version__ = "0.1.0"

@@ -5,15 +5,18 @@ Each subcommand accepts only the flags its cmd_* function reads (SUBCOMMANDS
 lists them, FLAGS defines each flag once): the noise flags belong to
 feasibility alone, the target flags to design and simulate, and design, whose
 scheme depends only on the target, gamma and delta, takes no mode amplitudes
-or chi.  Only entangle-scan takes a seed (its optimizer's random starts).
-CSV output is comma-separated with a '.' decimal point, one header row, and
-'#'-prefixed parameter echo lines in front, so each artifact is
-self-describing.  The same flags always produce byte-identical output.
-Channel loss Lambda is the relative intensity loss (I0 - I)/I and
-attenuation_dB = 10 log10(Lambda + 1).
+or chi.  The target fixes K for design and simulate; entangle-scan and
+feasibility take a --K list.  Only entangle-scan takes a seed (its
+optimizer's random starts).  feasibility gives each of its six budget terms
+eps = (1 - F)/6 of the --f-target F.  CSV output is comma-separated with a
+'.' decimal point, one header row, and '#'-prefixed parameter echo lines in
+front, so each artifact is self-describing.  The same flags always produce
+byte-identical output.  Channel loss Lambda is the relative intensity loss
+(I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
 
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
-nan or inf number among the flags, or --dphi2 <= 0), 3 scheme synthesis
+nan or inf number among the flags, --dphi2 <= 0, --alpha 0, or an
+attenuation beyond float range; no artifact is written), 3 scheme synthesis
 failure, 4 truncation overflow, 5 optimizer non-convergence (rows still
 written, flagged in the flag column), 6 dense simulation over the memory
 budget (checked before allocating).
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import (
+    DEFAULT_DELTA,
     TargetCoefficients,
     build_scheme,
     semi_success_coeffs,
@@ -51,10 +55,10 @@ from .fock import fidelity
 from .noise import (
     NoiseParams,
     attenuation_db,
+    budget_success,
     darkcount_loss_limit,
+    db_to_loss,
     feasibility_check,
-    fidelity_sweep,
-    loss_sweep,
     min_distinguishability,
     practical_cutoff_db,
     probe_ceiling,
@@ -119,7 +123,7 @@ def _emit(args, params, header, rows, preface=""):
 
 def _resolve(args, *names):
     """(target, delta, *names): each value from its flag, else the preset;
-    beta falls back to alpha and delta to 1e-3."""
+    beta falls back to alpha and delta to design.DEFAULT_DELTA."""
     p = get_preset(args.preset) if args.preset else None
     target = p.target if p else None
     if args.coeffs:
@@ -138,9 +142,7 @@ def _resolve(args, *names):
     if missing:
         raise ValueError(f"{' and '.join(missing)} must come from a preset or flags")
     if vals["delta"] is None:
-        vals["delta"] = 1e-3
-    if args.K is not None and _parse_ints(args.K) != [target.K]:
-        raise ValueError(f"--K {args.K} does not match the target (K={target.K})")
+        vals["delta"] = DEFAULT_DELTA
     return (target, *vals.values())
 
 
@@ -262,13 +264,15 @@ def cmd_feasibility(args) -> int:
     zeta = args.zeta if args.zeta is not None else det["zeta"]
     lam_det = args.lambda_det if args.lambda_det is not None else det["lambda_det"]
     f_target = args.f_target
-    eps = args.epsilon if args.epsilon is not None else (1.0 - f_target) / 6.0
+    eps = (1.0 - f_target) / 6.0
     alpha = args.alpha if args.alpha is not None else math.sqrt(10.0)
     a2 = abs(alpha) ** 2
     Ks = _parse_ints(args.K) if args.K else [1, 2]
     dphi2 = args.dphi2
     if not dphi2 > 0:
         raise ValueError(f"--dphi2 must be > 0, got {dphi2}")
+    if a2 == 0:
+        raise ValueError("--alpha must be nonzero")
 
     report = [f"feasibility: eps = {_fmt(eps)}  F_target = {_fmt(f_target)}  "
               f"zeta = {_fmt(zeta)}  lambda_det = {_fmt(lam_det)}  |alpha|^2 = {_fmt(a2)}"]
@@ -295,7 +299,6 @@ def cmd_feasibility(args) -> int:
             f" max attenuation = {_fmt(rep.max_attenuation_db)} dB"
             f" ({_fmt(rep.max_distance_km)} km at 0.20 dB/km)"
         )
-    sys.stdout.write("\n".join(report) + "\n")
 
     db_grid = _parse_floats(args.db_grid) if args.db_grid else list(np.linspace(0.0, 30.0, 61))
     fixed_dbs = _parse_floats(args.fixed_db)
@@ -305,11 +308,13 @@ def cmd_feasibility(args) -> int:
     for K in Ks:
         wall = attenuation_db(darkcount_loss_limit(eps, lam_det, zeta))
         cutoffs.append((K, wall, practical_cutoff_db(K, eps, lam_det, dphi2)))
-        for db, fv, p in loss_sweep(K, db_grid, f_target, lam_det, zeta, dphi2):
-            rows.append(("loss", K, db, fv, p))
-        for db0 in fixed_dbs:
-            for db, fv, p in fidelity_sweep(K, db0, f_grid, lam_det, zeta, dphi2):
-                rows.append(("fidelity", K, db, fv, p))
+        for db in db_grid:
+            p = budget_success(K, db_to_loss(db), eps, lam_det, zeta, dphi2)
+            rows.append(("loss", K, float(db), f_target, p))
+        for db in fixed_dbs:
+            for f in f_grid:
+                p = budget_success(K, db_to_loss(db), (1.0 - f) / 6.0, lam_det, zeta, dphi2)
+                rows.append(("fidelity", K, float(db), float(f), p))
     params = [
         ("subcommand", "feasibility"),
         ("detector", args.detector), ("zeta", zeta), ("lambda_det", lam_det),
@@ -321,6 +326,7 @@ def cmd_feasibility(args) -> int:
     ] + [
         (f"practical_cutoff_dB_K{K}", cut) for K, _, cut in cutoffs
     ]
+    sys.stdout.write("\n".join(report) + "\n")
     _emit(args, params, ("sweep", "K", "Lambda_dB", "F", "p_K"), rows)
     return 0
 
@@ -337,7 +343,7 @@ FLAGS = {
     "--beta": {"type": float, "help": "mode b amplitude (default: alpha)"},
     "--gamma": {"type": float, "help": "probe amplitude"},
     "--chi": {"type": float, "help": "cross-Kerr phase per photon"},
-    "--K": {"help": "detector count (a comma list for entangle-scan and feasibility)"},
+    "--K": {"help": "comma list of detector counts"},
     "--delta": {"type": float, "help": "last-splitter transmittance"},
     "--seed": {"type": int, "default": 0},
     "--out": {"help": "output path (default: stdout)"},
@@ -352,20 +358,20 @@ FLAGS = {
     "--zeta": {"type": float, "help": "dark-count probability per detector per window"},
     "--eps-ac": {"type": float, "default": 0.0, "help": "relative a-probe nonlinearity error"},
     "--eps-bc": {"type": float, "default": 0.0, "help": "relative b-probe nonlinearity error"},
-    "--epsilon": {"type": float, "help": "per-term infidelity budget (default (1-F)/6)"},
     "--detector": {"choices": tuple(DETECTOR_PRESETS), "default": "low-dark",
                    "help": "detector preset: low-dark (zeta=1e-8, lambda=1e-2) "
                    "or high-eff (zeta=1e-6, lambda=0.1)"},
-    "--f-target": {"type": float, "default": 0.9},
+    "--f-target": {"type": float, "default": 0.9,
+                   "help": "target fidelity F; each of the six terms gets (1-F)/6"},
     "--db-grid": {"help": "comma list of Lambda_dB"},
     "--fixed-db": {"default": "14,28", "help": "Lambda_dB values for the p_K(F) sweep"},
 }
 TARGET_FLAGS = ("--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi",
-                "--K", "--delta")
+                "--delta")
 SUBCOMMANDS = {
     "design": (cmd_design, "synthesize the detection scheme; prints the root "
                "table, --out writes the scheme JSON",
-               ("--preset", "--coeffs", "--gamma", "--K", "--delta", "--out")),
+               ("--preset", "--coeffs", "--gamma", "--delta", "--out")),
     "simulate": (cmd_simulate, "full protocol run, one row per click pattern",
                  (*TARGET_FLAGS, "--out", "--format")),
     "entangle-scan": (cmd_entangle_scan, "E versus distinguishability x, optimal "
@@ -375,7 +381,7 @@ SUBCOMMANDS = {
                     "p_K(F) sweeps",
                     ("--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",
                      "--Lambda2", "--dphi2", "--lambda-det", "--zeta", "--eps-ac",
-                     "--eps-bc", "--epsilon", "--detector", "--f-target", "--db-grid",
+                     "--eps-bc", "--detector", "--f-target", "--db-grid",
                      "--fixed-db", "--out", "--format")),
 }
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, NoSolution
-from .fock import coherent_amplitudes
 
 DEFAULT_DELTA = 1e-3
 
@@ -217,27 +216,6 @@ def probe_affine(scheme: DetectionScheme):
         * np.sum(scheme.roots.expanded())
     )
     return float(mu), complex(nu)
-
-
-def phi_vector(target: TargetCoefficients, gamma) -> "PhiVector":
-    """Discrimination vector with components c_n* / Q_n*(gamma), n = 0..K."""
-    gamma = complex(gamma)
-    if gamma == 0:
-        raise ValueError("probe amplitude gamma must be nonzero")
-    q = coherent_amplitudes(gamma, target.K, tail_tol=1.0)
-    return PhiVector(np.conj(target.c) / np.conj(q))
-
-
-@dataclass(frozen=True)
-class PhiVector:
-    """Unnormalized Fock components of the probe-side discrimination vector."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", np.asarray(self.components, dtype=complex)
-        )
 
 
 def coeffs_from_photon_target(s: int, K: int, chi: float) -> TargetCoefficients:

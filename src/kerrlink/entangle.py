@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .design import EliminationRoots, TargetCoefficients, semi_success_coeffs
-from .errors import DomainError, NonConvergence, ShapeMismatch
+from .errors import NonConvergence, ShapeMismatch
 
 EIG_FLOOR = 1e-14
 
@@ -68,13 +68,6 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     return EntanglementReport(float(-np.sum(lam * np.log2(lam))), lam)
 
 
-def entropy_of_target(
-    target: TargetCoefficients, alpha, beta, chi
-) -> EntanglementReport:
-    """Entropy of the state encoded by a target coefficient vector."""
-    return entropy_of_coefficients(target.c, alpha, beta, chi)
-
-
 def semi_success_entropy(
     target: TargetCoefficients, roots: EliminationRoots, missing, alpha, beta, chi
 ) -> EntanglementReport:
@@ -91,15 +84,6 @@ def schmidt_entropy(state) -> float:
     lam = sv**2 / np.sum(sv**2)
     lam = lam[lam > EIG_FLOOR]
     return float(-np.sum(lam * np.log2(lam)))
-
-
-def weak_entanglement_estimate(alpha, gamma, chi) -> float:
-    """Binary-entropy estimate h(chi^2 |alpha|^2 |gamma|^2) of the pre-measurement
-    probe-induced entanglement; valid only deep in the weak-coupling regime."""
-    x = chi**2 * abs(alpha) ** 2 * abs(gamma) ** 2
-    if not 0 < x < 1:
-        raise DomainError(f"argument chi^2|alpha|^2|gamma|^2 = {x:g} outside (0, 1)")
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
 
 
 def optimize_coefficients(

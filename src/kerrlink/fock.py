@@ -273,12 +273,6 @@ def reduce_to_density(state: FockVector, keep) -> DensOp:
     return DensOp(keep, mat @ mat.conj().T, state.trunc)
 
 
-def discard_mode(state: FockVector, mode) -> DensOp:
-    """Trace out a single mode, keeping the others in their original order."""
-    state.axis(mode)
-    return reduce_to_density(state, tuple(m for m in state.modes if m != mode))
-
-
 def partial_trace(rho: DensOp, keep) -> DensOp:
     """Partial trace of a density operator down to the ``keep`` modes."""
     keep = tuple(keep)
@@ -324,28 +318,14 @@ def inner(a: FockVector, b: FockVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _sqrt_psd(mat):
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def fidelity(rho: DensOp, other) -> float:
-    """Fidelity of a state against a density operator.
-
-    For a pure |psi> this is <psi|rho|psi>/(Tr rho * <psi|psi>); for two
-    density operators the Uhlmann fidelity of the normalized operators.
-    """
-    if isinstance(other, FockVector):
-        _check_same(rho, other)
-        v = other.amplitudes.ravel()
-        val = np.real(np.vdot(v, rho.matrix @ v)) / (rho.trace() * np.vdot(v, v).real)
-        return float(val)
-    _check_same(rho, other)
-    a = rho.matrix / rho.trace()
-    b = other.matrix / other.trace()
-    s = _sqrt_psd(a)
-    w = np.linalg.eigvalsh(s @ b @ s)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+def fidelity(rho: DensOp, psi: FockVector) -> float:
+    """<psi|rho|psi>/(Tr rho * <psi|psi>): fidelity of rho against a pure state."""
+    if not isinstance(psi, FockVector):
+        raise TypeError(f"expected FockVector, got {type(psi).__name__}")
+    _check_same(rho, psi)
+    v = psi.amplitudes.ravel()
+    val = np.real(np.vdot(v, rho.matrix @ v)) / (rho.trace() * np.vdot(v, v).real)
+    return float(val)
 
 
 def trace_distance(rho: DensOp, sigma: DensOp) -> float:

@@ -33,12 +33,13 @@ from .design import TargetCoefficients, semi_success_coeffs, solve_roots
 from .entangle import _rot_gram, pair_gram
 from .errors import DomainError
 from .fock import DensOp, TruncationSpec, min_cutoff
-from .protocol import analytic_target_state, success_probability_ideal
+from .protocol import analytic_target_state
 
 DB_PER_KM = 0.20
 SERIES_TOL = 1e-14
 PROBE_CAP = 0.5  # ceiling on |gamma|^2 where the probe inequality allows more
 P_FLOOR = 1e-6  # success probability that defines the practical cutoff
+BOUND_RTOL = 1e-12  # relative round-off within which a value still meets its bound
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class FidelityBreakdown:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One feasibility inequality: value must stay below bound."""
+    """One feasibility inequality: value must not exceed bound."""
 
     name: str
     value: float
@@ -333,15 +334,15 @@ def fidelity_leading_order(
     t_disc = _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2)
 
     terms = (t_dephase, t_kerr, t_storage, t_chi, t_dark, t_disc)
-    names = ("dephase", "kerr_loss", "storage", "chi_err", "darkcount", "discrete_phase")
-    for name, t in zip(names, terms):
+    budget = FidelityBreakdown(*terms, F=1.0 - sum(terms))
+    for name, t in budget.terms.items():
         if t > 0.2:
             warnings.warn(
                 f"loss term {name} = {t:.3g} > 0.2; the leading-order budget "
                 "is outside its validity range",
                 stacklevel=2,
             )
-    return FidelityBreakdown(*terms, F=1.0 - sum(terms))
+    return budget
 
 
 def superop_pipeline_fidelity(
@@ -397,13 +398,15 @@ def success_probability(
     q: float | None = None,
     norm_squared: float = 1.0,
 ) -> float:
-    """All-click probability with detector efficiency: (q^2 lambda |gamma|^2)^K N / |c_K|^2."""
+    """All-click probability with detector efficiency: (q^2 lambda |gamma|^2)^K N / |c_K|^2,
+    N = norm_squared the squared norm of the target state under c (1 if c is normalized)."""
     if not 0 < lambda_det <= 1:
         raise ValueError(f"lambda_det must lie in (0, 1], got {lambda_det}")
     K = target.K
     if q is None:
         q = 1.0 / math.sqrt(K)
-    return lambda_det**K * success_probability_ideal(target, gamma, q, K, norm_squared)
+    ideal = (q**2 * abs(gamma) ** 2) ** K * norm_squared / abs(target.c[-1]) ** 2
+    return lambda_det**K * float(ideal)
 
 
 def attenuation_db(Lambda: float) -> float:
@@ -412,8 +415,11 @@ def attenuation_db(Lambda: float) -> float:
 
 
 def db_to_loss(db: float) -> float:
-    """Inverse of attenuation_db."""
-    return 10.0 ** (db / 10.0) - 1.0
+    """Inverse of attenuation_db; DomainError past float range (~3083 dB)."""
+    try:
+        return 10.0 ** (db / 10.0) - 1.0
+    except OverflowError as err:
+        raise DomainError(f"attenuation {db:g} dB is beyond float range") from err
 
 
 def darkcount_loss_limit(eps: float, lambda_det: float, zeta: float) -> float:
@@ -431,7 +437,9 @@ def feasibility_check(
     For K = 1 the bounds read Lambda < 2 eps^2 lambda/zeta, Lambda2 < 2 eps,
     dphi2 < |alpha|^2 chi^2 eps, Lambda1 < 3 eps/2, |gamma|^2 <
     eps/(|alpha|^2 chi^2 Lambda) and eps_ac^2, eps_bc^2 < eps/(2|alpha|^2);
-    for K >= 2 conditions 2, 3, 4 and 6 tighten by a factor 1/2.
+    for K >= 2 conditions 2, 3, 4 and 6 tighten by a factor 1/2.  A value
+    within round-off of its bound (BOUND_RTOL) passes, so an operating point
+    placed on a bound is feasible.
     """
     if not 0 < eps < 1.0 / 6.0:
         raise ValueError(f"eps must lie in (0, 1/6), got {eps}")
@@ -439,6 +447,8 @@ def feasibility_check(
         raise ValueError(f"K must be >= 1, got {K}")
     f = 1.0 if K == 1 else 0.5
     a2 = abs(alpha) ** 2
+    if a2 == 0:
+        raise ValueError("alpha must be nonzero")
     x = a2 * chi**2
     lam_max = darkcount_loss_limit(eps, noise.lambda_det, noise.zeta)
     probe_bound = math.inf if noise.Lambda * x == 0 else eps / (x * noise.Lambda)
@@ -451,7 +461,9 @@ def feasibility_check(
         ("nonlinearity_error", max(noise.eps_ac**2, noise.eps_bc**2), eps * f / (2 * a2)),
     )
     checks = tuple(
-        InequalityCheck(name, float(v), float(b), float(b - v), bool(v < b))
+        InequalityCheck(
+            name, float(v), float(b), float(b - v), bool(v <= b * (1 + BOUND_RTOL))
+        )
         for name, v, b in entries
     )
     db = attenuation_db(lam_max) if math.isfinite(lam_max) else math.inf
@@ -497,21 +509,3 @@ def practical_cutoff_db(K: int, eps: float, lambda_det: float, dphi2: float) -> 
     x = min_distinguishability(K, eps, dphi2)
     lam = lambda_det * eps / (K * x * P_FLOOR ** (1.0 / K))
     return attenuation_db(lam)
-
-
-def loss_sweep(K: int, db_grid, fidelity: float, lambda_det: float, zeta: float, dphi2: float):
-    """Rows (Lambda_dB, F, p_K) at fixed target fidelity."""
-    eps = (1.0 - fidelity) / 6.0
-    return [
-        (float(db), fidelity, budget_success(K, db_to_loss(db), eps, lambda_det, zeta, dphi2))
-        for db in db_grid
-    ]
-
-
-def fidelity_sweep(K: int, db: float, f_grid, lambda_det: float, zeta: float, dphi2: float):
-    """Rows (Lambda_dB, F, p_K) at fixed channel attenuation."""
-    lam = db_to_loss(db)
-    return [
-        (float(db), float(f), budget_success(K, lam, (1.0 - f) / 6.0, lambda_det, zeta, dphi2))
-        for f in f_grid
-    ]

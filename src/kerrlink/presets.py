@@ -29,7 +29,6 @@ class Preset:
     chi: float
     delta: float
     target: TargetCoefficients
-    note: str
 
     @property
     def K(self) -> int:
@@ -41,8 +40,7 @@ def _bell_k1() -> Preset:
     chi = 1.0 / math.sqrt(a2)
     c = np.array([1.0, -np.exp(-2j * a2 * math.sin(chi))])
     return Preset(
-        "bell-k1", math.sqrt(a2), math.sqrt(a2), 0.1, chi, 1e-3,
-        TargetCoefficients(c), "one-detector pair state at x = 1",
+        "bell-k1", math.sqrt(a2), math.sqrt(a2), 0.1, chi, 1e-3, TargetCoefficients(c)
     )
 
 
@@ -51,22 +49,14 @@ def _maxent_k2_low() -> Preset:
     x = a2 * chi**2
     p = np.exp(-2j * a2 * chi)
     c = np.array([1.0, -2 * (1 - x) * p, p * p])
-    return Preset(
-        "maxent-k2-low", 1.0, 1.0, 0.1, chi, 0.1,
-        TargetCoefficients(c),
-        "two-detector entanglement optimum, overlapping components (x = 1e-4)",
-    )
+    return Preset("maxent-k2-low", 1.0, 1.0, 0.1, chi, 0.1, TargetCoefficients(c))
 
 
 def _maxent_k2_high() -> Preset:
     a2, chi = 1e4, 0.1
     p = np.exp(-2j * a2 * chi)
     c = np.array([1.0, -p, p * p])
-    return Preset(
-        "maxent-k2-high", 100.0, 100.0, 0.1, chi, 0.1,
-        TargetCoefficients(c),
-        "two-detector optimum, well-separated components (x = 100)",
-    )
+    return Preset("maxent-k2-high", 100.0, 100.0, 0.1, chi, 0.1, TargetCoefficients(c))
 
 
 def _photon_correlated(s: int, K: int) -> Preset:
@@ -74,7 +64,6 @@ def _photon_correlated(s: int, K: int) -> Preset:
     return Preset(
         f"photon-correlated:{s},{K}", 0.1, 0.1, 0.1, chi, 0.1,
         coeffs_from_photon_target(s, K, chi),
-        f"fixed total photon number s = {s} in the small-intensity limit",
     )
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from .design import (
+    DEFAULT_DELTA,
     DetectionScheme,
     TargetCoefficients,
     build_scheme,
@@ -104,7 +105,7 @@ def make_protocol(
     gamma,
     chi,
     target: TargetCoefficients,
-    delta: float = 1e-3,
+    delta: float = DEFAULT_DELTA,
     n_max: int | None = None,
 ) -> ProtocolParams:
     """Bundle a full parameter set, synthesizing the scheme and the cutoff.
@@ -360,20 +361,6 @@ def oracle_equivalence(params: ProtocolParams) -> EquivalenceReport:
     r2 = residual_at(half, all_click_record(run_full_protocol(half)).state)
     exponent = float(np.log2(r1 / r2)) if r2 > 0 else float("nan")
     return EquivalenceReport(float(td), float(r1), exponent)
-
-
-def success_probability_ideal(
-    target: TargetCoefficients, gamma, q, K: int, norm_squared: float = 1.0
-) -> float:
-    """Leading-order all-click probability (q^2 |gamma|^2)^K N^2 / |c_K|^2.
-
-    norm_squared is the squared norm of the target superposition under the
-    given (unnormalized) coefficients; leave it at 1 when c is already scaled
-    so the state has unit norm.
-    """
-    return float(
-        (q**2 * abs(gamma) ** 2) ** K * norm_squared / abs(target.c[-1]) ** 2
-    )
 
 
 def dominant_eigenstate(rho: DensOp):

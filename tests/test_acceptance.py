@@ -20,7 +20,7 @@ from kerrlink.design import (
     solve_roots,
 )
 from kerrlink.entangle import (
-    entropy_of_target,
+    entropy_of_coefficients,
     optimize_coefficients,
     pair_gram,
     schmidt_entropy,
@@ -40,6 +40,7 @@ from kerrlink.noise import (
     darkcount_loss_limit,
     fidelity_leading_order,
     practical_cutoff_db,
+    success_probability,
     superop_pipeline_fidelity,
 )
 from kerrlink.presets import get_preset
@@ -50,7 +51,6 @@ from kerrlink.protocol import (
     make_protocol,
     oracle_equivalence,
     run_full_protocol,
-    success_probability_ideal,
 )
 
 
@@ -79,14 +79,12 @@ def test_criterion_02_qutrit_limits():
     p = np.exp(-2j * a2 * chi)
     c_low = np.array([1.0, -2.0 * (1.0 - x) * p, p * p])
     t0 = time.perf_counter()
-    e_low = entropy_of_target(
-        TargetCoefficients(c_low), math.sqrt(a2), math.sqrt(a2), chi
-    ).E
+    e_low = entropy_of_coefficients(c_low, math.sqrt(a2), math.sqrt(a2), chi).E
     dt_low = time.perf_counter() - t0
     ph = np.exp(-2j * 1e4 * 0.1)
     c_high = np.array([1.0, -ph, ph * ph])
     t0 = time.perf_counter()
-    e_high = entropy_of_target(TargetCoefficients(c_high), 100.0, 100.0, 0.1).E
+    e_high = entropy_of_coefficients(c_high, 100.0, 100.0, 0.1).E
     dt_high = time.perf_counter() - t0
     assert abs(e_low - 1.5) <= 0.005, f"low-x E = {e_low}"
     assert abs(e_high - math.log2(3)) <= 0.005, f"high-x E = {e_high}"
@@ -222,8 +220,8 @@ def test_criterion_07_success_probability():
             g = pair_gram(p.target.K, p.alpha, p.beta, p.chi)
             c = p.target.c
             norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
-            want = success_probability_ideal(
-                p.target, gamma, prot.scheme.q, p.target.K, norm_squared=norm2
+            want = success_probability(
+                p.target, gamma, 1.0, q=prot.scheme.q, norm_squared=norm2
             )
             got = all_click_record(run_full_protocol(prot)).probability
             rel = abs(got - want) / want

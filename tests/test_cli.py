@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kerrlink
 from kerrlink import cli, protocol
 from kerrlink.design import from_json
 from kerrlink.entangle import EntanglementReport
@@ -44,9 +45,6 @@ class TestExitCodes:
 
     def test_missing_target(self):
         assert cli.main(["design", "--gamma", "0.1"]) == 2
-
-    def test_k_flag_contradicts_target(self):
-        assert cli.main(["design", "--preset", "bell-k1", "--K", "2"]) == 2
 
     def test_degenerate_leading_coefficient(self):
         assert cli.main(["design", "--coeffs", "1,0", "--gamma", "0.1"]) == 3
@@ -89,6 +87,27 @@ NONFINITE_ARGV = [
 ]
 
 
+# finite values that still make no configuration: an attenuation past float
+# range (10^(dB/10) overflows beyond ~3083 dB) and a vanishing mode amplitude
+INVALID_CONFIG_ARGV = [
+    ["feasibility", "--db-grid", "4000"],
+    ["feasibility", "--fixed-db", "4000"],
+    ["feasibility", "--alpha", "0"],
+    ["feasibility", "--alpha", "0", "--chi", "0.1"],
+]
+
+
+class TestInvalidConfiguration:
+    @pytest.mark.parametrize("argv", INVALID_CONFIG_ARGV, ids=" ".join)
+    def test_exits_2_without_artifact(self, argv, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: "), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv,flag", NONFINITE_ARGV,
                              ids=[" ".join(a) for a, _ in NONFINITE_ARGV])
@@ -101,13 +120,13 @@ class TestNonFiniteInput:
 
 
 SUBCOMMAND_FLAGS = {
-    "design": {"--preset", "--coeffs", "--gamma", "--K", "--delta", "--out"},
-    "simulate": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi", "--K",
+    "design": {"--preset", "--coeffs", "--gamma", "--delta", "--out"},
+    "simulate": {"--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi",
                  "--delta", "--out", "--format"},
     "entangle-scan": {"--x-grid", "--K", "--seed", "--out", "--format"},
     "feasibility": {"--alpha", "--gamma", "--chi", "--K", "--Lambda", "--Lambda1",
                     "--Lambda2", "--dphi2", "--lambda-det", "--zeta", "--eps-ac",
-                    "--eps-bc", "--epsilon", "--detector", "--f-target", "--db-grid",
+                    "--eps-bc", "--detector", "--f-target", "--db-grid",
                     "--fixed-db", "--out", "--format"},
 }
 
@@ -119,7 +138,38 @@ FOREIGN_FLAG_ARGV = [
     ["design", "--alpha", "1"],
     ["simulate", "--seed", "0"],
     ["entangle-scan", "--gamma", "0.1"],
+    ["design", "--preset", "bell-k1", "--K", "2"],
+    ["simulate", "--preset", "bell-k1", "--K", "1"],
+    ["feasibility", "--epsilon", "0.001"],
 ]
+
+# every public name of the package, its submodules included (the test module
+# imports kerrlink.cli, the one submodule the package does not import itself)
+PUBLIC_NAMES = [
+    "DegenerateLeadingCoefficient", "DensOp", "DetectionScheme", "DomainError",
+    "EliminationRoots", "EntanglementReport", "FeasibilityReport", "FidelityBreakdown",
+    "FockVector", "KerrlinkError", "MemoryBudgetExceeded", "NoSolution", "NoiseParams",
+    "NonConvergence", "OutcomeRecord", "PRESET_NAMES", "Preset", "ProtocolParams",
+    "ShapeMismatch", "TailTooHeavy", "TargetCoefficients", "TruncationOverflow",
+    "TruncationSpec", "UnknownMode", "all_click_record", "analytic_target_state",
+    "apply_beamsplitter", "apply_cross_kerr", "apply_displacement", "attenuation_db",
+    "build_scheme", "cli", "coeffs_from_photon_target", "coherent_amplitudes",
+    "darkcount_loss_limit", "design", "dominant_eigenstate", "entangle",
+    "entropy_of_coefficients", "errors", "feasibility_check", "fidelity",
+    "fidelity_leading_order", "fock", "from_json", "get_preset", "inner",
+    "make_protocol", "min_cutoff", "noise", "operator_path_final_state",
+    "optimize_coefficients", "oracle_equivalence", "practical_cutoff_db", "presets",
+    "product_state", "project_click", "protocol", "reduce_to_density",
+    "run_full_protocol", "schmidt_entropy", "semi_success_coeffs",
+    "semi_success_entropy", "solve_roots", "success_probability",
+    "superop_pipeline_fidelity", "to_json", "trace_distance", "transmittances",
+]
+
+
+class TestPublicNames:
+    def test_public_names_are_pinned(self):
+        names = [n for n in dir(kerrlink) if not n.startswith("_")]
+        assert names == sorted(PUBLIC_NAMES)
 
 
 class TestFlagSets:
@@ -130,7 +180,7 @@ class TestFlagSets:
         for name, p in sub.choices.items():
             opts = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
             assert opts == SUBCOMMAND_FLAGS[name], f"{name}: {sorted(opts)}"
-        assert [len(SUBCOMMAND_FLAGS[n]) for n in sub.choices] == [6, 10, 5, 19]
+        assert [len(SUBCOMMAND_FLAGS[n]) for n in sub.choices] == [5, 9, 5, 18]
 
     @pytest.mark.parametrize("argv", FOREIGN_FLAG_ARGV, ids=" ".join)
     def test_foreign_flag_is_a_usage_error(self, argv, capsys):
@@ -312,6 +362,20 @@ class TestFeasibility:
         assert loss1[30.0] == 0.0, f"p beyond the wall = {loss1[30.0]}"
         fixed = {float(r[2]) for r in rows if r[0] == "fidelity"}
         assert fixed == {14.0, 28.0}
+
+    @pytest.mark.parametrize("f_target", ["0.9", "0.994"])
+    def test_loss_rows_end_at_the_darkcount_cutoff(self, f_target, tmp_path, capsys):
+        argv = ["feasibility", "--K", "1", "--f-target", f_target]
+        _, (params, _, _) = run_csv(tmp_path, argv)
+        wall = float(params["darkcount_cutoff_dB_K1"])
+        grid = f"{wall - 0.1!r},{wall + 0.1!r}"
+        rc, (params2, _, rows) = run_csv(tmp_path, argv + ["--db-grid", grid], "grid.csv")
+        capsys.readouterr()
+        assert rc == 0
+        assert float(params2["darkcount_cutoff_dB_K1"]) == wall
+        below, above = (float(r[4]) for r in rows if r[0] == "loss")
+        assert below > 0.0, f"F = {f_target}: p_K 0.1 dB below {wall} dB is {below}"
+        assert above == 0.0, f"F = {f_target}: p_K 0.1 dB above {wall} dB is {above}"
 
     def test_report_prints_inequalities(self, capsys):
         rc = cli.main(["feasibility", "--K", "1", "--db-grid", "0", "--out", "/dev/null"])

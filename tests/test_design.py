@@ -12,7 +12,6 @@ from kerrlink.design import (
     build_scheme,
     coeffs_from_photon_target,
     from_json,
-    phi_vector,
     probe_affine,
     reference_amplitudes,
     reference_network,
@@ -267,45 +266,6 @@ class TestReferenceNetwork:
             trunc,
         )
         assert abs(inner(want, st)) ** 2 > 1 - 1e-9
-
-
-class TestPhiVector:
-    def embed(self, comps, dim):
-        v = np.zeros(dim, dtype=complex)
-        v[: len(comps)] = comps
-        return v
-
-    def raising_power(self, dim, s):
-        a = np.diag(np.sqrt(np.arange(1, dim)), -1)  # creation operator
-        return np.linalg.matrix_power(a, s)
-
-    def test_simple_root_orthogonality(self):
-        a2, chi, gamma = 4.0, 0.5, 0.3
-        t = TargetCoefficients(np.array([1.0, -np.exp(-2j * a2 * np.sin(chi))]))
-        r = solve_roots(t, gamma)
-        pv = phi_vector(t, gamma)
-        dim = 40
-        v = self.embed(pv.components, dim)
-        for z, _ in r.roots:
-            coh = coherent_amplitudes(z, dim - 1, tail_tol=1.0)
-            assert abs(np.vdot(v, coh)) < 1e-10
-
-    def test_double_root_kills_raised_states(self):
-        t = TargetCoefficients(np.array([1.0, -2.0, 1.0]))
-        gamma = 0.4
-        r = solve_roots(t, gamma)
-        pv = phi_vector(t, gamma)
-        dim = 45
-        v = self.embed(pv.components, dim)
-        (z, l) = r.roots[0]
-        coh = coherent_amplitudes(z, dim - 1, tail_tol=1.0)
-        for s in range(l):
-            raised = self.raising_power(dim, s) @ coh
-            assert abs(np.vdot(v, raised)) < 1e-10, f"s={s}"
-
-    def test_constant_target_is_vacuum_projector(self):
-        pv = phi_vector(TargetCoefficients(np.array([2.0])), 0.2)
-        assert len(pv.components) == 1
 
 
 class TestPhotonTarget:

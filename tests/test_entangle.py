@@ -14,13 +14,10 @@ from kerrlink.design import (
 )
 from kerrlink.entangle import (
     entropy_of_coefficients,
-    entropy_of_target,
     optimize_coefficients,
     pair_gram,
     semi_success_entropy,
-    weak_entanglement_estimate,
 )
-from kerrlink.errors import DomainError
 from kerrlink.fock import (
     FockVector,
     TruncationSpec,
@@ -91,19 +88,19 @@ class TestGram:
 
 class TestEntropy:
     def test_product_state_has_none(self):
-        rep = entropy_of_target(
-            TargetCoefficients(np.array([1.0, 0.0, 0.0])), 1.0, 1.0, 0.5
+        rep = entropy_of_coefficients(
+            TargetCoefficients(np.array([1.0, 0.0, 0.0])).c, 1.0, 1.0, 0.5
         )
         assert rep.E < 1e-12
 
     def test_weak_coupling_pair_value(self):
-        rep = entropy_of_target(pair_target(10.0, np.sqrt(1e-5)), np.sqrt(10), np.sqrt(10), np.sqrt(1e-5))
+        rep = entropy_of_coefficients(pair_target(10.0, np.sqrt(1e-5)).c, np.sqrt(10), np.sqrt(10), np.sqrt(1e-5))
         assert abs(rep.E - 1.463808410076) < 1e-9
 
     def test_weak_coupling_pair_approaches_three_halves(self):
         a2 = 1000.0
         chi = np.sqrt(1e-4 / a2)
-        rep = entropy_of_target(pair_target(a2, chi), np.sqrt(a2), np.sqrt(a2), chi)
+        rep = entropy_of_coefficients(pair_target(a2, chi).c, np.sqrt(a2), np.sqrt(a2), chi)
         assert abs(rep.E - 1.499625239395) < 1e-9
 
     def test_separated_triple_reaches_log2_3(self):
@@ -248,39 +245,3 @@ class TestSemiSuccess:
         r = solve_roots(t, 0.1)
         rep = semi_success_entropy(t, r, {1, 2}, 0.3, 0.3, 0.5)
         assert rep.E < 1e-12
-
-
-class TestWeakEstimate:
-    def test_half(self):
-        # x = 1/2 at chi^2 |alpha|^2 |gamma|^2 = 0.5
-        assert abs(weak_entanglement_estimate(np.sqrt(0.5), 1.0, 1.0) - 1.0) < 1e-12
-
-    def test_small_argument_value(self):
-        got = weak_entanglement_estimate(np.sqrt(10), 0.1, 0.01)
-        assert abs(got - 1.8052328302e-4) < 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            weak_entanglement_estimate(0.0, 0.1, 0.01)
-        with pytest.raises(DomainError):
-            weak_entanglement_estimate(10.0, 1.0, 1.0)
-
-    def test_factor_two_of_exact_schmidt(self):
-        # exact entropy of mode a in the post-interaction three-mode state,
-        # probe photon number resolving the superposition: rho_a is a mixture
-        # of |alpha e^{i chi s}> weighted by the Poisson distribution of |gamma|^2
-        alpha2, g2, chi = 10.0, 0.01, 0.01
-        smax = 30
-        from math import factorial
-
-        w = np.array([np.exp(-g2) * g2**s / factorial(s) for s in range(smax + 1)])
-        n = np.arange(smax + 1)
-        d = n[None, :] - n[:, None]
-        G = np.exp(alpha2 * (np.exp(1j * chi * d) - 1))
-        ww, V = np.linalg.eigh(G)
-        S = (V * np.sqrt(np.clip(ww, 0, None))) @ V.conj().T
-        lam = np.real(np.linalg.eigvalsh(S @ np.diag(w) @ S))
-        lam = lam[lam > 1e-16]
-        exact = float(-np.sum(lam * np.log2(lam)))
-        est = weak_entanglement_estimate(np.sqrt(alpha2), np.sqrt(g2), chi)
-        assert 0.5 < est / exact < 2.0, f"estimate {est:.3e} vs exact {exact:.3e}"

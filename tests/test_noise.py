@@ -1,6 +1,7 @@
 """Nonideality maps checked against closed forms and a dense Fock-space
 reconstruction of the same pipeline."""
 
+import itertools
 import math
 import warnings
 
@@ -25,8 +26,6 @@ from kerrlink.noise import (
     eta_params,
     feasibility_check,
     fidelity_leading_order,
-    fidelity_sweep,
-    loss_sweep,
     min_distinguishability,
     pair_overlap_matrix,
     practical_cutoff_db,
@@ -523,14 +522,6 @@ class TestSuccessProbability:
         p = success_probability(t, math.sqrt(0.1), 0.1)
         assert abs(p - 2.5e-5) < 1e-18, f"p {p}"
 
-    def test_unit_efficiency_matches_ideal(self):
-        from kerrlink.protocol import success_probability_ideal
-
-        t = TargetCoefficients(np.array([1.0, 0.3, -0.8]))
-        got = success_probability(t, 0.2, 1.0)
-        want = success_probability_ideal(t, 0.2, 1 / math.sqrt(2), 2)
-        assert abs(got - want) < 1e-16
-
     def test_validation(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
@@ -579,6 +570,28 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasibility_check(NoiseParams(), 1.0, 0.1, 0.1, 0.0, 1)
 
+    def test_zero_alpha_is_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            feasibility_check(NoiseParams(), 0.0, 0.1, 0.1, 0.01, 1)
+
+    def test_point_on_the_phase_noise_bound_passes(self):
+        # feasibility's operating point chi = sqrt(x/|alpha|^2), x = dphi2/(eps f),
+        # puts dphi2 on its bound x eps f up to round-off; only phase noise is
+        # present, so every check passes, and 1e-9 past the bound fails
+        points = itertools.product(
+            range(1, 5), np.linspace(0.5, 0.99, 50), (1e-5, 2.5e-5, 1e-4),
+            (1.0, math.sqrt(10.0), 10.0),
+        )
+        for K, F, dphi2, alpha in points:
+            eps = (1.0 - F) / 6.0
+            chi = math.sqrt(min_distinguishability(K, eps, dphi2) / alpha**2)
+            on = NoiseParams(dphi2=dphi2, lambda_det=1e-2, zeta=1e-8)
+            rep = feasibility_check(on, alpha, chi, math.sqrt(0.5), eps, K)
+            assert rep.all_pass, (K, F, dphi2, alpha, rep.checks[2])
+            past = NoiseParams(dphi2=dphi2 * (1 + 1e-9), lambda_det=1e-2, zeta=1e-8)
+            phase = feasibility_check(past, alpha, chi, math.sqrt(0.5), eps, K).checks[2]
+            assert phase.name == "phase_noise" and not phase.passed, (K, F, dphi2, alpha)
+
 
 class TestBudgetSweeps:
     def test_darkcount_wall_and_cutoff_numbers(self):
@@ -607,12 +620,19 @@ class TestBudgetSweeps:
             assert abs(p - 1e-6) < 1e-12, f"K={K} p at cutoff {p}"
 
     def test_sweep_rows_are_monotone(self):
-        rows = loss_sweep(2, np.linspace(5, 20, 16), 0.9, 1e-2, 1e-8, 2.5e-5)
-        ps = [r[2] for r in rows]
+        eps = (1.0 - 0.9) / 6.0
+        ps = [budget_success(2, db_to_loss(db), eps, 1e-2, 1e-8, 2.5e-5)
+              for db in np.linspace(5, 20, 16)]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
-        rows_f = fidelity_sweep(1, 14.0, np.linspace(0.5, 0.95, 10), 1e-2, 1e-8, 2.5e-5)
-        ps_f = [r[2] for r in rows_f]
+        lam = db_to_loss(14.0)
+        ps_f = [budget_success(1, lam, (1.0 - f) / 6.0, 1e-2, 1e-8, 2.5e-5)
+                for f in np.linspace(0.5, 0.95, 10)]
         assert all(b <= a for a, b in zip(ps_f, ps_f[1:]))
+
+    def test_attenuation_beyond_float_range(self):
+        assert db_to_loss(3000.0) > 0
+        with pytest.raises(DomainError):
+            db_to_loss(4000.0)
 
     def test_min_distinguishability_scales_with_k(self):
         assert abs(min_distinguishability(1, 0.01, 1e-5) - 1e-3) < 1e-15

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerrlink.design import solve_roots
-from kerrlink.entangle import entropy_of_target
+from kerrlink.entangle import entropy_of_coefficients
 from kerrlink.presets import PRESET_NAMES, get_preset
 
 
@@ -14,7 +14,7 @@ def test_bell_preset_sits_at_unit_distinguishability():
     assert abs(x - 1.0) < 1e-12
     assert p.K == 1
     assert abs(abs(p.target.c[1]) - 1.0) < 1e-12
-    rep = entropy_of_target(p.target, p.alpha, p.beta, p.chi)
+    rep = entropy_of_coefficients(p.target.c, p.alpha, p.beta, p.chi)
     assert abs(rep.E - 1.0) < 0.02, f"bell preset entropy {rep.E}"
 
 
@@ -24,7 +24,7 @@ def test_low_x_qutrit_coefficient_moduli():
     assert abs(x - 1e-4) < 1e-15
     mods = np.abs(p.target.c)
     assert np.allclose(mods, [1.0, 2 * (1 - x), 1.0], atol=1e-12)
-    rep = entropy_of_target(p.target, p.alpha, p.beta, p.chi)
+    rep = entropy_of_coefficients(p.target.c, p.alpha, p.beta, p.chi)
     assert 1.2 < rep.E <= 1.5, f"low-x preset entropy {rep.E}"
 
 

@@ -29,6 +29,7 @@ from kerrlink.fock import (
     project_click,
     trace_distance,
 )
+from kerrlink.noise import success_probability
 from kerrlink.presets import get_preset
 from kerrlink.protocol import (
     DENSE_BYTES_LIMIT,
@@ -46,7 +47,6 @@ from kerrlink.protocol import (
     operator_path_pattern,
     oracle_equivalence,
     run_full_protocol,
-    success_probability_ideal,
 )
 
 
@@ -377,11 +377,11 @@ class TestEquivalenceAndProbability:
             g = pair_gram(params.target.K, params.alpha, params.beta, params.chi)
             c = params.target.c
             norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
-            want = success_probability_ideal(
+            want = success_probability(
                 params.target,
                 params.gamma,
-                params.scheme.q,
-                params.scheme.K,
+                1.0,
+                q=params.scheme.q,
                 norm_squared=norm2,
             )
             got = all_click_record(run_full_protocol(params)).probability
@@ -390,7 +390,7 @@ class TestEquivalenceAndProbability:
 
     def test_zero_gamma_probability(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))
-        assert success_probability_ideal(t, 0.0, 0.7, 1) == 0.0
+        assert success_probability(t, 0.0, 1.0, q=0.7) == 0.0
 
 
 class TestDominantEigenstate:
