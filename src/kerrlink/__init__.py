@@ -19,7 +19,6 @@ from .entangle import (
     entropy_of_coefficients,
     optimize_coefficients,
     schmidt_entropy,
-    semi_success_entropy,
 )
 from .errors import (
     DegenerateLeadingCoefficient,
@@ -30,23 +29,15 @@ from .errors import (
     NoSolution,
     ShapeMismatch,
     TailTooHeavy,
-    TruncationOverflow,
     UnknownMode,
 )
 from .fock import (
     DensOp,
     FockVector,
     TruncationSpec,
-    apply_beamsplitter,
-    apply_cross_kerr,
-    apply_displacement,
     coherent_amplitudes,
     fidelity,
-    inner,
     min_cutoff,
-    product_state,
-    project_click,
-    reduce_to_density,
     trace_distance,
 )
 from .noise import (

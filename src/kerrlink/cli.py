@@ -15,11 +15,13 @@ byte-identical output.  Channel loss Lambda is the relative intensity loss
 (I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
 
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
-nan or inf number among the flags, --dphi2 <= 0, --alpha 0, or an
-attenuation beyond float range; no artifact is written), 3 scheme synthesis
-failure, 4 truncation overflow, 5 optimizer non-convergence (rows still
-written, flagged in the flag column), 6 dense simulation over the memory
-budget (checked before allocating).
+nan or inf number among the flags, --dphi2 <= 0, --alpha 0, --f-target
+outside (0, 1), an --x-grid value <= 0, or a negative attenuation or one
+beyond float range; no artifact is written), 3 scheme synthesis failure, 4
+truncation overflow (a coherent amplitude that does not fit the Fock
+cutoff), 5 optimizer non-convergence (rows still written, flagged in the
+flag column), 6 dense simulation over the memory budget (checked before
+allocating).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .design import (
     solve_roots,
     to_json,
 )
-from .entangle import optimize_coefficients, schmidt_entropy, semi_success_entropy
+from .entangle import entropy_of_coefficients, optimize_coefficients, schmidt_entropy
 from .errors import (
     DegenerateLeadingCoefficient,
     DomainError,
@@ -49,7 +51,6 @@ from .errors import (
     NonConvergence,
     NoSolution,
     TailTooHeavy,
-    TruncationOverflow,
 )
 from .fock import fidelity
 from .noise import (
@@ -223,6 +224,9 @@ def cmd_simulate(args) -> int:
 def cmd_entangle_scan(args) -> int:
     xs = _parse_floats(args.x_grid) if args.x_grid else [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
     Ks = _parse_ints(args.K) if args.K else [1, 2]
+    bad = [x for x in xs if x <= 0]
+    if bad:
+        raise ValueError(f"--x-grid values must be > 0, got {_fmt(bad[0])}")
     rows = []
     flagged = False
     for x in xs:
@@ -241,8 +245,9 @@ def cmd_entangle_scan(args) -> int:
             roots = solve_roots(t_opt, 1.0)
             for r in range(1, K):
                 for missing in itertools.combinations(range(1, K + 1), r):
-                    ent = semi_success_entropy(
-                        t_opt, roots, set(missing), alpha, alpha, chi
+                    ent = entropy_of_coefficients(
+                        semi_success_coeffs(t_opt, roots, set(missing)).c,
+                        alpha, alpha, chi,
                     )
                     rows.append(
                         (x, K, "miss" + "".join(str(j) for j in missing), ent.E, flag)
@@ -264,6 +269,8 @@ def cmd_feasibility(args) -> int:
     zeta = args.zeta if args.zeta is not None else det["zeta"]
     lam_det = args.lambda_det if args.lambda_det is not None else det["lambda_det"]
     f_target = args.f_target
+    if not 0 < f_target < 1:
+        raise ValueError(f"--f-target must lie in (0, 1), got {_fmt(f_target)}")
     eps = (1.0 - f_target) / 6.0
     alpha = args.alpha if args.alpha is not None else math.sqrt(10.0)
     a2 = abs(alpha) ** 2
@@ -414,7 +421,7 @@ def main(argv=None) -> int:
     except (NoSolution, DegenerateLeadingCoefficient) as err:
         print(f"scheme synthesis failed: {err}", file=sys.stderr)
         return 3
-    except (TruncationOverflow, TailTooHeavy) as err:
+    except TailTooHeavy as err:
         print(f"truncation overflow: {err}", file=sys.stderr)
         return 4
     except NonConvergence as err:

@@ -197,15 +197,6 @@ def reference_network(gtilde) -> RefNet:
     return RefNet(Tp[: K - 1], phi[: K - 1], complex(master))
 
 
-def refnet_angles(net: RefNet, K: int):
-    """Full K-element (theta', phi) arrays with the implicit final mirror."""
-    Tp = np.append(net.Tp, 0.0)
-    phi = np.append(net.phi, 0.0)
-    if len(Tp) != K:
-        raise ValueError(f"ref_net holds {len(Tp) - 1} splitters, expected {K - 1}")
-    return np.arccos(np.sqrt(np.clip(Tp, 0.0, 1.0))), phi
-
-
 def probe_affine(scheme: DetectionScheme):
     """(mu, nu) of the end-of-chain probe map gamma_x -> mu gamma_x + nu."""
     K = scheme.K

@@ -3,7 +3,8 @@
 States of the form sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> live in a
 (K+1)-dimensional span of nonorthogonal coherent vectors.  The reduced-state
 spectrum is computed directly in that span through the Gram matrices, with no
-Fock truncation; a truncated-Fock partial trace serves as an oracle in tests.
+Fock truncation; the truncated-Fock reduction in ``tests/oracles.py`` serves
+as its oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .design import EliminationRoots, TargetCoefficients, semi_success_coeffs
 from .errors import NonConvergence, ShapeMismatch
 
 EIG_FLOOR = 1e-14
@@ -66,14 +66,6 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
     lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
     return EntanglementReport(float(-np.sum(lam * np.log2(lam))), lam)
-
-
-def semi_success_entropy(
-    target: TargetCoefficients, roots: EliminationRoots, missing, alpha, beta, chi
-) -> EntanglementReport:
-    """Entropy of the state heralded when the given detectors stay silent."""
-    ctil = semi_success_coeffs(target, roots, missing)
-    return entropy_of_coefficients(ctil.c, alpha, beta, chi)
 
 
 def schmidt_entropy(state) -> float:

@@ -13,10 +13,6 @@ class UnknownMode(KerrlinkError):
     """A requested mode label is not part of the state."""
 
 
-class TruncationOverflow(KerrlinkError):
-    """A gate pushed non-negligible population against the Fock cutoff."""
-
-
 class ShapeMismatch(KerrlinkError):
     """Two states/operators do not share modes or truncation."""
 

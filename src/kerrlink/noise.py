@@ -15,6 +15,10 @@ six-inequality feasibility system inverts that budget: given a per-term
 allowance eps it bounds the channel loss, storage loss, phase noise,
 Kerr-stage loss, probe intensity and nonlinearity errors.
 
+Every channel is evaluated in the coherent-pair span through Gram overlaps.
+The dense Fock forms of the discrete-phase channel and the dark-count
+mixture, which the tests compare against, live in ``tests/oracles.py``.
+
 Conventions.  Lambda denotes relative intensity loss (I0 - I)/I, so channel
 attenuation in dB is 10 log10(Lambda + 1).  lambda_det is the detector
 efficiency, zeta the dark-count probability per detector per window, and
@@ -32,8 +36,6 @@ import numpy as np
 from .design import TargetCoefficients, semi_success_coeffs, solve_roots
 from .entangle import _rot_gram, pair_gram
 from .errors import DomainError
-from .fock import DensOp, TruncationSpec, min_cutoff
-from .protocol import analytic_target_state
 
 DB_PER_KM = 0.20
 SERIES_TOL = 1e-14
@@ -167,27 +169,6 @@ def _poisson_weights(s: float):
     return w / w.sum()
 
 
-def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac) -> DensOp:
-    """Poisson mixture of phase rotations e^{i chi_ac k n_a} on mode a, the
-    first of rho's modes.
-
-    The rotated copies are summed and the output is rescaled to the input
-    trace (the raw series is trace-increasing by e^{Lambda|gamma|^2}).  This
-    dense Fock form is the test oracle for superop_pipeline_fidelity, which
-    evaluates the same mixture through rotated-label Gram overlaps.
-    """
-    w = _poisson_weights(Lambda * abs(gamma) ** 2)
-    if not isinstance(rho, DensOp):
-        raise TypeError(f"expected DensOp, got {type(rho).__name__}")
-    dim, nmodes = rho.trunc.dim, len(rho.modes)
-    idx = np.arange(dim**nmodes) // dim ** (nmodes - 1)
-    out = np.zeros_like(rho.matrix)
-    for k, wk in enumerate(w):
-        u = np.exp(1j * chi_ac * k * idx)
-        out += wk * (u[:, None] * rho.matrix * np.conj(u)[None, :])
-    return DensOp(rho.modes, out, rho.trunc)
-
-
 # ---------------------------------------------------------------------------
 # leading-order infidelity terms
 
@@ -246,55 +227,6 @@ def _discrete_phase_term(x: float, s: float) -> float:
     )
     w = math.log(x / 0.3) / math.log(10.0)
     return float((1 - w) * low + w * high)
-
-
-def dark_count_mixture(
-    target: TargetCoefficients,
-    roots,
-    alpha,
-    beta,
-    chi,
-    gamma,
-    lambda_det,
-    zeta,
-    trunc: TruncationSpec | None = None,
-) -> DensOp:
-    """Unnormalized mixture of the target with silent-detector states.
-
-    A dark count lets one (or two) detectors fire without photons, so the
-    heralded state is the corresponding silent-detector superposition; each
-    missing detector contributes weight zeta/(lambda |gamma|^2) |c_K|^2 with
-    c_K taken for the normalized target.  The series stops at two dark
-    counts.
-    """
-    w1 = zeta / (lambda_det * abs(gamma) ** 2)
-    if w1 > 0.1:
-        warnings.warn(
-            f"zeta/(lambda |gamma|^2) = {w1:.3g} is not small; the two-dark-"
-            "count truncation is unreliable",
-            stacklevel=2,
-        )
-    if trunc is None:
-        trunc = TruncationSpec(min_cutoff([alpha, beta]))
-    K = target.K
-    G = pair_overlap_matrix(K, alpha, beta, chi)
-    c = np.asarray(target.c, dtype=complex)
-    ck2 = abs(c[-1]) ** 2 / float(np.real(np.conj(c) @ G @ c))
-
-    def projector(t):
-        v = analytic_target_state(t, alpha, beta, chi, trunc).amplitudes.ravel()
-        return np.outer(v, np.conj(v))
-
-    mat = projector(target)
-    if zeta > 0:
-        for j in range(1, K + 1):
-            mat += w1 * ck2 * projector(semi_success_coeffs(target, roots, {j}))
-        for i in range(1, K + 1):
-            for j in range(i + 1, K + 1):
-                mat += w1**2 * ck2 * projector(
-                    semi_success_coeffs(target, roots, {i, j})
-                )
-    return DensOp(("a", "b"), mat, trunc)
 
 
 def fidelity_leading_order(
@@ -415,7 +347,10 @@ def attenuation_db(Lambda: float) -> float:
 
 
 def db_to_loss(db: float) -> float:
-    """Inverse of attenuation_db; DomainError past float range (~3083 dB)."""
+    """Inverse of attenuation_db; DomainError for a negative attenuation (a
+    gain, not a loss) and past float range (~3083 dB)."""
+    if db < 0:
+        raise DomainError(f"attenuation {db:g} dB is negative")
     try:
         return 10.0 ** (db / 10.0) - 1.0
     except OverflowError as err:

@@ -9,10 +9,11 @@ linear cascade acts on exact coherent labels per s and projector overlaps are
 evaluated in closed form.  No truncation anywhere except the (a, b) amplitude
 grid itself.
 
-Two truncated-Fock routes serve as its test oracle (``_run_fock_pipeline``):
-the monolithic one simulates every mode literally through the gate layer
-(small instances only), and the displaced one runs the cascade with vacuum
-reference ports, displacing each arm by -i q gamma_j before detection.
+Its test oracle is two truncated-Fock routes in ``tests/oracles.py``: the
+monolithic one simulates every mode literally through a gate layer (small
+instances only), and the displaced one runs the cascade with vacuum reference
+ports, displacing each arm by -i q gamma_j before detection.  Both check their
+dense size against DENSE_BYTES_LIMIT through ``_check_budget``.
 
 The operator path applies the per-detector polynomial operators
 (q^n/sqrt(n!)) (c - gamma_j)^n branch by branch and sums photon counts up to
@@ -40,15 +41,9 @@ from .fock import (
     DensOp,
     FockVector,
     TruncationSpec,
-    apply_beamsplitter,
-    apply_cross_kerr,
-    apply_displacement,
     coherent_amplitudes,
     fidelity,
     min_cutoff,
-    product_state,
-    project_click,
-    reduce_to_density,
     trace_distance,
 )
 
@@ -245,40 +240,6 @@ def run_full_protocol(params: ProtocolParams):
     ]
 
 
-def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
-    """Test oracle for run_full_protocol: every mode in truncated Fock space,
-    monolithic (references at the ports) or displaced (vacuum ports, arms
-    displaced before detection).  Checks its dim^(K+3) product state against
-    DENSE_BYTES_LIMIT before allocating."""
-    K = params.scheme.K
-    trunc = params.trunc
-    _check_budget(params, "Fock route", 16 * trunc.dim ** (K + 3))
-    modes = ["a", "b", "c"] + [f"r{j}" for j in range(1, K + 1)]
-    refs = np.zeros(K, dtype=complex) if displaced else params.scheme.gtilde
-    amps = [
-        coherent_amplitudes(params.alpha, trunc.n_max, trunc.tail_tol),
-        coherent_amplitudes(params.beta, trunc.n_max, trunc.tail_tol),
-        coherent_amplitudes(params.gamma, trunc.n_max, trunc.tail_tol),
-    ] + [coherent_amplitudes(g, trunc.n_max, trunc.tail_tol) for g in refs]
-    st = product_state(modes, amps, trunc)
-    st = apply_cross_kerr(st, "a", "c", params.chi)
-    st = apply_cross_kerr(st, "b", "c", params.chi)
-    theta = np.arccos(np.sqrt(params.scheme.T))
-    gam = params.scheme.roots.expanded()
-    for j in range(1, K + 1):
-        st = apply_beamsplitter(st, "c", f"r{j}", theta[j - 1])
-        if displaced:
-            st = apply_displacement(st, f"r{j}", -1j * params.scheme.q * gam[j - 1])
-    out = []
-    for pattern in itertools.product((True, False), repeat=K):
-        proj = st
-        for j, clicked in enumerate(pattern, start=1):
-            proj = project_click(proj, f"r{j}", clicked)
-        rho = reduce_to_density(proj, ("a", "b"))
-        out.append(_record(pattern, rho))
-    return out
-
-
 def all_click_record(records) -> OutcomeRecord:
     for r in records:
         if all(r.pattern):
@@ -311,24 +272,6 @@ def operator_path_pattern(
     return _pattern_rho(
         params, [range(1, n_cut + 1) if clicked else False for clicked in pattern]
     )
-
-
-def build_target_by_elimination(params: ProtocolParams) -> FockVector:
-    """Product of (e^{i chi (n_a+n_b)} - gamma_m/gamma) factors on |alpha>|beta>.
-
-    This is the leading-order heralded state written without reference to the
-    coefficient vector; it must coincide (after normalization) with the
-    analytic target, which pins down the whole elimination construction.
-    """
-    trunc = params.trunc
-    qa = coherent_amplitudes(params.alpha, trunc.n_max, trunc.tail_tol)
-    qb = coherent_amplitudes(params.beta, trunc.n_max, trunc.tail_tol)
-    amp = np.outer(qa, qb)
-    s = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
-    f = np.exp(1j * params.chi * s)
-    for z, l in params.scheme.roots.roots:
-        amp = amp * (f - z / params.gamma) ** l
-    return FockVector(("a", "b"), amp / np.linalg.norm(amp), trunc)
 
 
 def oracle_equivalence(params: ProtocolParams) -> EquivalenceReport:

@@ -1,0 +1,365 @@
+"""Reference implementations the tests compare the library against.
+
+The library simulates the scheme one way: the blocked coherent-label route
+of ``protocol.run_full_protocol`` and the coherent-pair span of ``entangle``
+and ``noise``.  This module keeps the independent, literal routes that check
+it, and nothing in ``src/`` imports it:
+
+* the truncated-Fock gate layer (product states, cross-Kerr phases,
+  beamsplitters, displacements, click projection, reduction and partial
+  trace), which raises ``TruncationOverflow`` instead of truncating silently;
+* the monolithic and displaced truncated-Fock protocol routes
+  (``_run_fock_pipeline``), still bounded by ``protocol.DENSE_BYTES_LIMIT``,
+  and the leading-order heralded state written as a product of elimination
+  factors (``build_target_by_elimination``);
+* the dense Fock forms of the discrete-phase channel and the dark-count
+  mixture, which ``noise`` evaluates through Gram overlaps;
+* the full (theta', phi) arrays of the reference cascade, which the tests
+  drive through the beamsplitter gate.
+"""
+
+from __future__ import annotations
+
+import itertools
+import warnings
+from functools import lru_cache
+
+import numpy as np
+from scipy.linalg import eigh_tridiagonal, expm
+
+from kerrlink.design import RefNet, TargetCoefficients, semi_success_coeffs
+from kerrlink.errors import KerrlinkError, UnknownMode
+from kerrlink.fock import (
+    DensOp,
+    FockVector,
+    TruncationSpec,
+    _check_same,
+    coherent_amplitudes,
+    min_cutoff,
+)
+from kerrlink.noise import _poisson_weights, pair_overlap_matrix
+from kerrlink.protocol import (
+    ProtocolParams,
+    _check_budget,
+    _record,
+    analytic_target_state,
+)
+
+
+class TruncationOverflow(KerrlinkError):
+    """A gate pushed non-negligible population against the Fock cutoff."""
+
+
+# ---------------------------------------------------------------------------
+# truncated-Fock gate layer
+
+
+def product_state(modes, single_mode_vectors, trunc) -> FockVector:
+    """Tensor product of per-mode amplitude vectors, in the given mode order."""
+    amp = np.array([1.0 + 0j])
+    for v in single_mode_vectors:
+        amp = np.multiply.outer(amp, np.asarray(v, dtype=complex))
+    return FockVector(tuple(modes), amp.reshape(amp.shape[1:]), trunc)
+
+
+def apply_cross_kerr(state: FockVector, mode_i, mode_j, chi) -> FockVector:
+    """Multiply each amplitude by exp(i chi n_i n_j). Exactly norm-preserving."""
+    ai, aj = state.axis(mode_i), state.axis(mode_j)
+    n = np.arange(state.trunc.dim)
+    shape_i = [1] * len(state.modes)
+    shape_i[ai] = state.trunc.dim
+    shape_j = [1] * len(state.modes)
+    shape_j[aj] = state.trunc.dim
+    phase = np.exp(1j * chi * n.reshape(shape_i) * n.reshape(shape_j))
+    return FockVector(state.modes, state.amplitudes * phase, state.trunc)
+
+
+@lru_cache(maxsize=4096)
+def _bs_block(total, n_max, theta):
+    """Unitary exp(i theta (c^dag d + c d^dag)) on the total-photon-number block."""
+    lo = max(0, total - n_max)
+    hi = min(n_max, total)
+    k = np.arange(lo, hi)  # couples (k, total-k) <-> (k+1, total-k-1)
+    off = np.sqrt((k + 1.0) * (total - k))
+    if len(off) == 0:
+        return np.array([[1.0 + 0j]])
+    w, v = eigh_tridiagonal(np.zeros(hi - lo + 1), off)
+    return (v * np.exp(1j * theta * w)) @ v.T
+
+
+def apply_beamsplitter(state: FockVector, mode_i, mode_j, theta) -> FockVector:
+    """Two-mode mixer exp{i theta (c_i^dag c_j + c_i c_j^dag)}.
+
+    Coherent inputs map to coherent outputs,
+    |u>|v| -> |u cos(theta) + i v sin(theta)> |v cos(theta) + i u sin(theta)>.
+    Applied block-by-block over the conserved total photon number; blocks that
+    stick out past the cutoff evolve within their truncated span, and the state
+    mass sitting in those blocks must stay below tail_tol.
+    """
+    if theta == 0:
+        return state
+    ai, aj = state.axis(mode_i), state.axis(mode_j)
+    n_max = state.trunc.n_max
+    d = state.trunc.dim
+    arr = np.moveaxis(state.amplitudes, (ai, aj), (-2, -1))
+    lead = arr.shape[:-2]
+    arr = arr.reshape(-1, d, d)
+    out = np.empty_like(arr)
+    boundary_mass = 0.0
+    for total in range(2 * n_max + 1):
+        ks = np.arange(max(0, total - n_max), min(n_max, total) + 1)
+        vec = arr[:, ks, total - ks]
+        if total > n_max:
+            boundary_mass += float(np.sum(np.abs(vec) ** 2))
+        out[:, ks, total - ks] = vec @ _bs_block(total, n_max, float(theta)).T
+    if boundary_mass > state.trunc.tail_tol:
+        raise TruncationOverflow(
+            f"mass {boundary_mass:.3e} in blocks beyond n_max={n_max} "
+            f"(tail_tol={state.trunc.tail_tol:g}); raise the cutoff"
+        )
+    out = np.moveaxis(out.reshape(*lead, d, d), (-2, -1), (ai, aj))
+    return FockVector(state.modes, np.ascontiguousarray(out), state.trunc)
+
+
+@lru_cache(maxsize=256)
+def _displacement_matrix(dim, d):
+    n = np.sqrt(np.arange(1, dim))
+    a = np.diag(n, 1)
+    gen = d * a.conj().T - np.conj(d) * a
+    return expm(gen)
+
+
+def apply_displacement(state: FockVector, mode, d) -> FockVector:
+    """Displace one mode: |z> -> (phase) |z + d|.
+
+    Implemented as the matrix exponential of d c^dag - d* c on a temporarily
+    enlarged cutoff; raises TruncationOverflow if the displaced state leaks
+    past the original n_max by more than tail_tol.
+    """
+    if d == 0:
+        return state
+    ax = state.axis(mode)
+    n_max = state.trunc.n_max
+    pad = int(np.ceil(abs(d) ** 2 + 4 * abs(d) + 4))
+    big = n_max + 1 + pad
+    arr = np.moveaxis(state.amplitudes, ax, -1)
+    lead = arr.shape[:-1]
+    wide = np.zeros((*lead, big), dtype=complex)
+    wide[..., : n_max + 1] = arr
+    wide = wide.reshape(-1, big) @ _displacement_matrix(big, complex(d)).T
+    wide = wide.reshape(*lead, big)
+    leaked = float(np.sum(np.abs(wide[..., n_max + 1 :]) ** 2))
+    if leaked > state.trunc.tail_tol:
+        raise TruncationOverflow(
+            f"displacement by |d|={abs(d):.4g} leaks {leaked:.3e} past n_max={n_max}"
+        )
+    out = np.moveaxis(wide[..., : n_max + 1], -1, ax)
+    return FockVector(state.modes, np.ascontiguousarray(out), state.trunc)
+
+
+def project_click(state: FockVector, mode, clicked: bool) -> FockVector:
+    """Project one mode on a non-resolving detector outcome.
+
+    clicked=False keeps only the vacuum component of the mode, clicked=True
+    keeps everything else.  The squared norm of the result is the outcome
+    probability; the mode itself stays in the state.
+    """
+    ax = state.axis(mode)
+    amp = state.amplitudes.copy()
+    sl = [slice(None)] * len(state.modes)
+    if clicked:
+        sl[ax] = 0
+        amp[tuple(sl)] = 0.0
+    else:
+        sl[ax] = slice(1, None)
+        amp[tuple(sl)] = 0.0
+    return FockVector(state.modes, amp, state.trunc)
+
+
+def reduce_to_density(state: FockVector, keep) -> DensOp:
+    """Trace out every mode not in ``keep``; returns a DensOp over ``keep``."""
+    keep = tuple(keep)
+    for m in keep:
+        state.axis(m)
+    drop = [m for m in state.modes if m not in keep]
+    perm = [state.axis(m) for m in keep] + [state.axis(m) for m in drop]
+    d = state.trunc.dim
+    mat = np.transpose(state.amplitudes, perm).reshape(d ** len(keep), -1)
+    return DensOp(keep, mat @ mat.conj().T, state.trunc)
+
+
+def partial_trace(rho: DensOp, keep) -> DensOp:
+    """Partial trace of a density operator down to the ``keep`` modes."""
+    keep = tuple(keep)
+    idx = []
+    for m in keep:
+        if m not in rho.modes:
+            raise UnknownMode(f"mode {m!r} not in {rho.modes}")
+        idx.append(rho.modes.index(m))
+    drop = [i for i in range(len(rho.modes)) if i not in idx]
+    d = rho.trunc.dim
+    m = len(rho.modes)
+    t = rho.matrix.reshape((d,) * (2 * m))
+    # contract each dropped mode's row/column index pair, back to front
+    for off, i in enumerate(sorted(drop, reverse=True)):
+        cur = m - off
+        t = np.trace(t, axis1=i, axis2=cur + i)
+    # axes now ordered as the surviving modes in original order
+    order = [rho.modes[i] for i in sorted(idx)]
+    k = len(keep)
+    t = t.reshape(d**k, d**k)
+    if order != list(keep):
+        # permute surviving modes into the requested order
+        per = [order.index(mm) for mm in keep]
+        t = t.reshape((d,) * (2 * k))
+        t = np.transpose(t, per + [k + p for p in per]).reshape(d**k, d**k)
+    return DensOp(keep, np.ascontiguousarray(t), rho.trunc)
+
+
+def inner(a: FockVector, b: FockVector) -> complex:
+    """<a|b> with matching modes and truncation."""
+    _check_same(a, b)
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+# ---------------------------------------------------------------------------
+# truncated-Fock protocol routes
+
+
+def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
+    """Test oracle for run_full_protocol: every mode in truncated Fock space,
+    monolithic (references at the ports) or displaced (vacuum ports, arms
+    displaced before detection).  Checks its dim^(K+3) product state against
+    DENSE_BYTES_LIMIT before allocating."""
+    K = params.scheme.K
+    trunc = params.trunc
+    _check_budget(params, "Fock route", 16 * trunc.dim ** (K + 3))
+    modes = ["a", "b", "c"] + [f"r{j}" for j in range(1, K + 1)]
+    refs = np.zeros(K, dtype=complex) if displaced else params.scheme.gtilde
+    amps = [
+        coherent_amplitudes(params.alpha, trunc.n_max, trunc.tail_tol),
+        coherent_amplitudes(params.beta, trunc.n_max, trunc.tail_tol),
+        coherent_amplitudes(params.gamma, trunc.n_max, trunc.tail_tol),
+    ] + [coherent_amplitudes(g, trunc.n_max, trunc.tail_tol) for g in refs]
+    st = product_state(modes, amps, trunc)
+    st = apply_cross_kerr(st, "a", "c", params.chi)
+    st = apply_cross_kerr(st, "b", "c", params.chi)
+    theta = np.arccos(np.sqrt(params.scheme.T))
+    gam = params.scheme.roots.expanded()
+    for j in range(1, K + 1):
+        st = apply_beamsplitter(st, "c", f"r{j}", theta[j - 1])
+        if displaced:
+            st = apply_displacement(st, f"r{j}", -1j * params.scheme.q * gam[j - 1])
+    out = []
+    for pattern in itertools.product((True, False), repeat=K):
+        proj = st
+        for j, clicked in enumerate(pattern, start=1):
+            proj = project_click(proj, f"r{j}", clicked)
+        rho = reduce_to_density(proj, ("a", "b"))
+        out.append(_record(pattern, rho))
+    return out
+
+
+def build_target_by_elimination(params: ProtocolParams) -> FockVector:
+    """Product of (e^{i chi (n_a+n_b)} - gamma_m/gamma) factors on |alpha>|beta>.
+
+    This is the leading-order heralded state written without reference to the
+    coefficient vector; it must coincide (after normalization) with the
+    analytic target, which pins down the whole elimination construction.
+    """
+    trunc = params.trunc
+    qa = coherent_amplitudes(params.alpha, trunc.n_max, trunc.tail_tol)
+    qb = coherent_amplitudes(params.beta, trunc.n_max, trunc.tail_tol)
+    amp = np.outer(qa, qb)
+    s = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
+    f = np.exp(1j * params.chi * s)
+    for z, l in params.scheme.roots.roots:
+        amp = amp * (f - z / params.gamma) ** l
+    return FockVector(("a", "b"), amp / np.linalg.norm(amp), trunc)
+
+
+# ---------------------------------------------------------------------------
+# dense Fock forms of the noise channels
+
+
+def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac) -> DensOp:
+    """Poisson mixture of phase rotations e^{i chi_ac k n_a} on mode a, the
+    first of rho's modes.
+
+    The rotated copies are summed and the output is rescaled to the input
+    trace (the raw series is trace-increasing by e^{Lambda|gamma|^2}).  This
+    dense Fock form is the test oracle for superop_pipeline_fidelity, which
+    evaluates the same mixture through rotated-label Gram overlaps.
+    """
+    w = _poisson_weights(Lambda * abs(gamma) ** 2)
+    if not isinstance(rho, DensOp):
+        raise TypeError(f"expected DensOp, got {type(rho).__name__}")
+    dim, nmodes = rho.trunc.dim, len(rho.modes)
+    idx = np.arange(dim**nmodes) // dim ** (nmodes - 1)
+    out = np.zeros_like(rho.matrix)
+    for k, wk in enumerate(w):
+        u = np.exp(1j * chi_ac * k * idx)
+        out += wk * (u[:, None] * rho.matrix * np.conj(u)[None, :])
+    return DensOp(rho.modes, out, rho.trunc)
+
+
+def dark_count_mixture(
+    target: TargetCoefficients,
+    roots,
+    alpha,
+    beta,
+    chi,
+    gamma,
+    lambda_det,
+    zeta,
+    trunc: TruncationSpec | None = None,
+) -> DensOp:
+    """Unnormalized mixture of the target with silent-detector states.
+
+    A dark count lets one (or two) detectors fire without photons, so the
+    heralded state is the corresponding silent-detector superposition; each
+    missing detector contributes weight zeta/(lambda |gamma|^2) |c_K|^2 with
+    c_K taken for the normalized target.  The series stops at two dark
+    counts.
+    """
+    w1 = zeta / (lambda_det * abs(gamma) ** 2)
+    if w1 > 0.1:
+        warnings.warn(
+            f"zeta/(lambda |gamma|^2) = {w1:.3g} is not small; the two-dark-"
+            "count truncation is unreliable",
+            stacklevel=2,
+        )
+    if trunc is None:
+        trunc = TruncationSpec(min_cutoff([alpha, beta]))
+    K = target.K
+    G = pair_overlap_matrix(K, alpha, beta, chi)
+    c = np.asarray(target.c, dtype=complex)
+    ck2 = abs(c[-1]) ** 2 / float(np.real(np.conj(c) @ G @ c))
+
+    def projector(t):
+        v = analytic_target_state(t, alpha, beta, chi, trunc).amplitudes.ravel()
+        return np.outer(v, np.conj(v))
+
+    mat = projector(target)
+    if zeta > 0:
+        for j in range(1, K + 1):
+            mat += w1 * ck2 * projector(semi_success_coeffs(target, roots, {j}))
+        for i in range(1, K + 1):
+            for j in range(i + 1, K + 1):
+                mat += w1**2 * ck2 * projector(
+                    semi_success_coeffs(target, roots, {i, j})
+                )
+    return DensOp(("a", "b"), mat, trunc)
+
+
+# ---------------------------------------------------------------------------
+# reference cascade
+
+
+def refnet_angles(net: RefNet, K: int):
+    """Full K-element (theta', phi) arrays with the implicit final mirror."""
+    Tp = np.append(net.Tp, 0.0)
+    phi = np.append(net.phi, 0.0)
+    if len(Tp) != K:
+        raise ValueError(f"ref_net holds {len(Tp) - 1} splitters, expected {K - 1}")
+    return np.arccos(np.sqrt(np.clip(Tp, 0.0, 1.0))), phi

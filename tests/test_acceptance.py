@@ -25,15 +25,7 @@ from kerrlink.entangle import (
     pair_gram,
     schmidt_entropy,
 )
-from kerrlink.fock import (
-    TruncationSpec,
-    apply_beamsplitter,
-    apply_displacement,
-    coherent_amplitudes,
-    fidelity,
-    product_state,
-    project_click,
-)
+from kerrlink.fock import TruncationSpec, coherent_amplitudes, fidelity
 from kerrlink.noise import (
     NoiseParams,
     attenuation_db,
@@ -52,6 +44,7 @@ from kerrlink.protocol import (
     oracle_equivalence,
     run_full_protocol,
 )
+from oracles import apply_beamsplitter, apply_displacement, product_state, project_click
 
 
 def test_criterion_01_bell_generation():

@@ -4,7 +4,10 @@ through cli.main so the suite stays fast."""
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import kerrlink
 from kerrlink import cli, protocol
 from kerrlink.design import from_json
 from kerrlink.entangle import EntanglementReport
-from kerrlink.errors import NonConvergence, TruncationOverflow
+from kerrlink.errors import NonConvergence, TailTooHeavy
 
 
 def parse_csv(text):
@@ -51,7 +54,7 @@ class TestExitCodes:
 
     def test_truncation_overflow_maps_to_4(self, monkeypatch):
         def boom(*a, **k):
-            raise TruncationOverflow("forced for the exit-code contract")
+            raise TailTooHeavy("forced for the exit-code contract")
 
         monkeypatch.setattr(cli, "run_full_protocol", boom)
         assert cli.main(["simulate", "--preset", "bell-k1"]) == 4
@@ -87,23 +90,33 @@ NONFINITE_ARGV = [
 ]
 
 
-# finite values that still make no configuration: an attenuation past float
-# range (10^(dB/10) overflows beyond ~3083 dB) and a vanishing mode amplitude
+# finite values that still make no configuration, each with its message: an
+# attenuation past float range (10^(dB/10) overflows beyond ~3083 dB) or below
+# zero (a gain), a vanishing mode amplitude, a fidelity target outside (0, 1)
+# and a distinguishability x <= 0
 INVALID_CONFIG_ARGV = [
-    ["feasibility", "--db-grid", "4000"],
-    ["feasibility", "--fixed-db", "4000"],
-    ["feasibility", "--alpha", "0"],
-    ["feasibility", "--alpha", "0", "--chi", "0.1"],
+    (["feasibility", "--db-grid", "4000"], "attenuation 4000 dB is beyond float range"),
+    (["feasibility", "--fixed-db", "4000"], "attenuation 4000 dB is beyond float range"),
+    (["feasibility", "--alpha", "0"], "--alpha must be nonzero"),
+    (["feasibility", "--alpha", "0", "--chi", "0.1"], "--alpha must be nonzero"),
+    (["feasibility", "--f-target", "1"], "--f-target must lie in (0, 1), got 1"),
+    (["feasibility", "--f-target", "1.5"], "--f-target must lie in (0, 1), got 1.5"),
+    (["feasibility", "--f-target", "0"], "--f-target must lie in (0, 1), got 0"),
+    (["feasibility", "--db-grid", "-5"], "attenuation -5 dB is negative"),
+    (["feasibility", "--fixed-db", "-3"], "attenuation -3 dB is negative"),
+    (["entangle-scan", "--x-grid", "0", "--K", "1"], "--x-grid values must be > 0, got 0"),
+    (["entangle-scan", "--x-grid", "-1", "--K", "1"], "--x-grid values must be > 0, got -1"),
 ]
 
 
 class TestInvalidConfiguration:
-    @pytest.mark.parametrize("argv", INVALID_CONFIG_ARGV, ids=" ".join)
-    def test_exits_2_without_artifact(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,message", INVALID_CONFIG_ARGV,
+                             ids=[" ".join(a) for a, _ in INVALID_CONFIG_ARGV])
+    def test_exits_2_without_artifact(self, argv, message, tmp_path, capsys):
         out = tmp_path / "artifact"
         assert cli.main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("invalid configuration: "), captured.err
+        assert captured.err == f"invalid configuration: {message}\n", captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -150,19 +163,17 @@ PUBLIC_NAMES = [
     "EliminationRoots", "EntanglementReport", "FeasibilityReport", "FidelityBreakdown",
     "FockVector", "KerrlinkError", "MemoryBudgetExceeded", "NoSolution", "NoiseParams",
     "NonConvergence", "OutcomeRecord", "PRESET_NAMES", "Preset", "ProtocolParams",
-    "ShapeMismatch", "TailTooHeavy", "TargetCoefficients", "TruncationOverflow",
-    "TruncationSpec", "UnknownMode", "all_click_record", "analytic_target_state",
-    "apply_beamsplitter", "apply_cross_kerr", "apply_displacement", "attenuation_db",
+    "ShapeMismatch", "TailTooHeavy", "TargetCoefficients", "TruncationSpec",
+    "UnknownMode", "all_click_record", "analytic_target_state", "attenuation_db",
     "build_scheme", "cli", "coeffs_from_photon_target", "coherent_amplitudes",
     "darkcount_loss_limit", "design", "dominant_eigenstate", "entangle",
     "entropy_of_coefficients", "errors", "feasibility_check", "fidelity",
-    "fidelity_leading_order", "fock", "from_json", "get_preset", "inner",
-    "make_protocol", "min_cutoff", "noise", "operator_path_final_state",
-    "optimize_coefficients", "oracle_equivalence", "practical_cutoff_db", "presets",
-    "product_state", "project_click", "protocol", "reduce_to_density",
-    "run_full_protocol", "schmidt_entropy", "semi_success_coeffs",
-    "semi_success_entropy", "solve_roots", "success_probability",
-    "superop_pipeline_fidelity", "to_json", "trace_distance", "transmittances",
+    "fidelity_leading_order", "fock", "from_json", "get_preset", "make_protocol",
+    "min_cutoff", "noise", "operator_path_final_state", "optimize_coefficients",
+    "oracle_equivalence", "practical_cutoff_db", "presets", "protocol",
+    "run_full_protocol", "schmidt_entropy", "semi_success_coeffs", "solve_roots",
+    "success_probability", "superop_pipeline_fidelity", "to_json", "trace_distance",
+    "transmittances",
 ]
 
 
@@ -212,6 +223,24 @@ class TestReadmeSession:
         assert len(blocks) == 1, f"{len(blocks)} python blocks in README"
         exec(blocks[0].split("```")[0], {})
         assert capsys.readouterr().out.strip(), "the session printed nothing"
+
+
+class TestLibraryWithoutTests:
+    def test_runs_with_only_src_on_the_path(self, tmp_path):
+        """The package imports and simulates with neither the tests tree nor
+        its oracles module reachable."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        imports = (
+            "import importlib, pkgutil, sys, kerrlink\n"
+            "for m in pkgutil.iter_modules(kerrlink.__path__):\n"
+            "    importlib.import_module('kerrlink.' + m.name)\n"
+            "assert 'oracles' not in sys.modules, 'kerrlink imported oracles'\n"
+        )
+        for argv in (["-c", imports],
+                     ["-m", "kerrlink", "simulate", "--preset", "photon-correlated:2,2"]):
+            proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestMemoryBudgetExit:

@@ -15,20 +15,14 @@ from kerrlink.design import (
     probe_affine,
     reference_amplitudes,
     reference_network,
-    refnet_angles,
     semi_success_coeffs,
     solve_roots,
     to_json,
     transmittances,
 )
 from kerrlink.errors import DegenerateLeadingCoefficient, NoSolution
-from kerrlink.fock import (
-    TruncationSpec,
-    apply_beamsplitter,
-    coherent_amplitudes,
-    inner,
-    product_state,
-)
+from kerrlink.fock import TruncationSpec, coherent_amplitudes
+from oracles import apply_beamsplitter, inner, product_state, refnet_angles
 
 
 def poly_eval(coeffs, x):

@@ -10,22 +10,21 @@ from kerrlink import entangle
 from kerrlink.design import (
     TargetCoefficients,
     coeffs_from_photon_target,
+    semi_success_coeffs,
     solve_roots,
 )
 from kerrlink.entangle import (
     entropy_of_coefficients,
     optimize_coefficients,
     pair_gram,
-    semi_success_entropy,
 )
 from kerrlink.fock import (
     FockVector,
     TruncationSpec,
     coherent_amplitudes,
     min_cutoff,
-    product_state,
-    reduce_to_density,
 )
+from oracles import product_state, reduce_to_density
 
 
 def pair_target(a2, chi):
@@ -235,13 +234,14 @@ class TestSemiSuccess:
         chi, gamma, alpha = 1.0, 0.1, 0.1
         t = coeffs_from_photon_target(2, 2, chi)
         r = solve_roots(t, gamma)
-        rep = semi_success_entropy(t, r, {2}, alpha, alpha, chi)
+        c = semi_success_coeffs(t, r, {2}).c
+        rep = entropy_of_coefficients(c, alpha, alpha, chi)
         assert abs(rep.E - 0.9782698274) < 1e-8
-        smaller = semi_success_entropy(t, r, {2}, 0.05, 0.05, chi)
+        smaller = entropy_of_coefficients(c, 0.05, 0.05, chi)
         assert smaller.E > rep.E  # approaches 1 as alpha shrinks
 
     def test_all_missing_is_product(self):
         t = coeffs_from_photon_target(1, 2, 0.5)
         r = solve_roots(t, 0.1)
-        rep = semi_success_entropy(t, r, {1, 2}, 0.3, 0.3, 0.5)
+        rep = entropy_of_coefficients(semi_success_coeffs(t, r, {1, 2}).c, 0.3, 0.3, 0.5)
         assert rep.E < 1e-12

@@ -3,29 +3,27 @@
 import numpy as np
 import pytest
 
-from kerrlink.errors import (
-    ShapeMismatch,
-    TailTooHeavy,
-    TruncationOverflow,
-    UnknownMode,
-)
+from kerrlink.errors import ShapeMismatch, TailTooHeavy, UnknownMode
 from kerrlink.fock import (
     DensOp,
     FockVector,
     TruncationSpec,
-    apply_beamsplitter,
-    apply_cross_kerr,
-    apply_displacement,
     coherent_amplitudes,
     coherent_tail,
     fidelity,
-    inner,
     min_cutoff,
+    trace_distance,
+)
+from oracles import (
+    TruncationOverflow,
+    apply_beamsplitter,
+    apply_cross_kerr,
+    apply_displacement,
+    inner,
     partial_trace,
     product_state,
     project_click,
     reduce_to_density,
-    trace_distance,
 )
 
 

@@ -16,11 +16,9 @@ from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutof
 from kerrlink.noise import (
     NoiseParams,
     _poisson_weights,
-    apply_discrete_phase_channel,
     attenuation_db,
     budget_success,
     chi_error_term,
-    dark_count_mixture,
     darkcount_loss_limit,
     db_to_loss,
     eta_params,
@@ -34,6 +32,7 @@ from kerrlink.noise import (
 )
 from kerrlink.presets import get_preset
 from kerrlink.protocol import analytic_target_state
+from oracles import apply_discrete_phase_channel, dark_count_mixture
 
 
 def bell_target(a2, b2, chi):

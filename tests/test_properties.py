@@ -8,15 +8,11 @@ networks, uses a seeded numpy loop to keep the budget predictable.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kerrlink.design import (
-    TargetCoefficients,
-    reference_network,
-    refnet_angles,
-    solve_roots,
-)
+from kerrlink.design import TargetCoefficients, reference_network, solve_roots
 from kerrlink.entangle import entropy_of_coefficients
-from kerrlink.fock import FockVector, TruncationSpec, apply_beamsplitter, inner
+from kerrlink.fock import FockVector, TruncationSpec
 from kerrlink.protocol import make_protocol, run_full_protocol
+from oracles import apply_beamsplitter, inner, refnet_angles
 
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
 

@@ -18,17 +18,7 @@ from kerrlink.design import (
 )
 from kerrlink.entangle import pair_gram, schmidt_entropy
 from kerrlink.errors import MemoryBudgetExceeded
-from kerrlink.fock import (
-    FockVector,
-    TruncationSpec,
-    apply_beamsplitter,
-    apply_displacement,
-    coherent_amplitudes,
-    inner,
-    product_state,
-    project_click,
-    trace_distance,
-)
+from kerrlink.fock import FockVector, TruncationSpec, coherent_amplitudes, trace_distance
 from kerrlink.noise import success_probability
 from kerrlink.presets import get_preset
 from kerrlink.protocol import (
@@ -37,16 +27,23 @@ from kerrlink.protocol import (
     _branch_labels,
     _dense_bytes,
     _pattern_kernel,
-    _run_fock_pipeline,
     all_click_record,
     analytic_target_state,
-    build_target_by_elimination,
     dominant_eigenstate,
     make_protocol,
     operator_path_final_state,
     operator_path_pattern,
     oracle_equivalence,
     run_full_protocol,
+)
+from oracles import (
+    _run_fock_pipeline,
+    apply_beamsplitter,
+    apply_displacement,
+    build_target_by_elimination,
+    inner,
+    product_state,
+    project_click,
 )
 
 
