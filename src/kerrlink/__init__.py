@@ -8,7 +8,6 @@ from .design import (
     TargetCoefficients,
     build_scheme,
     coeffs_from_photon_target,
-    from_json,
     semi_success_coeffs,
     solve_roots,
     to_json,

@@ -15,9 +15,10 @@ byte-identical output.  Channel loss Lambda is the relative intensity loss
 (I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
 
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
-nan or inf number among the flags, --dphi2 <= 0, --alpha 0, --f-target
-outside (0, 1), an --x-grid value <= 0, or a negative attenuation or one
-beyond float range; no artifact is written), 3 scheme synthesis failure, 4
+malformed or nan or inf number among the flags, --dphi2 <= 0, --alpha 0,
+--f-target outside (0, 1), an --x-grid value <= 0, a repeated --K value or
+one below 1, or a negative attenuation or one beyond float range; no
+artifact is written), 3 scheme synthesis failure, 4
 truncation overflow (a coherent amplitude that does not fit the Fock
 cutoff), 5 optimizer non-convergence (rows still written, flagged in the
 flag column), 6 dense simulation over the memory budget (checked before
@@ -54,10 +55,9 @@ from .errors import (
 )
 from .fock import fidelity
 from .noise import (
+    DB_PER_KM,
     NoiseParams,
-    attenuation_db,
     budget_success,
-    darkcount_loss_limit,
     db_to_loss,
     feasibility_check,
     min_distinguishability,
@@ -66,6 +66,7 @@ from .noise import (
 )
 from .presets import PRESET_NAMES, get_preset
 from .protocol import (
+    P_NEGLIGIBLE,
     analytic_target_state,
     dominant_eigenstate,
     make_protocol,
@@ -85,37 +86,50 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _fmt_complex(z) -> str:
+    return f"{_fmt(z.real)}{z.imag:+.12g}j"
 
 
-def _parse_ints(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(kind, positional=False):
+    """argparse type: a comma list of kind values.  Empty tokens are skipped,
+    unless each token's position is its meaning (a coefficient index)."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",") if positional or tok.strip()]
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _check_finite(args):
-    """Reject nan or inf in any float flag and in the numeric list flags."""
+    """Reject nan or inf in any float flag and in any numeric list flag."""
     for dest, val in vars(args).items():
-        nums = val
-        if dest in ("coeffs", "x_grid", "db_grid", "fixed_db") and val:
-            nums = [complex(tok) for tok in val.split(",") if tok.strip()]
-        if isinstance(nums, (float, list)) and not np.all(np.isfinite(nums)):
+        if isinstance(val, (float, list)) and not np.all(np.isfinite(val)):
             raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {val}")
 
 
-def _emit(args, params, header, rows, preface=""):
+def _k_list(args):
+    """The --K list (default 1,2): distinct detector counts, each >= 1."""
+    Ks = args.K or [1, 2]
+    if len(set(Ks)) < len(Ks):
+        raise ValueError(f"--K values must be distinct, got {','.join(map(str, Ks))}")
+    if min(Ks) < 1:
+        raise ValueError(f"--K values must be >= 1, got {min(Ks)}")
+    return Ks
+
+
+def _emit(args, params, header, rows):
     """Write echo lines + header + rows as CSV (or a JSON document)."""
     if args.format == "json":
         doc = {
             "params": {k: (_fmt(v) if isinstance(v, float) else v) for k, v in params},
             "rows": [dict(zip(header, r)) for r in rows],
         }
-        text = preface + json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"# {k} = {_fmt(v)}" for k, v in params]
         lines.append(",".join(header))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = preface + "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -128,9 +142,7 @@ def _resolve(args, *names):
     p = get_preset(args.preset) if args.preset else None
     target = p.target if p else None
     if args.coeffs:
-        target = TargetCoefficients(
-            np.array([complex(tok) for tok in args.coeffs.split(",")])
-        )
+        target = TargetCoefficients(args.coeffs)
     vals = {}
     for name in ("delta", *names):
         flag = getattr(args, name)
@@ -155,12 +167,8 @@ def cmd_design(args) -> int:
     target, delta, gamma = _resolve(args, "gamma")
     scheme = build_scheme(target, gamma, delta=delta)
     out = [
-        f"K = {scheme.K}  gamma = {_fmt(gamma.real) if isinstance(gamma, complex) else _fmt(gamma)}"
-        f"  delta = {_fmt(delta)}  q = {_fmt(scheme.q)}",
-        "target c: " + ",".join(
-            _fmt(v.real) + ("+" if v.imag >= 0 else "") + _fmt(v.imag) + "j"
-            for v in target.c
-        ),
+        f"K = {scheme.K}  gamma = {_fmt(gamma)}  delta = {_fmt(delta)}  q = {_fmt(scheme.q)}",
+        "target c: " + ",".join(map(_fmt_complex, target.c)),
         "detector,root_re,root_im,mult,abs,arg",
     ]
     for j, (z, mult) in enumerate(scheme.roots.roots, start=1):
@@ -169,15 +177,11 @@ def cmd_design(args) -> int:
             f"{_fmt(abs(z))},{_fmt(float(np.angle(z)))}"
         )
     out.append("splitter transmittances T: " + ",".join(_fmt(t) for t in scheme.T))
-    out.append(
-        "reference amplitudes gtilde: "
-        + ",".join(_fmt(g.real) + ("+" if g.imag >= 0 else "") + _fmt(g.imag) + "j"
-                   for g in scheme.gtilde)
-    )
+    out.append("reference amplitudes gtilde: " + ",".join(map(_fmt_complex, scheme.gtilde)))
     net = scheme.ref_net
     out.append("reference cascade Tp: " + (",".join(_fmt(t) for t in net.Tp) or "-"))
     out.append("reference cascade phi: " + (",".join(_fmt(p) for p in net.phi) or "-"))
-    out.append(f"master beam: {_fmt(net.master.real)}{net.master.imag:+.12g}j")
+    out.append(f"master beam: {_fmt_complex(net.master)}")
     sys.stdout.write("\n".join(out) + "\n")
     if args.out:
         Path(args.out).write_text(to_json(scheme) + "\n")
@@ -192,7 +196,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for rec in sorted(records, key=lambda r: r.pattern, reverse=True):
         pat = "".join("1" if b else "0" for b in rec.pattern)
-        if rec.probability <= 1e-30:
+        if rec.probability <= P_NEGLIGIBLE:
             rows.append((pat, rec.probability, 0.0, 0.0, 0.0))
             continue
         f_target = fidelity(rec.state, tgt)
@@ -200,7 +204,7 @@ def cmd_simulate(args) -> int:
         ent = schmidt_entropy(vec)
         missing = {j for j, b in enumerate(rec.pattern, start=1) if not b}
         own = analytic_target_state(
-            semi_success_coeffs(target, prot.scheme.roots, missing),
+            semi_success_coeffs(prot.scheme.roots, missing),
             alpha, beta, chi, prot.trunc,
         )
         rows.append(
@@ -222,11 +226,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entangle_scan(args) -> int:
-    xs = _parse_floats(args.x_grid) if args.x_grid else [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
-    Ks = _parse_ints(args.K) if args.K else [1, 2]
+    xs = args.x_grid or [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
     bad = [x for x in xs if x <= 0]
     if bad:
         raise ValueError(f"--x-grid values must be > 0, got {_fmt(bad[0])}")
+    Ks = _k_list(args)
     rows = []
     flagged = False
     for x in xs:
@@ -240,13 +244,12 @@ def cmd_entangle_scan(args) -> int:
             except NonConvergence as err:
                 rep, flag, flagged = err.best, 1, True
             rows.append((x, K, "full", rep.E, flag))
-            t_opt = TargetCoefficients(rep.c_opt)
             # the silent-detector states depend only on the roots of c
-            roots = solve_roots(t_opt, 1.0)
+            roots = solve_roots(TargetCoefficients(rep.c_opt), 1.0)
             for r in range(1, K):
                 for missing in itertools.combinations(range(1, K + 1), r):
                     ent = entropy_of_coefficients(
-                        semi_success_coeffs(t_opt, roots, set(missing)).c,
+                        semi_success_coeffs(roots, missing).c,
                         alpha, alpha, chi,
                     )
                     rows.append(
@@ -274,25 +277,28 @@ def cmd_feasibility(args) -> int:
     eps = (1.0 - f_target) / 6.0
     alpha = args.alpha if args.alpha is not None else math.sqrt(10.0)
     a2 = abs(alpha) ** 2
-    Ks = _parse_ints(args.K) if args.K else [1, 2]
+    Ks = _k_list(args)
     dphi2 = args.dphi2
     if not dphi2 > 0:
         raise ValueError(f"--dphi2 must be > 0, got {dphi2}")
     if a2 == 0:
         raise ValueError("--alpha must be nonzero")
 
+    noise = NoiseParams(
+        Lambda=args.Lambda, Lambda1=args.Lambda1, Lambda2=args.Lambda2,
+        dphi2=dphi2, lambda_det=lam_det, zeta=zeta,
+        eps_ac=args.eps_ac, eps_bc=args.eps_bc,
+    )
+    db_grid = args.db_grid or list(np.linspace(0.0, 30.0, 61))
+    f_grid = list(np.linspace(0.5, 0.99, 50))
     report = [f"feasibility: eps = {_fmt(eps)}  F_target = {_fmt(f_target)}  "
               f"zeta = {_fmt(zeta)}  lambda_det = {_fmt(lam_det)}  |alpha|^2 = {_fmt(a2)}"]
+    rows, walls, cuts = [], [], []
     for K in Ks:
         x_op = min_distinguishability(K, eps, dphi2)
         chi = args.chi if args.chi is not None else math.sqrt(x_op / a2)
         g2 = probe_ceiling(eps, max(x_op, a2 * chi**2), args.Lambda)
         gamma = args.gamma if args.gamma is not None else math.sqrt(g2)
-        noise = NoiseParams(
-            Lambda=args.Lambda, Lambda1=args.Lambda1, Lambda2=args.Lambda2,
-            dphi2=dphi2, lambda_det=lam_det, zeta=zeta,
-            eps_ac=args.eps_ac, eps_bc=args.eps_bc,
-        )
         rep = feasibility_check(noise, alpha, chi, gamma, eps, K)
         report.append(f"K = {K}  (chi = {_fmt(chi)}, |gamma|^2 = {_fmt(abs(gamma) ** 2)})")
         for c in rep.checks:
@@ -304,21 +310,15 @@ def cmd_feasibility(args) -> int:
         report.append(
             f"  overall: {'PASS' if rep.all_pass else 'FAIL'};"
             f" max attenuation = {_fmt(rep.max_attenuation_db)} dB"
-            f" ({_fmt(rep.max_distance_km)} km at 0.20 dB/km)"
+            f" ({_fmt(rep.max_distance_km)} km at {DB_PER_KM:.2f} dB/km)"
         )
-
-    db_grid = _parse_floats(args.db_grid) if args.db_grid else list(np.linspace(0.0, 30.0, 61))
-    fixed_dbs = _parse_floats(args.fixed_db)
-    f_grid = list(np.linspace(0.5, 0.99, 50))
-    rows = []
-    cutoffs = []
-    for K in Ks:
-        wall = attenuation_db(darkcount_loss_limit(eps, lam_det, zeta))
-        cutoffs.append((K, wall, practical_cutoff_db(K, eps, lam_det, dphi2)))
+        # the dark-count wall is the attenuation at the channel-loss bound
+        walls.append((f"darkcount_cutoff_dB_K{K}", rep.max_attenuation_db))
+        cuts.append((f"practical_cutoff_dB_K{K}", practical_cutoff_db(K, eps, lam_det, dphi2)))
         for db in db_grid:
             p = budget_success(K, db_to_loss(db), eps, lam_det, zeta, dphi2)
             rows.append(("loss", K, float(db), f_target, p))
-        for db in fixed_dbs:
+        for db in args.fixed_db:
             for f in f_grid:
                 p = budget_success(K, db_to_loss(db), (1.0 - f) / 6.0, lam_det, zeta, dphi2)
                 rows.append(("fidelity", K, float(db), float(f), p))
@@ -326,13 +326,9 @@ def cmd_feasibility(args) -> int:
         ("subcommand", "feasibility"),
         ("detector", args.detector), ("zeta", zeta), ("lambda_det", lam_det),
         ("F_target", f_target), ("epsilon", eps), ("alpha2", a2),
-        ("dphi2", dphi2), ("fixed_dB", ",".join(_fmt(v) for v in fixed_dbs)),
+        ("dphi2", dphi2), ("fixed_dB", ",".join(_fmt(v) for v in args.fixed_db)),
         ("dB_convention", DB_NOTE),
-    ] + [
-        (f"darkcount_cutoff_dB_K{K}", wall) for K, wall, _ in cutoffs
-    ] + [
-        (f"practical_cutoff_dB_K{K}", cut) for K, _, cut in cutoffs
-    ]
+    ] + walls + cuts
     sys.stdout.write("\n".join(report) + "\n")
     _emit(args, params, ("sweep", "K", "Lambda_dB", "F", "p_K"), rows)
     return 0
@@ -345,17 +341,18 @@ def cmd_feasibility(args) -> int:
 # Every flag once; each subcommand lists only the flags its cmd_* function reads.
 FLAGS = {
     "--preset": {"help": "named parameter bundle"},
-    "--coeffs": {"help": "explicit target c_0,c_1,... (complex allowed)"},
+    "--coeffs": {"type": _list_of(complex, positional=True),
+                 "help": "explicit target c_0,c_1,... (complex allowed)"},
     "--alpha": {"type": float, "help": "mode a amplitude"},
     "--beta": {"type": float, "help": "mode b amplitude (default: alpha)"},
     "--gamma": {"type": float, "help": "probe amplitude"},
     "--chi": {"type": float, "help": "cross-Kerr phase per photon"},
-    "--K": {"help": "comma list of detector counts"},
+    "--K": {"type": _list_of(int), "help": "comma list of distinct detector counts"},
     "--delta": {"type": float, "help": "last-splitter transmittance"},
     "--seed": {"type": int, "default": 0},
     "--out": {"help": "output path (default: stdout)"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
-    "--x-grid": {"help": "comma list of x = alpha^2 chi^2"},
+    "--x-grid": {"type": _list_of(float), "help": "comma list of x = alpha^2 chi^2"},
     "--Lambda": {"type": float, "default": 0.0, "help": "channel loss (I0-I)/I"},
     "--Lambda1": {"type": float, "default": 0.0, "help": "Kerr-stage loss"},
     "--Lambda2": {"type": float, "default": 0.0, "help": "storage loss"},
@@ -370,8 +367,9 @@ FLAGS = {
                    "or high-eff (zeta=1e-6, lambda=0.1)"},
     "--f-target": {"type": float, "default": 0.9,
                    "help": "target fidelity F; each of the six terms gets (1-F)/6"},
-    "--db-grid": {"help": "comma list of Lambda_dB"},
-    "--fixed-db": {"default": "14,28", "help": "Lambda_dB values for the p_K(F) sweep"},
+    "--db-grid": {"type": _list_of(float), "help": "comma list of Lambda_dB"},
+    "--fixed-db": {"type": _list_of(float), "default": "14,28",
+                   "help": "Lambda_dB values for the p_K(F) sweep"},
 }
 TARGET_FLAGS = ("--preset", "--coeffs", "--alpha", "--beta", "--gamma", "--chi",
                 "--delta")

@@ -221,9 +221,7 @@ def coeffs_from_photon_target(s: int, K: int, chi: float) -> TargetCoefficients:
     return TargetCoefficients(np.poly(others)[::-1])
 
 
-def semi_success_coeffs(
-    target: TargetCoefficients, roots: EliminationRoots, missing
-) -> TargetCoefficients:
+def semi_success_coeffs(roots: EliminationRoots, missing) -> TargetCoefficients:
     """Coefficients of the state heralded when some detectors stay silent.
 
     missing holds 1-based detector indices (canonical root order, degenerate
@@ -254,15 +252,11 @@ def build_scheme(
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 
 
 def _c2j(z):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-
-def _j2c(d):
-    return complex(d["re"], d["im"])
 
 
 def to_json(scheme: DetectionScheme) -> str:
@@ -271,10 +265,7 @@ def to_json(scheme: DetectionScheme) -> str:
         "K": scheme.K,
         "delta": scheme.delta,
         "gamma": _c2j(scheme.roots.gamma),
-        "roots": [
-            {"re": float(np.real(z)), "im": float(np.imag(z)), "mult": l}
-            for z, l in scheme.roots.roots
-        ],
+        "roots": [{**_c2j(z), "mult": l} for z, l in scheme.roots.roots],
         "T": [float(t) for t in scheme.T],
         "q": scheme.q,
         "gtilde": [_c2j(g) for g in scheme.gtilde],
@@ -285,24 +276,3 @@ def to_json(scheme: DetectionScheme) -> str:
         },
     }
     return json.dumps(doc, indent=2)
-
-
-def from_json(text: str) -> DetectionScheme:
-    doc = json.loads(text)
-    roots = EliminationRoots(
-        tuple((complex(r["re"], r["im"]), r["mult"]) for r in doc["roots"]),
-        _j2c(doc["gamma"]),
-    )
-    net = RefNet(
-        np.array(doc["ref_net"]["Tp"], dtype=float),
-        np.array(doc["ref_net"]["phi"], dtype=float),
-        _j2c(doc["ref_net"]["gtilde_master"]),
-    )
-    return DetectionScheme(
-        roots,
-        np.array(doc["T"], dtype=float),
-        float(doc["q"]),
-        float(doc["delta"]),
-        np.array([_j2c(g) for g in doc["gtilde"]], dtype=complex),
-        net,
-    )

@@ -47,6 +47,11 @@ def pair_gram(K: int, alpha, beta, chi) -> GramPair:
     return GramPair(_rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th))
 
 
+def _bits(lam) -> float:
+    """Shannon entropy (bits) of the weights lam; +0.0, not -0.0, for lam = [1]."""
+    return float(0.0 - np.sum(lam * np.log2(lam)))
+
+
 def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     """Entropy of sum_n c_n |alpha e^{i chi n}>|beta e^{i chi n}> across the modes.
 
@@ -65,7 +70,7 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     s = (v * np.sqrt(w)) @ v.conj().T
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
     lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
-    return EntanglementReport(float(-np.sum(lam * np.log2(lam))), lam)
+    return EntanglementReport(_bits(lam), lam)
 
 
 def schmidt_entropy(state) -> float:
@@ -74,8 +79,7 @@ def schmidt_entropy(state) -> float:
         raise ShapeMismatch(f"need exactly two modes, got {state.modes}")
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = sv**2 / np.sum(sv**2)
-    lam = lam[lam > EIG_FLOOR]
-    return float(-np.sum(lam * np.log2(lam)))
+    return _bits(lam[lam > EIG_FLOOR])
 
 
 def optimize_coefficients(

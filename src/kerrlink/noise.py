@@ -257,7 +257,7 @@ def fidelity_leading_order(
         w1 = noise.zeta / (noise.lambda_det * abs(gamma) ** 2)
         for j in range(1, target.K + 1):
             ct = np.zeros(target.K + 1, dtype=complex)
-            cj = semi_success_coeffs(target, roots, {j}).c
+            cj = semi_success_coeffs(roots, {j}).c
             ct[: len(cj)] = cj
             nt = float(np.real(np.conj(ct) @ G @ ct))
             ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (norm2 * nt)

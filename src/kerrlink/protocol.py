@@ -51,6 +51,9 @@ DEFAULT_N_CUT = 3
 # dense-array budget of every route; bell-k1 (205 MB, counting the working
 # copies) is the largest preset run
 DENSE_BYTES_LIMIT = 2**30
+# a heralded probability at or below this is taken as zero: its state is left
+# unnormalized and the CLI reports no metrics for it
+P_NEGLIGIBLE = 1e-30
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def _assemble_rho(params: ProtocolParams, kernel) -> DensOp:
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
     p = rho.trace()
-    state = rho.normalized() if p > 1e-30 else rho
+    state = rho.normalized() if p > P_NEGLIGIBLE else rho
     return OutcomeRecord(tuple(pattern), state, float(p))
 
 
@@ -262,7 +265,7 @@ def operator_path_final_state(params: ProtocolParams, counts) -> DensOp:
     if len(counts) != params.scheme.K or any(n < 1 for n in counts):
         raise ValueError(f"need K={params.scheme.K} counts, all >= 1, got {counts}")
     rho = _pattern_rho(params, [range(n, n + 1) for n in counts])
-    return rho.normalized() if rho.trace() > 1e-30 else rho
+    return rho.normalized() if rho.trace() > P_NEGLIGIBLE else rho
 
 
 def operator_path_pattern(

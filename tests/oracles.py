@@ -14,8 +14,9 @@ it, and nothing in ``src/`` imports it:
   factors (``build_target_by_elimination``);
 * the dense Fock forms of the discrete-phase channel and the dark-count
   mixture, which ``noise`` evaluates through Gram overlaps;
-* the full (theta', phi) arrays of the reference cascade, which the tests
-  drive through the beamsplitter gate.
+* a bare probe through the synthesized splitter chain in truncated Fock
+  space (``probe_cascade``), and the full (theta', phi) arrays of the
+  reference cascade, which the tests drive through the beamsplitter gate.
 """
 
 from __future__ import annotations
@@ -343,17 +344,37 @@ def dark_count_mixture(
     mat = projector(target)
     if zeta > 0:
         for j in range(1, K + 1):
-            mat += w1 * ck2 * projector(semi_success_coeffs(target, roots, {j}))
+            mat += w1 * ck2 * projector(semi_success_coeffs(roots, {j}))
         for i in range(1, K + 1):
             for j in range(i + 1, K + 1):
                 mat += w1**2 * ck2 * projector(
-                    semi_success_coeffs(target, roots, {i, j})
+                    semi_success_coeffs(roots, {i, j})
                 )
     return DensOp(("a", "b"), mat, trunc)
 
 
 # ---------------------------------------------------------------------------
-# reference cascade
+# splitter chain and reference cascade
+
+
+def probe_cascade(scheme, probe_amp, n_max, displaced=False) -> FockVector:
+    """A bare coherent probe |probe_amp> through the synthesized splitter
+    chain, every mode in truncated Fock space: modes ("c", "r1", ..., "rK").
+    Arm j's reference enters as |gtilde_j>, or (displaced) as vacuum with
+    the arm displaced by -i q gamma_j after its splitter."""
+    K = scheme.K
+    trunc = TruncationSpec(n_max, tail_tol=1e-9)
+    modes = ["c"] + [f"r{j}" for j in range(1, K + 1)]
+    refs = np.zeros(K, dtype=complex) if displaced else scheme.gtilde
+    amps = [coherent_amplitudes(z, n_max, tail_tol=1.0) for z in (probe_amp, *refs)]
+    st = product_state(modes, amps, trunc)
+    theta = np.arccos(np.sqrt(scheme.T))
+    gam = scheme.roots.expanded()
+    for j in range(1, K + 1):
+        st = apply_beamsplitter(st, "c", f"r{j}", theta[j - 1])
+        if displaced:
+            st = apply_displacement(st, f"r{j}", -1j * scheme.q * gam[j - 1])
+    return st
 
 
 def refnet_angles(net: RefNet, K: int):

@@ -16,7 +16,6 @@ import numpy as np
 from kerrlink.design import (
     TargetCoefficients,
     build_scheme,
-    semi_success_coeffs,
     solve_roots,
 )
 from kerrlink.entangle import (
@@ -25,7 +24,7 @@ from kerrlink.entangle import (
     pair_gram,
     schmidt_entropy,
 )
-from kerrlink.fock import TruncationSpec, coherent_amplitudes, fidelity
+from kerrlink.fock import coherent_amplitudes, fidelity
 from kerrlink.noise import (
     NoiseParams,
     attenuation_db,
@@ -44,7 +43,7 @@ from kerrlink.protocol import (
     oracle_equivalence,
     run_full_protocol,
 )
-from oracles import apply_beamsplitter, apply_displacement, product_state, project_click
+from oracles import probe_cascade, project_click
 
 
 def test_criterion_01_bell_generation():
@@ -123,24 +122,6 @@ def test_criterion_04_oracle_equivalence():
     print(f"criterion 4: PASS (td <= 1e-5, exponents in [1.7, 2.3], {dt:.1f} s)")
 
 
-def _cascade_click_probability(scheme, probe_amp, arm, n_max=24):
-    """Fock probability that the given arm clicks for a bare coherent probe,
-    in the displaced frame (references folded into arm displacements)."""
-    K = scheme.K
-    trunc = TruncationSpec(n_max, tail_tol=1e-9)
-    modes = ["c"] + [f"r{j}" for j in range(1, K + 1)]
-    amps = [coherent_amplitudes(probe_amp, n_max, tail_tol=1.0)] + [
-        coherent_amplitudes(0.0, n_max, tail_tol=1.0) for _ in range(K)
-    ]
-    st = product_state(modes, amps, trunc)
-    theta = np.arccos(np.sqrt(scheme.T))
-    gam = scheme.roots.expanded()
-    for j in range(1, K + 1):
-        st = apply_beamsplitter(st, "c", f"r{j}", theta[j - 1])
-        st = apply_displacement(st, f"r{j}", -1j * scheme.q * gam[j - 1])
-    return project_click(st, f"r{arm}", True).norm2()
-
-
 def test_criterion_05_elimination_soundness():
     """A probe at any root never fires its own detector; degenerate roots
     annihilate the photon-added states below their multiplicity."""
@@ -150,7 +131,9 @@ def test_criterion_05_elimination_soundness():
         p = get_preset(name)
         scheme = build_scheme(p.target, p.gamma, delta=p.delta)
         for j, root in enumerate(scheme.roots.expanded(), start=1):
-            pc = _cascade_click_probability(scheme, root, j)
+            # displaced frame: references folded into arm displacements
+            st = probe_cascade(scheme, root, 24, displaced=True)
+            pc = project_click(st, f"r{j}", True).norm2()
             assert pc <= 1e-10, f"{name}: detector {j} clicked with p = {pc:.2e}"
             worst = max(worst, pc)
 

@@ -4,6 +4,7 @@ through cli.main so the suite stays fast."""
 
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -15,9 +16,10 @@ import pytest
 
 import kerrlink
 from kerrlink import cli, protocol
-from kerrlink.design import from_json
+from kerrlink.design import build_scheme, to_json
 from kerrlink.entangle import EntanglementReport
 from kerrlink.errors import NonConvergence, TailTooHeavy
+from kerrlink.presets import get_preset
 
 
 def parse_csv(text):
@@ -92,8 +94,8 @@ NONFINITE_ARGV = [
 
 # finite values that still make no configuration, each with its message: an
 # attenuation past float range (10^(dB/10) overflows beyond ~3083 dB) or below
-# zero (a gain), a vanishing mode amplitude, a fidelity target outside (0, 1)
-# and a distinguishability x <= 0
+# zero (a gain), a vanishing mode amplitude, a fidelity target outside (0, 1),
+# a distinguishability x <= 0, and a --K list with a repeat or a value below 1
 INVALID_CONFIG_ARGV = [
     (["feasibility", "--db-grid", "4000"], "attenuation 4000 dB is beyond float range"),
     (["feasibility", "--fixed-db", "4000"], "attenuation 4000 dB is beyond float range"),
@@ -106,6 +108,10 @@ INVALID_CONFIG_ARGV = [
     (["feasibility", "--fixed-db", "-3"], "attenuation -3 dB is negative"),
     (["entangle-scan", "--x-grid", "0", "--K", "1"], "--x-grid values must be > 0, got 0"),
     (["entangle-scan", "--x-grid", "-1", "--K", "1"], "--x-grid values must be > 0, got -1"),
+    (["entangle-scan", "--x-grid", "1", "--K", "1,1"], "--K values must be distinct, got 1,1"),
+    (["entangle-scan", "--x-grid", "1", "--K", "0"], "--K values must be >= 1, got 0"),
+    (["feasibility", "--K", "1,1", "--db-grid", "1"], "--K values must be distinct, got 1,1"),
+    (["feasibility", "--K", "0"], "--K values must be >= 1, got 0"),
 ]
 
 
@@ -129,6 +135,14 @@ class TestNonFiniteInput:
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"invalid configuration: {flag} must be finite" in err, err
+        assert not out.exists()
+
+    def test_malformed_list_token_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["entangle-scan", "--x-grid", "1,abc", "--K", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --x-grid: invalid float list value: '1,abc'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -168,7 +182,7 @@ PUBLIC_NAMES = [
     "build_scheme", "cli", "coeffs_from_photon_target", "coherent_amplitudes",
     "darkcount_loss_limit", "design", "dominant_eigenstate", "entangle",
     "entropy_of_coefficients", "errors", "feasibility_check", "fidelity",
-    "fidelity_leading_order", "fock", "from_json", "get_preset", "make_protocol",
+    "fidelity_leading_order", "fock", "get_preset", "make_protocol",
     "min_cutoff", "noise", "operator_path_final_state", "optimize_coefficients",
     "oracle_equivalence", "practical_cutoff_db", "presets", "protocol",
     "run_full_protocol", "schmidt_entropy", "semi_success_coeffs", "solve_roots",
@@ -181,6 +195,7 @@ class TestPublicNames:
     def test_public_names_are_pinned(self):
         names = [n for n in dir(kerrlink) if not n.startswith("_")]
         assert names == sorted(PUBLIC_NAMES)
+        assert len(names) == 59
 
 
 class TestFlagSets:
@@ -302,9 +317,20 @@ class TestDesign:
         rc = cli.main(["design", "--preset", "maxent-k2-low", "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
-        scheme = from_json(out.read_text())
-        assert scheme.K == 2
-        assert len(scheme.T) == 2
+        doc = json.loads(out.read_text())
+        assert doc["K"] == 2
+        assert len(doc["T"]) == 2
+        p = get_preset("maxent-k2-low")
+        assert out.read_text() == to_json(build_scheme(p.target, p.gamma, delta=p.delta)) + "\n"
+
+    def test_complex_values_read_back(self, capsys):
+        # a negative-zero imaginary part prints as -0j, which complex() and
+        # so --coeffs read back
+        assert cli.main(["design", "--coeffs", "1,-1-0j", "--gamma", "0.1"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("target c: "))
+        assert line == "target c: 1+0j,-1-0j"
+        assert [complex(tok) for tok in line.removeprefix("target c: ").split(",")] == [1, -1]
 
 
 class TestSimulate:
@@ -329,6 +355,15 @@ class TestSimulate:
         assert rc == 0
         click = next(r for r in rows if r[0] == "11")
         assert float(click[2]) >= 0.95, f"all-click fidelity = {click[2]}"
+
+    def test_product_state_entropy_is_plus_zero(self, tmp_path):
+        rc, (_, header, rows) = run_csv(
+            tmp_path, ["simulate", "--preset", "bell-k1", "--beta", "0"]
+        )
+        assert rc == 0
+        col = header.index("entanglement")
+        assert [r[col] for r in rows] == ["0", "0"], rows
+        assert all(math.copysign(1, float(r[col])) == 1 for r in rows)
 
 
 class TestEntangleScan:

@@ -11,7 +11,6 @@ from kerrlink.design import (
     TargetCoefficients,
     build_scheme,
     coeffs_from_photon_target,
-    from_json,
     probe_affine,
     reference_amplitudes,
     reference_network,
@@ -22,7 +21,7 @@ from kerrlink.design import (
 )
 from kerrlink.errors import DegenerateLeadingCoefficient, NoSolution
 from kerrlink.fock import TruncationSpec, coherent_amplitudes
-from oracles import apply_beamsplitter, inner, product_state, refnet_angles
+from oracles import apply_beamsplitter, inner, probe_cascade, product_state, refnet_angles
 
 
 def poly_eval(coeffs, x):
@@ -121,22 +120,6 @@ class TestTransmittances:
             transmittances(2, 1.0)
 
 
-def fock_cascade(scheme, gamma_x, n_max):
-    """Oracle: run the synthesized chain on |gamma_x> with Fock-space splitters."""
-    gam = scheme.roots.expanded()
-    K = len(gam)
-    trunc = TruncationSpec(n_max, tail_tol=1e-9)
-    modes = ["p"] + [f"r{j}" for j in range(1, K + 1)]
-    amps = [coherent_amplitudes(gamma_x, n_max, tail_tol=1.0)] + [
-        coherent_amplitudes(g, n_max, tail_tol=1.0) for g in scheme.gtilde
-    ]
-    st = product_state(modes, amps, trunc)
-    theta = np.arccos(np.sqrt(scheme.T))
-    for j in range(1, K + 1):
-        st = apply_beamsplitter(st, "p", f"r{j}", theta[j - 1])
-    return st, trunc, modes
-
-
 class TestReferenceAmplitudes:
     def test_k1_closed_form(self):
         # single arm: reference beam = -i gamma_1 tan(theta_1)
@@ -155,15 +138,15 @@ class TestReferenceAmplitudes:
             roots = EliminationRoots(tuple((v, 1) for v in vals), 0.1)
             scheme = build_scheme_from_roots(roots, delta)
             gamma_x = complex(0.2 * (rng.normal() + 1j * rng.normal()))
-            st, trunc, modes = fock_cascade(scheme, gamma_x, n_max=16)
+            st = probe_cascade(scheme, gamma_x, 16)
             mu, nu = probe_affine(scheme)
             arm_amps = [mu * gamma_x + nu] + [
                 1j * scheme.q * (gamma_x - v) for v in vals
             ]
             want = product_state(
-                modes,
+                st.modes,
                 [coherent_amplitudes(z, 16, tail_tol=1.0) for z in arm_amps],
-                trunc,
+                st.trunc,
             )
             ov = abs(inner(want, st)) ** 2
             assert ov > 1 - 1e-8, f"K={K}: overlap {ov}"
@@ -175,10 +158,10 @@ class TestReferenceAmplitudes:
         assert len(gt) == 2
         # both arms cancel the same root, so a probe at that root stays dark
         scheme = DetectionScheme(roots, T, q, 0.1, gt, reference_network(gt))
-        st, trunc, modes = fock_cascade(scheme, 0.2, n_max=14)
+        st = probe_cascade(scheme, 0.2, 14)
         for j in (1, 2):
             idx = st.axis(f"r{j}")
-            sl = [slice(None)] * len(modes)
+            sl = [slice(None)] * len(st.modes)
             sl[idx] = slice(1, None)
             mass = float(np.sum(np.abs(st.amplitudes[tuple(sl)]) ** 2))
             assert mass < 1e-12, f"arm {j} not dark: {mass:.2e}"
@@ -295,29 +278,29 @@ class TestSemiSuccess:
         t = coeffs_from_photon_target(2, 2, chi)
         r = solve_roots(t, gamma)
         # canonical order: root gamma (arg 0) is detector 1, gamma e^{i chi} is 2
-        c2 = semi_success_coeffs(t, r, {2})
+        c2 = semi_success_coeffs(r, {2})
         assert np.max(np.abs(c2.c - np.array([-1.0, 1.0]))) < 1e-9
-        c1 = semi_success_coeffs(t, r, {1})
+        c1 = semi_success_coeffs(r, {1})
         assert np.max(np.abs(c1.c - np.array([-np.exp(1j * chi), 1.0]))) < 1e-9
 
     def test_empty_missing_rescales_to_monic(self):
         c = np.array([0.3 + 0.1j, -1.2, 2.0j])
         t = TargetCoefficients(c)
         r = solve_roots(t, 0.2)
-        out = semi_success_coeffs(t, r, set())
+        out = semi_success_coeffs(r, set())
         assert np.max(np.abs(out.c - c / c[-1])) < 1e-8
 
     def test_all_missing_gives_constant(self):
         t = coeffs_from_photon_target(1, 2, 0.5)
         r = solve_roots(t, 0.1)
-        out = semi_success_coeffs(t, r, {1, 2})
+        out = semi_success_coeffs(r, {1, 2})
         assert out.K == 0
 
     def test_bad_index(self):
         t = coeffs_from_photon_target(1, 1, 0.5)
         r = solve_roots(t, 0.1)
         with pytest.raises(ValueError):
-            semi_success_coeffs(t, r, {0})
+            semi_success_coeffs(r, {0})
 
 
 class TestBuildAndSerialize:
@@ -346,15 +329,19 @@ class TestBuildAndSerialize:
     def test_json_round_trip(self):
         t = coeffs_from_photon_target(1, 3, 0.8)
         s = build_scheme(t, 0.1 + 0.05j, delta=0.02)
-        text = to_json(s)
-        back = from_json(text)
-        assert back.K == s.K and back.delta == s.delta and back.q == s.q
-        assert back.roots.roots == s.roots.roots
-        assert np.array_equal(back.T, s.T)
-        assert np.array_equal(back.gtilde, s.gtilde)
-        assert np.array_equal(back.ref_net.Tp, s.ref_net.Tp)
-        assert np.array_equal(back.ref_net.phi, s.ref_net.phi)
-        assert back.ref_net.master == s.ref_net.master
+        doc = json.loads(to_json(s))
+
+        def c(d):
+            return complex(d["re"], d["im"])
+
+        assert doc["K"] == s.K and doc["delta"] == s.delta and doc["q"] == s.q
+        assert c(doc["gamma"]) == s.roots.gamma
+        assert [(c(r), r["mult"]) for r in doc["roots"]] == list(s.roots.roots)
+        assert doc["T"] == list(s.T)
+        assert [c(g) for g in doc["gtilde"]] == list(s.gtilde)
+        assert doc["ref_net"]["Tp"] == list(s.ref_net.Tp)
+        assert doc["ref_net"]["phi"] == list(s.ref_net.phi)
+        assert c(doc["ref_net"]["gtilde_master"]) == s.ref_net.master
 
     def test_json_precision(self):
         t = TargetCoefficients(np.array([1.0, -np.exp(0.31j)]))

@@ -17,6 +17,7 @@ from kerrlink.entangle import (
     entropy_of_coefficients,
     optimize_coefficients,
     pair_gram,
+    schmidt_entropy,
 )
 from kerrlink.fock import (
     FockVector,
@@ -234,7 +235,7 @@ class TestSemiSuccess:
         chi, gamma, alpha = 1.0, 0.1, 0.1
         t = coeffs_from_photon_target(2, 2, chi)
         r = solve_roots(t, gamma)
-        c = semi_success_coeffs(t, r, {2}).c
+        c = semi_success_coeffs(r, {2}).c
         rep = entropy_of_coefficients(c, alpha, alpha, chi)
         assert abs(rep.E - 0.9782698274) < 1e-8
         smaller = entropy_of_coefficients(c, 0.05, 0.05, chi)
@@ -243,5 +244,16 @@ class TestSemiSuccess:
     def test_all_missing_is_product(self):
         t = coeffs_from_photon_target(1, 2, 0.5)
         r = solve_roots(t, 0.1)
-        rep = entropy_of_coefficients(semi_success_coeffs(t, r, {1, 2}).c, 0.3, 0.3, 0.5)
+        rep = entropy_of_coefficients(semi_success_coeffs(r, {1, 2}).c, 0.3, 0.3, 0.5)
         assert rep.E < 1e-12
+
+
+class TestProductStateSign:
+    def test_entropies_of_a_product_state_are_plus_zero(self):
+        # one Schmidt weight 1: the entropy is +0.0, never -0.0
+        E = entropy_of_coefficients([1.0], 1.0, 1.0, 0.1).E
+        assert E == 0.0 and math.copysign(1, E) == 1
+        st = FockVector(("a", "b"), np.outer([1.0, 0.0], [0.0, 1.0]).astype(complex),
+                        TruncationSpec(1))
+        E = schmidt_entropy(st)
+        assert E == 0.0 and math.copysign(1, E) == 1

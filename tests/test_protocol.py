@@ -42,6 +42,7 @@ from oracles import (
     apply_displacement,
     build_target_by_elimination,
     inner,
+    probe_cascade,
     product_state,
     project_click,
 )
@@ -167,7 +168,7 @@ class TestFullProtocol:
         recs = {r.pattern: r for r in run_full_protocol(params)}
         for silent in (1, 2):
             pattern = tuple(j + 1 != silent for j in range(2))
-            ctil = semi_success_coeffs(params.target, params.scheme.roots, {silent})
+            ctil = semi_success_coeffs(params.scheme.roots, {silent})
             want = analytic_target_state(
                 ctil, params.alpha, params.beta, params.chi, params.trunc
             )
@@ -239,25 +240,11 @@ class TestMemoryBudget:
 
 
 class TestEliminationSoundness:
-    def probe_cascade_click_probability(self, scheme, probe_amp, arm, n_max=25):
-        """Fock-space probability that the given arm clicks for a bare probe."""
-        K = scheme.K
-        trunc = TruncationSpec(n_max, tail_tol=1e-9)
-        modes = ["c"] + [f"r{j}" for j in range(1, K + 1)]
-        amps = [coherent_amplitudes(probe_amp, n_max, tail_tol=1.0)] + [
-            coherent_amplitudes(g, n_max, tail_tol=1.0) for g in scheme.gtilde
-        ]
-        st = product_state(modes, amps, trunc)
-        theta = np.arccos(np.sqrt(scheme.T))
-        for j in range(1, K + 1):
-            st = apply_beamsplitter(st, "c", f"r{j}", theta[j - 1])
-        return project_click(st, f"r{arm}", True).norm2()
-
     def test_probe_at_root_never_clicks_its_detector(self):
         params = small_k2()
         gam = params.scheme.roots.expanded()
         for j, g in enumerate(gam, start=1):
-            p = self.probe_cascade_click_probability(params.scheme, g, j)
+            p = project_click(probe_cascade(params.scheme, g, 25), f"r{j}", True).norm2()
             assert p < 1e-10, f"detector {j} clicked with p={p:.2e}"
 
     def test_single_added_photon_cannot_click_twice(self):
