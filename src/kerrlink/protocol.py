@@ -27,6 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .design import (
@@ -38,6 +40,7 @@ from .design import (
 )
 from .errors import MemoryBudgetExceeded
 from .fock import (
+    HERMITIAN_TILE,
     DensOp,
     FockVector,
     TruncationSpec,
@@ -48,9 +51,14 @@ from .fock import (
 )
 
 DEFAULT_N_CUT = 3
-# dense-array budget of every route; bell-k1 (205 MB, counting the working
-# copies) is the largest preset run
+# dense-array budget of every route; bell-k1 (82.5 MB: its two operators, the
+# kernel and the check tiles) is the largest preset run
 DENSE_BYTES_LIMIT = 2**30
+# dominant_eigenstate asks ARPACK for the top eigenpair from this many rows
+# on, LAPACK below; measured on a 2-vCPU VM with one OpenBLAS thread, they
+# cross between 100 and 144 rows (81: LAPACK 0.4 ms, ARPACK 0.6 ms; 225:
+# LAPACK 4.4 ms, ARPACK 1.4 ms)
+EIGSH_MIN_ROWS = 128
 # a heralded probability at or below this is taken as zero: its state is left
 # unnormalized and the CLI reports no metrics for it
 P_NEGLIGIBLE = 1e-30
@@ -191,28 +199,45 @@ def _pattern_kernel(arms, probe, pattern):
 
 
 def _assemble_rho(params: ProtocolParams, kernel) -> DensOp:
+    """rho[(na, nb), (ma, mb)] = w[na, nb] conj(w[ma, mb]) kernel[na + nb, ma + mb]
+    with w the (a, b) coherent amplitudes, built in a single dim^4 array."""
     d = params.trunc.dim
     qa = coherent_amplitudes(params.alpha, params.trunc.n_max, params.trunc.tail_tol)
     qb = coherent_amplitudes(params.beta, params.trunc.n_max, params.trunc.tail_tol)
     w = np.outer(qa, qb).ravel()
-    s_of = np.add.outer(np.arange(d), np.arange(d)).ravel()
-    rho = np.outer(w, np.conj(w)) * kernel[np.ix_(s_of, s_of)]
+    rho = np.multiply.outer(w, np.conj(w))
+    blocks = rho.reshape(d, d, d, d)
+    # strided Hankel view, no copy: [na, nb, ma, mb] -> kernel[na + nb, ma + mb]
+    blocks *= sliding_window_view(kernel, (d, d)).transpose(0, 2, 1, 3)
     return DensOp(("a", "b"), rho, params.trunc)
+
+
+def _normalize_fresh(rho: DensOp) -> DensOp:
+    """rho scaled to unit trace, or rho itself when its trace is negligible.
+
+    The scaling is done in place: only for an operator just built by the
+    caller, which nothing else holds yet.
+    """
+    p = rho.trace()
+    if p <= P_NEGLIGIBLE:
+        return rho
+    np.divide(rho.matrix, p, out=rho.matrix)
+    return DensOp(rho.modes, rho.matrix, rho.trunc)
 
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
     p = rho.trace()
-    state = rho.normalized() if p > P_NEGLIGIBLE else rho
-    return OutcomeRecord(tuple(pattern), state, float(p))
+    return OutcomeRecord(tuple(pattern), _normalize_fresh(rho), float(p))
 
 
 def _dense_bytes(params: ProtocolParams, n: int) -> int:
     """Peak dense bytes of n heralded two-mode operators built one by one: the
-    blocked kernel, the n normalized operators kept, and three dim^4 working
-    arrays while the last is built (its unnormalized form and the two
-    temporaries of DensOp's Hermiticity check)."""
+    blocked kernel, the n normalized operators kept (each assembled in one
+    array and scaled in place), and the two tile-sized temporaries of
+    DensOp's Hermiticity check."""
     dim = params.trunc.dim
-    return 16 * ((2 * dim - 1) ** 2 + (n + 3) * dim**4)
+    tile = min(HERMITIAN_TILE, dim**2)
+    return 16 * ((2 * dim - 1) ** 2 + n * dim**4 + 2 * tile**2)
 
 
 def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
@@ -264,8 +289,7 @@ def operator_path_final_state(params: ProtocolParams, counts) -> DensOp:
     counts = tuple(int(n) for n in counts)
     if len(counts) != params.scheme.K or any(n < 1 for n in counts):
         raise ValueError(f"need K={params.scheme.K} counts, all >= 1, got {counts}")
-    rho = _pattern_rho(params, [range(n, n + 1) for n in counts])
-    return rho.normalized() if rho.trace() > P_NEGLIGIBLE else rho
+    return _normalize_fresh(_pattern_rho(params, [range(n, n + 1) for n in counts]))
 
 
 def operator_path_pattern(
@@ -312,11 +336,14 @@ def oracle_equivalence(params: ProtocolParams) -> EquivalenceReport:
 def dominant_eigenstate(rho: DensOp):
     """Largest eigenvalue and its eigenvector as a FockVector over rho's modes."""
     dim = rho.matrix.shape[0]
-    if dim <= 256:
-        w, v = np.linalg.eigh(rho.matrix)
-        lam, vec = float(w[-1]), v[:, -1]
+    if dim < EIGSH_MIN_ROWS:
+        w, v = eigh(rho.matrix, subset_by_index=[dim - 1, dim - 1])
     else:
-        w, v = eigsh(rho.matrix, k=1, which="LA")
-        lam, vec = float(w[0]), v[:, 0]
+        # a fixed start vector: ARPACK's default one is drawn afresh on every
+        # call, which moves the last printed digits of a near-product
+        # state's entanglement from run to run
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        w, v = eigsh(rho.matrix, k=1, which="LA", v0=v0)
+    lam, vec = float(w[0]), v[:, 0]
     shape = (rho.trunc.dim,) * len(rho.modes)
     return lam / rho.trace(), FockVector(rho.modes, vec.reshape(shape), rho.trunc)

@@ -16,7 +16,11 @@ it, and nothing in ``src/`` imports it:
   mixture, which ``noise`` evaluates through Gram overlaps;
 * a bare probe through the synthesized splitter chain in truncated Fock
   space (``probe_cascade``), and the full (theta', phi) arrays of the
-  reference cascade, which the tests drive through the beamsplitter gate.
+  reference cascade, which the tests drive through the beamsplitter gate;
+* whole-matrix forms of two dense steps the library does tile by tile or
+  through a strided view: ``DensOp``'s Hermiticity test
+  (``hermitian_at_once``) and the heralded-operator assembly of
+  ``protocol._assemble_rho`` as an index gather (``gathered_rho``).
 """
 
 from __future__ import annotations
@@ -221,6 +225,31 @@ def inner(a: FockVector, b: FockVector) -> complex:
     """<a|b> with matching modes and truncation."""
     _check_same(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix dense steps
+
+
+def hermitian_gap_at_once(m):
+    """(max |m - m^H|, max |m|) over the whole matrix."""
+    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m)))
+
+
+def hermitian_at_once(m) -> bool:
+    """DensOp's Hermiticity test: max |m - m^H| <= 1e-8 max |m| (1 if m = 0)."""
+    gap, scale = hermitian_gap_at_once(m)
+    return not gap > 1e-8 * (scale or 1.0)
+
+
+def gathered_rho(params: ProtocolParams, kernel) -> np.ndarray:
+    """w w^H times kernel[s_row, s_col], gathered with s = n_a + n_b per index."""
+    d = params.trunc.dim
+    qa = coherent_amplitudes(params.alpha, params.trunc.n_max, params.trunc.tail_tol)
+    qb = coherent_amplitudes(params.beta, params.trunc.n_max, params.trunc.tail_tol)
+    w = np.outer(qa, qb).ravel()
+    s_of = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    return np.outer(w, np.conj(w)) * kernel[np.ix_(s_of, s_of)]
 
 
 # ---------------------------------------------------------------------------

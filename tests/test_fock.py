@@ -5,9 +5,11 @@ import pytest
 
 from kerrlink.errors import ShapeMismatch, TailTooHeavy, UnknownMode
 from kerrlink.fock import (
+    HERMITIAN_TILE,
     DensOp,
     FockVector,
     TruncationSpec,
+    _hermitian_gap,
     coherent_amplitudes,
     coherent_tail,
     fidelity,
@@ -19,6 +21,8 @@ from oracles import (
     apply_beamsplitter,
     apply_cross_kerr,
     apply_displacement,
+    hermitian_at_once,
+    hermitian_gap_at_once,
     inner,
     partial_trace,
     product_state,
@@ -278,3 +282,55 @@ class TestValueChecks:
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             DensOp(("a",), m, TruncationSpec(1))
+
+
+def hermitian_base(n, seed=0):
+    """Exactly Hermitian n x n matrix, max modulus 1 (at [1, 1]), others < 0.71."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.5, 0.5, (n, n)) + 1j * rng.uniform(-0.5, 0.5, (n, n))
+    m = (a + a.conj().T) / 2
+    m[1, 1] = 1.0
+    return m
+
+
+def densop_accepts(m) -> bool:
+    try:
+        DensOp(("a",), m, TruncationSpec(m.shape[0] - 1))
+    except ValueError:
+        return False
+    return True
+
+
+class TestHermitianCheck:
+    """DensOp's tiled check reaches the whole-matrix test's decision."""
+
+    T = HERMITIAN_TILE
+    # (rows, planted entry, planted size in units of the tolerance 1e-8 max|m|)
+    CASES = {
+        "hermitian": (T + 72, None, 0.0),
+        "far corner": (3 * T, (0, 3 * T - 1), 10.0),
+        "partial last tile": (T + 72, (T + 71, T + 2), 10.0),
+        "just inside": (T + 72, (5, T + 22), 0.99),
+        "just outside": (T + 72, (5, T + 22), 1.01),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_decision_as_whole_matrix(self, case):
+        n, entry, size = self.CASES[case]
+        m = hermitian_base(n)
+        if entry is not None:
+            m[entry] += size * 1e-8
+        want = size <= 1.0
+        assert hermitian_at_once(m) == want
+        assert densop_accepts(m) == want
+
+    def test_all_zero_matrix_is_accepted(self):
+        m = np.zeros((200, 200), dtype=complex)
+        assert hermitian_at_once(m) and densop_accepts(m)
+
+    @pytest.mark.parametrize("n", [2, HERMITIAN_TILE, 200, 2 * HERMITIAN_TILE + 1])
+    def test_tiles_give_the_whole_matrix_maxima(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m[n - 1, 0] = 10.0  # largest modulus below the diagonal tiles
+        assert _hermitian_gap(m) == hermitian_gap_at_once(m)
