@@ -20,14 +20,6 @@ EIG_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class GramPair:
-    """Gram matrices of {|alpha e^{i chi n}>} and {|beta e^{i chi n}>}, n=0..K."""
-
-    G_a: np.ndarray
-    G_b: np.ndarray
-
-
-@dataclass(frozen=True)
 class EntanglementReport:
     """Entropy in bits, reduced-state spectrum, and (if optimized) the c vector."""
 
@@ -42,9 +34,13 @@ def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
     return np.exp(z2 * (np.exp(1j * ph) - 1))
 
 
-def pair_gram(K: int, alpha, beta, chi) -> GramPair:
+def pair_gram(K: int, alpha, beta, chi):
+    """(G_a, G_b): Grams of {|alpha e^{i chi n}>} and {|beta e^{i chi n}>}, n=0..K.
+
+    Their elementwise product is the Gram of the K+1 coherent pairs.
+    """
     th = chi * np.arange(K + 1)
-    return GramPair(_rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th))
+    return _rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th)
 
 
 def _bits(lam) -> float:
@@ -62,10 +58,10 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     """
     c = np.asarray(c, dtype=complex)
     K = len(c) - 1
-    g = pair_gram(K, alpha, beta, chi)
-    norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
-    X = np.outer(c, np.conj(c)) * g.G_b.T
-    w, v = np.linalg.eigh(g.G_a)
+    G_a, G_b = pair_gram(K, alpha, beta, chi)
+    norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
+    X = np.outer(c, np.conj(c)) * G_b.T
+    w, v = np.linalg.eigh(G_a)
     w = np.where(w > EIG_FLOOR, w, 0.0)
     s = (v * np.sqrt(w)) @ v.conj().T
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2

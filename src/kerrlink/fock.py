@@ -106,8 +106,9 @@ class DensOp:
                 f"matrix shape {self.matrix.shape} != {(dim, dim)} for modes {self.modes}"
             )
         gap, scale = _hermitian_gap(self.matrix)
-        if gap > 1e-8 * (scale or 1.0):
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        # a NaN or inf entry makes gap or scale non-finite, and fails here too
+        if not gap <= 1e-8 * (scale or 1.0) < np.inf:
+            raise ValueError("density matrix is not finite and Hermitian within tolerance")
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))

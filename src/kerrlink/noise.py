@@ -69,26 +69,10 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
-    """Six leading-order loss terms and the resulting fidelity F = 1 - sum."""
+    """Six leading-order loss terms by name and the resulting fidelity F = 1 - sum."""
 
-    t_dephase: float
-    t_kerr_loss: float
-    t_storage: float
-    t_chi_err: float
-    t_darkcount: float
-    t_discrete_phase: float
+    terms: dict
     F: float
-
-    @property
-    def terms(self) -> dict:
-        return {
-            "dephase": self.t_dephase,
-            "kerr_loss": self.t_kerr_loss,
-            "storage": self.t_storage,
-            "chi_err": self.t_chi_err,
-            "darkcount": self.t_darkcount,
-            "discrete_phase": self.t_discrete_phase,
-        }
 
 
 @dataclass(frozen=True)
@@ -110,16 +94,6 @@ class FeasibilityReport:
     all_pass: bool
     max_attenuation_db: float
     max_distance_km: float
-
-
-# ---------------------------------------------------------------------------
-# Gram helpers (coherent-pair representation)
-
-
-def pair_overlap_matrix(K: int, alpha, beta, chi) -> np.ndarray:
-    """Combined Gram G[m, n] = <pair_m|pair_n> of the K+1 coherent pairs."""
-    g = pair_gram(K, alpha, beta, chi)
-    return g.G_a * g.G_b
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +147,19 @@ def _poisson_weights(s: float):
 # leading-order infidelity terms
 
 
-def chi_error_term(
-    target: TargetCoefficients, alpha, beta, chi, eps_ac, eps_bc
-) -> float:
+def _chi_error_term(c, G, N, a2, b2, chi, eps_ac, eps_bc) -> float:
     """Infidelity from nonlinearity-strength errors Delta chi = eps * chi.
 
     Evaluates <Psi1|g^2|Psi1> - |<Psi1|g|Psi_f>|^2 in the coherent span,
     where g = Dchi_ac n_a + Dchi_bc n_b and |Psi1> = sum n c_n |pair_n> for
-    the normalized target.  Coherent matrix elements of n and n^2 reduce to
-    Gram entries times powers of z1* z2.
+    the target c of pair Gram G and squared norm N.  Coherent matrix
+    elements of n and n^2 reduce to Gram entries times powers of z1* z2.
     """
-    c = np.asarray(target.c, dtype=complex)
-    K = target.K
-    G = pair_overlap_matrix(K, alpha, beta, chi)
-    norm2 = float(np.real(np.conj(c) @ G @ c))
-    cn = c / math.sqrt(norm2)
-    n = np.arange(K + 1, dtype=float)
+    cn = c / math.sqrt(N)
+    n = np.arange(len(c), dtype=float)
     d = n[None, :] - n[:, None]  # n - m
-    Am = abs(alpha) ** 2 * np.exp(1j * chi * d)  # <pair_m|n_a|pair_n> / G[m,n]
-    Bm = abs(beta) ** 2 * np.exp(1j * chi * d)
+    Am = a2 * np.exp(1j * chi * d)  # <pair_m|n_a|pair_n> / G[m,n]
+    Bm = b2 * np.exp(1j * chi * d)
     da, db = eps_ac * chi, eps_bc * chi
     M1 = (da * Am + db * Bm) * G
     M2 = (da**2 * (Am**2 + Am) + 2 * da * db * Am * Bm + db**2 * (Bm**2 + Bm)) * G
@@ -201,11 +169,10 @@ def chi_error_term(
     return quad - abs(lin) ** 2
 
 
-def _dephasing_susceptibility(c: np.ndarray, G: np.ndarray) -> float:
+def _dephasing_susceptibility(c: np.ndarray, G: np.ndarray, N: float) -> float:
     """Factor multiplying eta2 in the pair-decay infidelity: 2 <Psi1|P_perp|Psi1>."""
     n = np.arange(len(c), dtype=float)
     w1 = n * c
-    N = float(np.real(np.conj(c) @ G @ c))
     B1 = float(np.real(np.conj(w1) @ G @ w1))
     A1 = complex(np.conj(c) @ G @ w1)
     return 2.0 * (B1 * N - abs(A1) ** 2) / N**2
@@ -242,17 +209,14 @@ def fidelity_leading_order(
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    G = pair_overlap_matrix(target.K, alpha, beta, chi)
-    D = _dephasing_susceptibility(c, G)
-    t_dephase = noise.dphi2 * D
-    t_kerr = (noise.Lambda1 / 3.0) * (a2 + b2) * chi**2 * D
-    t_storage = 0.5 * a2 * chi**2 * noise.Lambda2 * D
-    t_chi = chi_error_term(target, alpha, beta, chi, noise.eps_ac, noise.eps_bc)
+    G_a, G_b = pair_gram(target.K, alpha, beta, chi)
+    G = G_a * G_b
+    N = float(np.real(np.conj(c) @ G @ c))
+    D = _dephasing_susceptibility(c, G, N)
 
     t_dark = 0.0
     if noise.zeta > 0:
-        norm2 = float(np.real(np.conj(c) @ G @ c))
-        ck2 = abs(c[-1]) ** 2 / norm2
+        ck2 = abs(c[-1]) ** 2 / N
         roots = solve_roots(target, gamma)
         w1 = noise.zeta / (noise.lambda_det * abs(gamma) ** 2)
         for j in range(1, target.K + 1):
@@ -260,14 +224,19 @@ def fidelity_leading_order(
             cj = semi_success_coeffs(roots, {j}).c
             ct[: len(cj)] = cj
             nt = float(np.real(np.conj(ct) @ G @ ct))
-            ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (norm2 * nt)
+            ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (N * nt)
             t_dark += w1 * ck2 * (1.0 - ov2)
 
-    t_disc = _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2)
-
-    terms = (t_dephase, t_kerr, t_storage, t_chi, t_dark, t_disc)
-    budget = FidelityBreakdown(*terms, F=1.0 - sum(terms))
-    for name, t in budget.terms.items():
+    terms = {
+        "dephase": noise.dphi2 * D,
+        "kerr_loss": (noise.Lambda1 / 3.0) * (a2 + b2) * chi**2 * D,
+        "storage": 0.5 * a2 * chi**2 * noise.Lambda2 * D,
+        "chi_err": _chi_error_term(c, G, N, a2, b2, chi, noise.eps_ac, noise.eps_bc),
+        "darkcount": t_dark,
+        "discrete_phase": _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2),
+    }
+    budget = FidelityBreakdown(terms, F=1.0 - sum(terms.values()))
+    for name, t in terms.items():
         if t > 0.2:
             warnings.warn(
                 f"loss term {name} = {t:.3g} > 0.2; the leading-order budget "
@@ -303,7 +272,8 @@ def superop_pipeline_fidelity(
     rho = np.outer(c, np.conj(c)) * np.exp(1j * eta1 * d - eta2 * d * d)
 
     cb = c * np.exp(1j * eta1 * n)  # compensated reference, nominal labels
-    G_nom = _rot_gram(a2, chi * n, chi * n) * _rot_gram(b2, chi * n, chi * n)
+    G_a, G_b = pair_gram(K, alpha, beta, chi)
+    G_nom = G_a * G_b
     norm_bra = float(np.real(np.conj(cb) @ G_nom @ cb))
 
     G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)
@@ -364,6 +334,21 @@ def darkcount_loss_limit(eps: float, lambda_det: float, zeta: float) -> float:
     return 2.0 * eps**2 * lambda_det / zeta
 
 
+def _tightening(K: int) -> float:
+    """Factor on the storage, phase-noise, Kerr-loss and nonlinearity-error
+    bounds: 1 for K = 1, 1/2 for K >= 2."""
+    return 1.0 if K == 1 else 0.5
+
+
+def _probe_bound(eps: float, x: float, Lambda: float) -> float:
+    """Probe-intensity bound eps/(x Lambda) on |gamma|^2; inf where x Lambda is 0.
+
+    The inequality |gamma|^2 Lambda <= eps/x is symmetric, so passing a
+    |gamma|^2 as Lambda gives the largest loss that probe intensity allows.
+    """
+    return math.inf if x * Lambda <= 0 else eps / (x * Lambda)
+
+
 def feasibility_check(
     noise: NoiseParams, alpha, chi, gamma, eps: float, K: int
 ) -> FeasibilityReport:
@@ -372,7 +357,7 @@ def feasibility_check(
     For K = 1 the bounds read Lambda < 2 eps^2 lambda/zeta, Lambda2 < 2 eps,
     dphi2 < |alpha|^2 chi^2 eps, Lambda1 < 3 eps/2, |gamma|^2 <
     eps/(|alpha|^2 chi^2 Lambda) and eps_ac^2, eps_bc^2 < eps/(2|alpha|^2);
-    for K >= 2 conditions 2, 3, 4 and 6 tighten by a factor 1/2.  A value
+    for K >= 2 conditions 2, 3, 4 and 6 tighten (_tightening).  A value
     within round-off of its bound (BOUND_RTOL) passes, so an operating point
     placed on a bound is feasible.
     """
@@ -380,19 +365,18 @@ def feasibility_check(
         raise ValueError(f"eps must lie in (0, 1/6), got {eps}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    f = 1.0 if K == 1 else 0.5
+    f = _tightening(K)
     a2 = abs(alpha) ** 2
     if a2 == 0:
         raise ValueError("alpha must be nonzero")
     x = a2 * chi**2
     lam_max = darkcount_loss_limit(eps, noise.lambda_det, noise.zeta)
-    probe_bound = math.inf if noise.Lambda * x == 0 else eps / (x * noise.Lambda)
     entries = (
         ("channel_loss", noise.Lambda, lam_max),
         ("storage_loss", noise.Lambda2, 2.0 * eps * f),
         ("phase_noise", noise.dphi2, x * eps * f),
         ("kerr_loss", noise.Lambda1, 1.5 * eps * f),
-        ("probe_intensity", abs(gamma) ** 2, probe_bound),
+        ("probe_intensity", abs(gamma) ** 2, _probe_bound(eps, x, noise.Lambda)),
         ("nonlinearity_error", max(noise.eps_ac**2, noise.eps_bc**2), eps * f / (2 * a2)),
     )
     checks = tuple(
@@ -412,15 +396,12 @@ def feasibility_check(
 
 def min_distinguishability(K: int, eps: float, dphi2: float) -> float:
     """Smallest |alpha|^2 chi^2 allowed by the phase-noise inequality."""
-    f = 1.0 if K == 1 else 0.5
-    return dphi2 / (eps * f)
+    return dphi2 / (eps * _tightening(K))
 
 
 def probe_ceiling(eps: float, x: float, Lambda: float) -> float:
     """Largest |gamma|^2 allowed by the probe-intensity inequality, capped at PROBE_CAP."""
-    if Lambda <= 0 or x <= 0:
-        return PROBE_CAP
-    return min(eps / (x * Lambda), PROBE_CAP)
+    return min(_probe_bound(eps, x, Lambda), PROBE_CAP)
 
 
 def budget_success(
@@ -440,7 +421,16 @@ def budget_success(
 
 
 def practical_cutoff_db(K: int, eps: float, lambda_det: float, dphi2: float) -> float:
-    """Attenuation where the budget success probability drops to P_FLOOR."""
-    x = min_distinguishability(K, eps, dphi2)
-    lam = lambda_det * eps / (K * x * P_FLOOR ** (1.0 / K))
-    return attenuation_db(lam)
+    """Attenuation where the budget success probability drops to P_FLOOR.
+
+    Inverts budget_success through the same probe ceiling: the loss at which
+    the probe-intensity bound falls to the |gamma|^2 that gives p_K = P_FLOOR.
+    Returns 0.0 when that |gamma|^2 exceeds PROBE_CAP, i.e. when even the
+    capped p_K at 0 dB is below P_FLOOR.  The dark-count wall, past which
+    budget_success is 0, is not applied here; it is reported separately
+    (darkcount_loss_limit).
+    """
+    g2 = K * P_FLOOR ** (1.0 / K) / lambda_det
+    if g2 > PROBE_CAP:
+        return 0.0
+    return attenuation_db(_probe_bound(eps, min_distinguishability(K, eps, dphi2), g2))

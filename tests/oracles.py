@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
 from kerrlink.design import RefNet, TargetCoefficients, semi_success_coeffs
+from kerrlink.entangle import pair_gram
 from kerrlink.errors import KerrlinkError, UnknownMode
 from kerrlink.fock import (
     DensOp,
@@ -42,7 +43,7 @@ from kerrlink.fock import (
     coherent_amplitudes,
     min_cutoff,
 )
-from kerrlink.noise import _poisson_weights, pair_overlap_matrix
+from kerrlink.noise import _poisson_weights
 from kerrlink.protocol import (
     ProtocolParams,
     _check_budget,
@@ -362,7 +363,8 @@ def dark_count_mixture(
     if trunc is None:
         trunc = TruncationSpec(min_cutoff([alpha, beta]))
     K = target.K
-    G = pair_overlap_matrix(K, alpha, beta, chi)
+    G_a, G_b = pair_gram(K, alpha, beta, chi)
+    G = G_a * G_b
     c = np.asarray(target.c, dtype=complex)
     ck2 = abs(c[-1]) ** 2 / float(np.real(np.conj(c) @ G @ c))
 

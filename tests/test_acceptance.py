@@ -193,9 +193,9 @@ def test_criterion_07_success_probability():
             prot = make_protocol(
                 p.alpha, p.beta, gamma, p.chi, p.target, delta=p.delta, n_max=40
             )
-            g = pair_gram(p.target.K, p.alpha, p.beta, p.chi)
+            G_a, G_b = pair_gram(p.target.K, p.alpha, p.beta, p.chi)
             c = p.target.c
-            norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
+            norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
             want = success_probability(
                 p.target, gamma, 1.0, q=prot.scheme.q, norm_squared=norm2
             )

@@ -283,6 +283,16 @@ class TestValueChecks:
         with pytest.raises(ValueError):
             DensOp(("a",), m, TruncationSpec(1))
 
+    @pytest.mark.parametrize("entry,value", [
+        ((0, 1), np.nan), ((0, 0), np.nan), ((0, 0), np.inf),
+    ])
+    def test_densop_rejects_non_finite(self, entry, value):
+        # every comparison with NaN is false, so the check must fail on one
+        m = np.eye(2, dtype=complex)
+        m[entry] = value
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            DensOp(("a",), m, TruncationSpec(1))
+
 
 def hermitian_base(n, seed=0):
     """Exactly Hermitian n x n matrix, max modulus 1 (at [1, 1]), others < 0.71."""

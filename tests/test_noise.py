@@ -9,23 +9,23 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import kerrlink.noise as noise_module
 from kerrlink.design import TargetCoefficients, solve_roots
-from kerrlink.entangle import _rot_gram
+from kerrlink.entangle import _rot_gram, pair_gram
 from kerrlink.errors import DomainError
 from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutoff
 from kerrlink.noise import (
+    P_FLOOR,
     NoiseParams,
     _poisson_weights,
     attenuation_db,
     budget_success,
-    chi_error_term,
     darkcount_loss_limit,
     db_to_loss,
     eta_params,
     feasibility_check,
     fidelity_leading_order,
     min_distinguishability,
-    pair_overlap_matrix,
     practical_cutoff_db,
     success_probability,
     superop_pipeline_fidelity,
@@ -191,6 +191,12 @@ class TestDiscretePhaseChannel:
             _poisson_weights(1000.0)
 
 
+def chi_err(t, alpha, beta, chi, eps_ac, eps_bc):
+    """The budget's chi_err term with only the nonlinearity errors set."""
+    noise = NoiseParams(eps_ac=eps_ac, eps_bc=eps_bc)
+    return fidelity_leading_order(t, noise, alpha, beta, 0.3, chi).terms["chi_err"]
+
+
 class TestChiError:
     def test_matches_dense_variance(self):
         # same second moment evaluated with explicit Fock operators
@@ -214,7 +220,7 @@ class TestChiError:
         quad = float(np.sum(g**2 * np.abs(psi_1) ** 2))
         lin = complex(np.sum(np.conj(psi_1) * g * psi_f))
         want = quad - abs(lin) ** 2
-        got = chi_error_term(t, a, a, chi, eps_ac, eps_bc)
+        got = chi_err(t, a, a, chi, eps_ac, eps_bc)
         assert abs(got - want) < 1e-10, f"chi error {got} != dense {want}"
 
     def test_small_chi_closed_form(self):
@@ -223,12 +229,12 @@ class TestChiError:
         t = bell_target(a2, a2, chi)
         eps_ac, eps_bc = 0.02, -0.01
         want = (2 * a2 * (eps_ac + eps_bc) ** 2 + (eps_ac - eps_bc) ** 2) / 4
-        got = chi_error_term(t, math.sqrt(a2), math.sqrt(a2), chi, eps_ac, eps_bc)
+        got = chi_err(t, math.sqrt(a2), math.sqrt(a2), chi, eps_ac, eps_bc)
         assert abs(got - want) < 5e-3 * want, f"{got} vs closed form {want}"
 
     def test_zero_error_is_zero(self):
         t = bell_target(10.0, 10.0, 0.3)
-        got = chi_error_term(t, math.sqrt(10), math.sqrt(10), 0.3, 0.0, 0.0)
+        got = chi_err(t, math.sqrt(10), math.sqrt(10), 0.3, 0.0, 0.0)
         assert abs(got) < 1e-14
 
 
@@ -274,13 +280,13 @@ class TestDarkCounts:
     @staticmethod
     def dense_and_budget(t, a2, chi, gamma, lam, zeta):
         """1 - F of the dense dark-count mixture against the target, and the
-        budget's t_darkcount, at equal intensities a2 in both modes."""
+        budget's darkcount term, at equal intensities a2 in both modes."""
         a = math.sqrt(a2)
         rho = dark_count_mixture(t, solve_roots(t, gamma), a, a, chi, gamma, lam, zeta)
         psi = analytic_target_state(t, a, a, chi, rho.trunc).amplitudes.ravel()
         f = float(np.real(np.vdot(psi, rho.matrix @ psi))) / rho.trace()
         noise = NoiseParams(lambda_det=lam, zeta=zeta)
-        return 1 - f, fidelity_leading_order(t, noise, a, a, gamma, chi).t_darkcount
+        return 1 - f, fidelity_leading_order(t, noise, a, a, gamma, chi).terms["darkcount"]
 
     @pytest.mark.parametrize("a2,chi,gamma,lam,zeta", [
         (10.0, 0.2, 0.3, 0.5, 1e-4),
@@ -293,7 +299,8 @@ class TestDarkCounts:
         t = bell_target(a2, a2, chi)
         infid, t_dark = self.dense_and_budget(t, a2, chi, gamma, lam, zeta)
         a = math.sqrt(a2)
-        G = pair_overlap_matrix(1, a, a, chi)
+        G_a, G_b = pair_gram(1, a, a, chi)
+        G = G_a * G_b
         ck2 = abs(t.c[-1]) ** 2 / float(np.real(np.conj(t.c) @ G @ t.c))
         w1 = zeta / (lam * gamma**2)
         want = t_dark / (1 + w1 * ck2)
@@ -336,7 +343,7 @@ class TestBreakdown:
         )
         tau = bell_gram_tau(a2, chi)
         want = 1e-5 * (1 + tau) / (2 * (1 - tau))
-        assert abs(b.t_dephase - want) < 1e-15, f"{b.t_dephase} != {want}"
+        assert abs(b.terms["dephase"] - want) < 1e-15, f"{b.terms['dephase']} != {want}"
         assert abs((1 - b.F) - want) < 1e-15
 
     def test_small_x_limit_is_eta2_over_x(self):
@@ -346,7 +353,7 @@ class TestBreakdown:
             t, NoiseParams(dphi2=1e-9), math.sqrt(a2), math.sqrt(a2), 0.3, chi
         )
         want = 1e-9 / (a2 * chi**2)
-        assert abs(b.t_dephase - want) < 0.01 * want
+        assert abs(b.terms["dephase"] - want) < 0.01 * want
 
     def test_each_source_owns_one_term(self):
         a2, chi = 1.0, 0.01
@@ -430,6 +437,36 @@ class TestBreakdown:
         assert 0.5 <= min(ratios) and max(ratios) <= 2.0, (
             f"s={s}: lead/exact ratios {min(ratios):.3f}-{max(ratios):.3f}"
         )
+
+
+class TestGramPerBudget:
+    """Each budget asks for the nominal pair Gram once per call."""
+
+    @staticmethod
+    def count_pair_gram(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_gram(*args)
+
+        monkeypatch.setattr(noise_module, "pair_gram", counted)
+        return calls
+
+    def test_leading_order_builds_one_gram(self, monkeypatch):
+        calls = self.count_pair_gram(monkeypatch)
+        t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
+        noise = NoiseParams(Lambda=0.1, Lambda1=1e-3, Lambda2=1e-3, dphi2=1e-5,
+                            lambda_det=0.5, zeta=1e-6, eps_ac=0.01, eps_bc=0.02)
+        fidelity_leading_order(t, noise, 1.0, 1.0, 0.3, 0.2)
+        assert len(calls) == 1
+
+    def test_pipeline_builds_one_gram(self, monkeypatch):
+        calls = self.count_pair_gram(monkeypatch)
+        t = bell_target(10.0, 10.0, 0.3)
+        noise = NoiseParams(Lambda=0.2, dphi2=1e-4, eps_ac=0.03, eps_bc=-0.02)
+        superop_pipeline_fidelity(t, noise, math.sqrt(10), math.sqrt(10), 0.3, 0.3)
+        assert len(calls) == 1
 
 
 class TestPipeline:
@@ -612,11 +649,20 @@ class TestBudgetSweeps:
         assert abs(p - 1e-2 * 0.5) < 1e-12, f"capped p {p}"
 
     def test_cutoff_inverts_budget(self):
-        eps, lam_det, dphi2 = 1 / 60, 1e-2, 2.5e-5
-        for K in (1, 2):
+        # p_K falls through P_FLOOR at the cutoff; a cutoff of 0 dB means the
+        # probe cap keeps p_K below P_FLOOR at every attenuation (low-dark
+        # K = 3, 4 and high-eff K = 4)
+        eps, dphi2 = 1 / 60, 2.5e-5
+        capped = {(3, 1e-2), (4, 1e-2), (4, 1e-1)}
+        for K, lam_det in itertools.product((1, 2, 3, 4), (1e-2, 1e-1)):  # low-dark, high-eff
             db = practical_cutoff_db(K, eps, lam_det, dphi2)
             p = budget_success(K, db_to_loss(db), eps, lam_det, 0.0, dphi2)
-            assert abs(p - 1e-6) < 1e-12, f"K={K} p at cutoff {p}"
+            if (K, lam_det) in capped:
+                assert db == 0.0 and p < P_FLOOR, f"K={K} cutoff {db} dB, p(0 dB) {p}"
+            else:
+                assert abs(p - P_FLOOR) < 1e-6 * P_FLOOR, f"K={K} p at cutoff {p}"
+                nearer = budget_success(K, db_to_loss(0.99 * db), eps, lam_det, 0.0, dphi2)
+                assert nearer > P_FLOOR, f"K={K} p below the cutoff {nearer}"
 
     def test_sweep_rows_are_monotone(self):
         eps = (1.0 - 0.9) / 6.0

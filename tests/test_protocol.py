@@ -382,9 +382,9 @@ class TestEquivalenceAndProbability:
 
     def test_success_probability_formula(self):
         for params in (small_k1(), small_k2()):
-            g = pair_gram(params.target.K, params.alpha, params.beta, params.chi)
+            G_a, G_b = pair_gram(params.target.K, params.alpha, params.beta, params.chi)
             c = params.target.c
-            norm2 = float(np.real(np.conj(c) @ ((g.G_a * g.G_b) @ c)))
+            norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
             want = success_probability(
                 params.target,
                 params.gamma,
