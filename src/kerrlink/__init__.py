@@ -1,6 +1,10 @@
 """Entangling two held optical modes through a weak cross-Kerr probe and
 linear-optics elimination measurements: scheme synthesis, truncated-Fock
-simulation, entanglement scans, and noise/feasibility budgets."""
+simulation, entanglement scans, and noise/feasibility budgets.
+
+Importing the package loads numpy only: each scipy submodule is imported
+inside the function that calls it, so `design` and `feasibility` run without
+scipy and the other commands load only what they call."""
 
 from .design import (
     DetectionScheme,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonConvergence, ShapeMismatch
 
@@ -76,6 +75,14 @@ def schmidt_entropy(state) -> float:
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = sv**2 / np.sum(sv**2)
     return _bits(lam[lam > EIG_FLOOR])
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on the first search rather than with
+    this module, so that commands which never optimize never load it."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(fun, x0, **options)
 
 
 def optimize_coefficients(

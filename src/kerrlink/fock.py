@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .errors import ShapeMismatch, TailTooHeavy, UnknownMode
 
@@ -28,6 +27,8 @@ HERMITIAN_TILE = 128
 
 def coherent_tail(z, n_max) -> float:
     """Probability mass of |z> beyond photon number n_max (Poisson tail)."""
+    from scipy.special import pdtrc
+
     return float(pdtrc(n_max, abs(z) ** 2))
 
 
@@ -122,17 +123,19 @@ def _hermitian_gap(m):
 
     Entry (c, r) of m - m^H is minus the conjugate of entry (r, c), so both
     have the same modulus and the maxima are those of the whole matrices,
-    without a temporary of m's size.  A NaN entry gives NaN, as it would there.
+    without a temporary of m's size.  A NaN entry gives NaN, as it would there,
+    and so does an inf one (inf - inf), without numpy's invalid-value warning.
     """
     n, t = m.shape[0], HERMITIAN_TILE
     gaps, scales = [], []
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper, lower = m[i : i + t, j : j + t], m[j : j + t, i : i + t]
-            gaps.append(np.max(np.abs(upper - lower.conj().T)))
-            scales.append(np.max(np.abs(upper)))
-            if j != i:
-                scales.append(np.max(np.abs(lower)))
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                upper, lower = m[i : i + t, j : j + t], m[j : j + t, i : i + t]
+                gaps.append(np.max(np.abs(upper - lower.conj().T)))
+                scales.append(np.max(np.abs(upper)))
+                if j != i:
+                    scales.append(np.max(np.abs(lower)))
     return float(np.max(gaps)), float(np.max(scales))
 
 
@@ -154,6 +157,8 @@ def coherent_amplitudes(z, n_max, tail_tol=DEFAULT_TAIL_TOL) -> np.ndarray:
         out = np.zeros(n_max + 1, dtype=complex)
         out[0] = 1.0
         return out
+    from scipy.special import gammaln
+
     # evaluated in log form; z^n / sqrt(n!) overflows long before it matters
     return np.exp(n * np.log(complex(z)) - 0.5 * gammaln(n + 1) - 0.5 * abs(z) ** 2)
 

@@ -58,9 +58,13 @@ class NoiseParams:
     eps_bc: float = 0.0
 
     def __post_init__(self):
+        # written so that NaN fails each check
         for name in ("Lambda", "Lambda1", "Lambda2", "dphi2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("eps_ac", "eps_bc"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.lambda_det <= 1:
             raise ValueError(f"lambda_det must lie in (0, 1], got {self.lambda_det}")
         if not 0 <= self.zeta < 1:

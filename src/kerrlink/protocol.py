@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
 
 from .design import (
     DEFAULT_DELTA,
@@ -337,8 +335,12 @@ def dominant_eigenstate(rho: DensOp):
     """Largest eigenvalue and its eigenvector as a FockVector over rho's modes."""
     dim = rho.matrix.shape[0]
     if dim < EIGSH_MIN_ROWS:
+        from scipy.linalg import eigh
+
         w, v = eigh(rho.matrix, subset_by_index=[dim - 1, dim - 1])
     else:
+        from scipy.sparse.linalg import eigsh
+
         # a fixed start vector: ARPACK's default one is drawn afresh on every
         # call, which moves the last printed digits of a near-product
         # state's entanglement from run to run

@@ -241,10 +241,17 @@ class TestReadmeSession:
 
 
 class TestLibraryWithoutTests:
+    @staticmethod
+    def run_src_only(argv, cwd):
+        """Run a fresh interpreter with argv and only src on the path; assert exit 0."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_runs_with_only_src_on_the_path(self, tmp_path):
         """The package imports and simulates with neither the tests tree nor
         its oracles module reachable."""
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         imports = (
             "import importlib, pkgutil, sys, kerrlink\n"
             "for m in pkgutil.iter_modules(kerrlink.__path__):\n"
@@ -253,9 +260,26 @@ class TestLibraryWithoutTests:
         )
         for argv in (["-c", imports],
                      ["-m", "kerrlink", "simulate", "--preset", "photon-correlated:2,2"]):
-            proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            self.run_src_only(argv, tmp_path)
+
+    @pytest.mark.parametrize("run", [
+        "kerrlink.cli.build_parser()",
+        "assert kerrlink.cli.main(['feasibility', '--detector', 'low-dark', "
+        "'--f-target', '0.9']) == 0",
+        "assert kerrlink.cli.main(['design', '--coeffs', '1,-1.2,0.4', '--gamma', '0.1']) == 0",
+    ], ids=["start", "feasibility", "design"])
+    def test_starts_without_scipy(self, tmp_path, run):
+        """Start-up, design and feasibility load no scipy module; the optimizer
+        still reaches scipy through entangle.minimize, which tests and the
+        benchmark tracer replace by name."""
+        code = (
+            "import sys, kerrlink, kerrlink.cli\n"
+            f"{run}\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "assert callable(kerrlink.entangle.minimize)\n"
+        )
+        self.run_src_only(["-c", code], tmp_path)
 
 
 class TestMemoryBudgetExit:

@@ -1,5 +1,7 @@
 """Core Fock-space layer: closed-form oracles and error contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,11 +289,14 @@ class TestValueChecks:
         ((0, 1), np.nan), ((0, 0), np.nan), ((0, 0), np.inf),
     ])
     def test_densop_rejects_non_finite(self, entry, value):
-        # every comparison with NaN is false, so the check must fail on one
+        # every comparison with NaN is false, so the check must fail on one;
+        # inf - inf in the check is NaN too, and must not warn on its way
         m = np.eye(2, dtype=complex)
         m[entry] = value
-        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            DensOp(("a",), m, TruncationSpec(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                DensOp(("a",), m, TruncationSpec(1))
 
 
 def hermitian_base(n, seed=0):

@@ -99,6 +99,17 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(zeta=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["Lambda", "Lambda1", "Lambda2", "dphi2",
+                                       "lambda_det", "zeta", "eps_ac", "eps_bc"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**{field: value})
+
+    def test_feasibility_check_rejects_nan_noise(self):
+        with pytest.raises(ValueError):
+            feasibility_check(NoiseParams(Lambda=math.nan, dphi2=math.nan), 1.0, 0.1, 0.3, 0.01, 1)
+
 
 class TestEtaParams:
     def test_worked_example(self):
