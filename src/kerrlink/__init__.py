@@ -41,7 +41,6 @@ from .fock import (
     coherent_amplitudes,
     fidelity,
     min_cutoff,
-    trace_distance,
 )
 from .noise import (
     FeasibilityReport,
@@ -63,8 +62,6 @@ from .protocol import (
     analytic_target_state,
     dominant_eigenstate,
     make_protocol,
-    operator_path_final_state,
-    oracle_equivalence,
     run_full_protocol,
 )
 

@@ -17,8 +17,9 @@ byte-identical output.  Channel loss Lambda is the relative intensity loss
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
 malformed or nan or inf number among the flags, --dphi2 <= 0, --alpha 0,
 --f-target outside (0, 1), an --x-grid value <= 0, a repeated --K value or
-one below 1, or a negative attenuation or one beyond float range; no
-artifact is written), 3 scheme synthesis failure, 4
+one below 1, a negative attenuation or one beyond float range, or a simulate
+target whose state vanishes, as coefficients summing to zero at alpha = beta
+= 0 do; no artifact is written), 3 scheme synthesis failure, 4
 truncation overflow (a coherent amplitude that does not fit the Fock
 cutoff), 5 optimizer non-convergence (rows still written, flagged in the
 flag column), 6 dense simulation over the memory budget (checked before
@@ -191,8 +192,8 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     target, delta, alpha, beta, gamma, chi = _resolve(args, "alpha", "beta", "gamma", "chi")
     prot = make_protocol(alpha, beta, gamma, chi, target, delta=delta)
-    records = run_full_protocol(prot)
     tgt = analytic_target_state(target, alpha, beta, chi, prot.trunc)
+    records = run_full_protocol(prot)
     rows = []
     for rec in sorted(records, key=lambda r: r.pattern, reverse=True):
         pat = "".join("1" if b else "0" for b in rec.pattern)

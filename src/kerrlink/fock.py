@@ -3,13 +3,13 @@
 States are dense complex arrays indexed by per-mode photon numbers, all modes
 sharing one cutoff ``n_max``: pure states (``FockVector``), density operators
 (``DensOp``), coherent amplitudes with their Poisson tail, and the fidelity
-and trace distance the protocol reports.  Every operation returns a new value
-and nothing is mutated in place, so states can be shared freely across
-threads.  The one exception is ``protocol._normalize_fresh`` (under
-``_record``): it scales an operator just built to unit trace, before anything
-else holds it.
+against a pure state that the protocol reports.  Every operation returns a
+new value and nothing is mutated in place, so states can be shared freely
+across threads.  The one exception is ``protocol._record``: it scales an
+operator just built to unit trace, before anything else holds it.
 The literal gate layer (beamsplitter, cross-Kerr, displacement, click
-projection, partial trace) is a test oracle and lives in ``tests/oracles.py``.
+projection, partial trace) and the trace distance are test oracles and live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -182,10 +182,3 @@ def fidelity(rho: DensOp, psi: FockVector) -> float:
     v = psi.amplitudes.ravel()
     val = np.real(np.vdot(v, rho.matrix @ v)) / (rho.trace() * np.vdot(v, v).real)
     return float(val)
-
-
-def trace_distance(rho: DensOp, sigma: DensOp) -> float:
-    """Half the trace norm of the difference of the normalized operators."""
-    _check_same(rho, sigma)
-    diff = rho.matrix / rho.trace() - sigma.matrix / sigma.trace()
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

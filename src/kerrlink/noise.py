@@ -151,6 +151,18 @@ def _poisson_weights(s: float):
 # leading-order infidelity terms
 
 
+def _squared_norm(c, G) -> float:
+    """Re(c^H G c), the squared norm of the target c of pair Gram G.
+
+    Raises DomainError unless it is finite and positive (c sums to zero at
+    alpha = beta = 0, say): there is no target state to compare against.
+    """
+    N = float(np.real(np.conj(c) @ G @ c))
+    if not 0 < N < math.inf:
+        raise DomainError(f"the target state has squared norm {N:.3g}")
+    return N
+
+
 def _chi_error_term(c, G, N, a2, b2, chi, eps_ac, eps_bc) -> float:
     """Infidelity from nonlinearity-strength errors Delta chi = eps * chi.
 
@@ -209,13 +221,14 @@ def fidelity_leading_order(
     three sources (phase noise, Kerr-stage loss, storage loss) so that
     removing one noise source zeroes exactly its term.  The probe-photon
     phase drift eta1 is taken as compensated by redesigned roots and does
-    not appear.
+    not appear.  Raises DomainError when the target has no finite, positive
+    squared norm.
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     G_a, G_b = pair_gram(target.K, alpha, beta, chi)
     G = G_a * G_b
-    N = float(np.real(np.conj(c) @ G @ c))
+    N = _squared_norm(c, G)
     D = _dephasing_susceptibility(c, G, N)
 
     t_dark = 0.0
@@ -262,7 +275,8 @@ def superop_pipeline_fidelity(
     rotated by e^{-i eta1} heralds.  All overlaps are closed-form Gram
     entries, so the only approximation left is the Poisson series cutoff.
     Raises DomainError when Lambda |gamma|^2 is too large for that series
-    (see _poisson_weights).
+    (see _poisson_weights), and when the target has no finite, positive
+    squared norm.
     """
     c = np.asarray(target.c, dtype=complex)
     K = target.K
@@ -278,6 +292,7 @@ def superop_pipeline_fidelity(
     cb = c * np.exp(1j * eta1 * n)  # compensated reference, nominal labels
     G_a, G_b = pair_gram(K, alpha, beta, chi)
     G_nom = G_a * G_b
+    _squared_norm(c, G_nom)
     norm_bra = float(np.real(np.conj(cb) @ G_nom @ cb))
 
     G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)

@@ -1,4 +1,4 @@
-"""End-to-end protocol simulation along independent computational paths.
+"""End-to-end protocol simulation along one route, the blocked one.
 
 The interaction entangles the two held modes (a, b) with a weak coherent
 probe through cross-Kerr phases, then sends the probe through the synthesized
@@ -9,15 +9,14 @@ linear cascade acts on exact coherent labels per s and projector overlaps are
 evaluated in closed form.  No truncation anywhere except the (a, b) amplitude
 grid itself.
 
-Its test oracle is two truncated-Fock routes in ``tests/oracles.py``: the
-monolithic one simulates every mode literally through a gate layer (small
-instances only), and the displaced one runs the cascade with vacuum reference
-ports, displacing each arm by -i q gamma_j before detection.  Both check their
-dense size against DENSE_BYTES_LIMIT through ``_check_budget``.
-
-The operator path applies the per-detector polynomial operators
-(q^n/sqrt(n!)) (c - gamma_j)^n branch by branch and sums photon counts up to
-a cutoff; it converges to the network result as the cutoff grows.
+Its test oracles are three routes in ``tests/oracles.py``.  The monolithic
+one simulates every mode literally through a gate layer (small instances
+only), and the displaced one runs the cascade with vacuum reference ports,
+displacing each arm by -i q gamma_j before detection.  The operator path
+applies the per-detector polynomial operators (q^n/sqrt(n!)) (c - gamma_j)^n
+branch by branch and sums exact photon counts up to a cutoff; it converges
+to the network result as the cutoff grows.  All three check their dense size
+against DENSE_BYTES_LIMIT through ``_check_budget``.
 """
 
 from __future__ import annotations
@@ -36,19 +35,16 @@ from .design import (
     build_scheme,
     probe_affine,
 )
-from .errors import MemoryBudgetExceeded
+from .errors import DomainError, MemoryBudgetExceeded
 from .fock import (
     HERMITIAN_TILE,
     DensOp,
     FockVector,
     TruncationSpec,
     coherent_amplitudes,
-    fidelity,
     min_cutoff,
-    trace_distance,
 )
 
-DEFAULT_N_CUT = 3
 # dense-array budget of every route; bell-k1 (82.5 MB: its two operators, the
 # kernel and the check tiles) is the largest preset run
 DENSE_BYTES_LIMIT = 2**30
@@ -78,10 +74,12 @@ class ProtocolParams:
         if not 0 < self.chi <= np.pi:
             raise ValueError(f"chi must lie in (0, pi], got {self.chi}")
         if abs(self.gamma) ** 2 > 0.5:
+            # past the generated __init__ and make_protocol (or
+            # dataclasses.replace), to the line that asked for the protocol
             warnings.warn(
                 f"|gamma|^2 = {abs(self.gamma) ** 2:.3g} > 0.5; the weak-probe "
                 "expansions the scheme relies on degrade quickly",
-                stacklevel=2,
+                stacklevel=4,
             )
 
 
@@ -94,15 +92,6 @@ class OutcomeRecord:
     probability: float
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Cross-validation of the network and operator paths."""
-
-    trace_distance: float
-    residual: float
-    exponent: float
-
-
 def make_protocol(
     alpha,
     beta,
@@ -110,17 +99,16 @@ def make_protocol(
     chi,
     target: TargetCoefficients,
     delta: float = DEFAULT_DELTA,
-    n_max: int | None = None,
 ) -> ProtocolParams:
     """Bundle a full parameter set, synthesizing the scheme and the cutoff.
 
     The cutoff covers every coherent amplitude appearing in the network
     (held modes, probe, references, master) within fock.DEFAULT_TAIL_TOL, so
-    the same ProtocolParams can drive any of the simulation routes.
+    the same ProtocolParams can drive the blocked route and its truncated-Fock
+    oracles.  To run at another cutoff, replace ``trunc`` on the result
+    (``dataclasses.replace``).
     """
     scheme = build_scheme(target, gamma, delta=delta)
-    if n_max is None:
-        n_max = min_cutoff([alpha, beta, gamma, scheme.ref_net.master, *scheme.gtilde])
     return ProtocolParams(
         complex(alpha),
         complex(beta),
@@ -128,14 +116,20 @@ def make_protocol(
         float(chi),
         target,
         scheme,
-        TruncationSpec(n_max),
+        TruncationSpec(
+            min_cutoff([alpha, beta, gamma, scheme.ref_net.master, *scheme.gtilde])
+        ),
     )
 
 
 def analytic_target_state(
     target: TargetCoefficients, alpha, beta, chi, trunc: TruncationSpec | None = None
 ) -> FockVector:
-    """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> on modes (a, b)."""
+    """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> on modes (a, b).
+
+    Raises DomainError when that sum has no finite, positive squared norm
+    (c sums to zero at alpha = beta = 0, say): there is no state to normalize.
+    """
     if trunc is None:
         trunc = TruncationSpec(min_cutoff([alpha, beta]))
     amp = np.zeros((trunc.dim, trunc.dim), dtype=complex)
@@ -147,7 +141,10 @@ def analytic_target_state(
             beta * np.exp(1j * chi * n), trunc.n_max, trunc.tail_tol
         )
         amp += cn * np.outer(qa, qb)
-    return FockVector(("a", "b"), amp / np.linalg.norm(amp), trunc)
+    norm = np.linalg.norm(amp)
+    if not 0 < norm < np.inf:
+        raise DomainError(f"the target state has squared norm {norm**2:.3g}")
+    return FockVector(("a", "b"), amp / norm, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +169,14 @@ def _branch_labels(params: ProtocolParams):
 def _pattern_kernel(arms, probe, pattern):
     """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
 
-    Per arm, False is the silent projector |0><0|, True the exact click
-    complement 1 - |0><0|, and a range of photon counts (all >= 1) sums the
-    count projectors |n><n| over it term by term (operator path).
+    Per arm, False is the silent projector |0><0| and True the exact click
+    complement 1 - |0><0|.
     """
     w = _coh_overlap(probe[None, :], probe[:, None])
-    for d, arm in zip(arms, pattern):
+    for d, clicked in zip(arms, pattern):
         bra, ket = d[None, :], d[:, None]
         vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
-        if isinstance(arm, range):
-            x = np.conj(bra) * ket
-            acc = np.zeros_like(x)
-            term = np.ones_like(x)
-            for n in range(1, arm.stop):
-                term = term * x / n
-                if n in arm:
-                    acc = acc + term
-            w = w * (acc * vac)
-        elif arm:
-            w = w * (_coh_overlap(bra, ket) - vac)
-        else:
-            w = w * vac
+        w = w * (_coh_overlap(bra, ket) - vac if clicked else vac)
     return w
 
 
@@ -210,22 +194,18 @@ def _assemble_rho(params: ProtocolParams, kernel) -> DensOp:
     return DensOp(("a", "b"), rho, params.trunc)
 
 
-def _normalize_fresh(rho: DensOp) -> DensOp:
-    """rho scaled to unit trace, or rho itself when its trace is negligible.
+def _record(pattern, rho: DensOp) -> OutcomeRecord:
+    """The outcome of one pattern: rho's trace is its probability, and rho is
+    scaled to unit trace unless that trace is negligible.
 
     The scaling is done in place: only for an operator just built by the
     caller, which nothing else holds yet.
     """
     p = rho.trace()
-    if p <= P_NEGLIGIBLE:
-        return rho
-    np.divide(rho.matrix, p, out=rho.matrix)
-    return DensOp(rho.modes, rho.matrix, rho.trunc)
-
-
-def _record(pattern, rho: DensOp) -> OutcomeRecord:
-    p = rho.trace()
-    return OutcomeRecord(tuple(pattern), _normalize_fresh(rho), float(p))
+    if p > P_NEGLIGIBLE:
+        np.divide(rho.matrix, p, out=rho.matrix)
+        rho = DensOp(rho.modes, rho.matrix, rho.trunc)
+    return OutcomeRecord(tuple(pattern), rho, float(p))
 
 
 def _dense_bytes(params: ProtocolParams, n: int) -> int:
@@ -246,22 +226,15 @@ def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
         )
 
 
-def _pattern_rho(params: ProtocolParams, pattern) -> DensOp:
-    """Unnormalized heralded rho for one per-arm pattern of _pattern_kernel;
-    MemoryBudgetExceeded, before any allocation, past DENSE_BYTES_LIMIT."""
-    _check_budget(params, "one pattern", _dense_bytes(params, 1))
-    arms, probe = _branch_labels(params)
-    return _assemble_rho(params, _pattern_kernel(arms, probe, pattern))
-
-
 def run_full_protocol(params: ProtocolParams):
     """All 2^K click-pattern outcomes with heralded states and probabilities,
     along the blocked route; MemoryBudgetExceeded, before any allocation,
     past DENSE_BYTES_LIMIT."""
     K = params.scheme.K
     _check_budget(params, "blocked route", _dense_bytes(params, 2**K))
+    arms, probe = _branch_labels(params)
     return [
-        _record(pattern, _pattern_rho(params, pattern))
+        _record(pattern, _assemble_rho(params, _pattern_kernel(arms, probe, pattern)))
         for pattern in itertools.product((True, False), repeat=K)
     ]
 
@@ -271,64 +244,6 @@ def all_click_record(records) -> OutcomeRecord:
         if all(r.pattern):
             return r
     raise ValueError("no all-click record present")
-
-
-# ---------------------------------------------------------------------------
-# operator path
-
-
-def operator_path_final_state(params: ProtocolParams, counts) -> DensOp:
-    """Heralded state for exact per-detector photon counts n_1..n_K (all >= 1).
-
-    Branch by branch, detector j contributes the polynomial-operator amplitude
-    (q^{n_j}/sqrt(n_j!)) (z_s - gamma_j)^{n_j} times the arm vacuum weight;
-    the leftover probe is traced out through coherent overlaps.  Normalized.
-    """
-    counts = tuple(int(n) for n in counts)
-    if len(counts) != params.scheme.K or any(n < 1 for n in counts):
-        raise ValueError(f"need K={params.scheme.K} counts, all >= 1, got {counts}")
-    return _normalize_fresh(_pattern_rho(params, [range(n, n + 1) for n in counts]))
-
-
-def operator_path_pattern(
-    params: ProtocolParams, pattern, n_cut: int = DEFAULT_N_CUT
-) -> DensOp:
-    """Unnormalized pattern state from count sums 1..n_cut on clicked arms."""
-    return _pattern_rho(
-        params, [range(1, n_cut + 1) if clicked else False for clicked in pattern]
-    )
-
-
-def oracle_equivalence(params: ProtocolParams) -> EquivalenceReport:
-    """Compare the network and operator paths on the all-click outcome.
-
-    trace_distance: network vs operator-path heralded state (count sums up
-    to DEFAULT_N_CUT).
-    residual: infidelity of the network state against the analytic target.
-    exponent: two-point |gamma| scaling of the residual (expected ~ 2).
-    """
-    full = tuple([True] * params.scheme.K)
-    net = all_click_record(run_full_protocol(params)).state
-    op = operator_path_pattern(params, full)
-    td = trace_distance(net, op)
-
-    def residual_at(p, state):
-        tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, p.trunc)
-        return 1.0 - fidelity(state, tgt)
-
-    r1 = residual_at(params, net)
-    half = make_protocol(
-        params.alpha,
-        params.beta,
-        params.gamma / 2,
-        params.chi,
-        params.target,
-        delta=params.scheme.delta,
-        n_max=params.trunc.n_max,
-    )
-    r2 = residual_at(half, all_click_record(run_full_protocol(half)).state)
-    exponent = float(np.log2(r1 / r2)) if r2 > 0 else float("nan")
-    return EquivalenceReport(float(td), float(r1), exponent)
 
 
 def dominant_eigenstate(rho: DensOp):

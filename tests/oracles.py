@@ -17,22 +17,29 @@ it, and nothing in ``src/`` imports it:
 * a bare probe through the synthesized splitter chain in truncated Fock
   space (``probe_cascade``), and the full (theta', phi) arrays of the
   reference cascade, which the tests drive through the beamsplitter gate;
+* the operator path (``operator_path_state``): the per-detector polynomial
+  operators (q^n/sqrt(n!)) (c - gamma_j)^n applied branch by branch and
+  summed over exact photon counts, written without the blocked route's
+  branch labels, kernel or assembly;
 * whole-matrix forms of two dense steps the library does tile by tile or
   through a strided view: ``DensOp``'s Hermiticity test
   (``hermitian_at_once``) and the heralded-operator assembly of
-  ``protocol._assemble_rho`` as an index gather (``gathered_rho``).
+  ``protocol._assemble_rho`` as an index gather (``gathered_rho``);
+* the trace distance between two density operators.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import warnings
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import factorial
 
-from kerrlink.design import RefNet, TargetCoefficients, semi_success_coeffs
+from kerrlink.design import RefNet, TargetCoefficients, probe_affine, semi_success_coeffs
 from kerrlink.entangle import pair_gram
 from kerrlink.errors import KerrlinkError, UnknownMode
 from kerrlink.fock import (
@@ -41,6 +48,7 @@ from kerrlink.fock import (
     TruncationSpec,
     _check_same,
     coherent_amplitudes,
+    fidelity,
     min_cutoff,
 )
 from kerrlink.noise import _poisson_weights
@@ -48,7 +56,10 @@ from kerrlink.protocol import (
     ProtocolParams,
     _check_budget,
     _record,
+    all_click_record,
     analytic_target_state,
+    make_protocol,
+    run_full_protocol,
 )
 
 
@@ -228,6 +239,13 @@ def inner(a: FockVector, b: FockVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def trace_distance(rho: DensOp, sigma: DensOp) -> float:
+    """Half the trace norm of the difference of the normalized operators."""
+    _check_same(rho, sigma)
+    diff = rho.matrix / rho.trace() - sigma.matrix / sigma.trace()
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
 # ---------------------------------------------------------------------------
 # whole-matrix dense steps
 
@@ -289,6 +307,53 @@ def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
         rho = reduce_to_density(proj, ("a", "b"))
         out.append(_record(pattern, rho))
     return out
+
+
+def operator_path_state(params: ProtocolParams, counts) -> DensOp:
+    """Unnormalized heralded state for per-arm lists of exact photon counts.
+
+    Held-mode branch s = n_a + n_b leaves the probe in |z_s>, z_s =
+    gamma e^{i chi s}, and arm j in |d_s>, d_s = i q (z_s - gamma_j).
+    Counting n photons there gives the polynomial-operator amplitude
+    A_n(s) = e^{-|d_s|^2/2} d_s^n / sqrt(n!), and arm j contributes
+    sum_n conj(A_n(c)) A_n(r) over its counts[j] (``(0,)`` is a silent
+    arm).  The end probe mu z_s + nu is traced out through its coherent
+    overlaps.  Checks its dense size against DENSE_BYTES_LIMIT first.
+    """
+    n_max, dim = params.trunc.n_max, params.trunc.dim
+    # the kernel, then gathered_rho's outer product, gather and their product
+    _check_budget(params, "operator path", 16 * ((2 * n_max + 1) ** 2 + 3 * dim**4))
+    z = params.gamma * np.exp(1j * params.chi * np.arange(2 * n_max + 1))
+    mu, nu = probe_affine(params.scheme)
+    p = mu * z + nu
+    kernel = np.exp(np.conj(p) * p[:, None] - 0.5 * (abs(p) ** 2 + abs(p[:, None]) ** 2))
+    for g, arm in zip(params.scheme.roots.expanded(), counts):
+        d = 1j * params.scheme.q * (z - g)
+        n = np.asarray(arm)[:, None]
+        amp = np.exp(-0.5 * abs(d) ** 2) * d**n / np.sqrt(factorial(n))  # [count, s]
+        kernel = kernel * (amp.T @ amp.conj())
+    return DensOp(("a", "b"), gathered_rho(params, kernel), params.trunc)
+
+
+def equivalence_report(params: ProtocolParams):
+    """(trace distance, residual, exponent) of the all-click outcome.
+
+    trace distance: the blocked route against the operator path with counts
+    1..3 on every arm.  residual: the blocked state's infidelity against
+    the analytic target.  exponent: the two-point |gamma| scaling of the
+    residual (expected ~ 2), against a run at gamma/2 on the same cutoff.
+    """
+    def all_click(p):
+        state = all_click_record(run_full_protocol(p)).state
+        tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, p.trunc)
+        return state, 1.0 - fidelity(state, tgt)
+
+    net, r1 = all_click(params)
+    op = operator_path_state(params, [range(1, 4)] * params.scheme.K)
+    half = make_protocol(params.alpha, params.beta, params.gamma / 2, params.chi,
+                         params.target, delta=params.scheme.delta)
+    _, r2 = all_click(dataclasses.replace(half, trunc=params.trunc))
+    return trace_distance(net, op), r1, float(np.log2(r1 / r2))
 
 
 def build_target_by_elimination(params: ProtocolParams) -> FockVector:

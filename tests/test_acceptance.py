@@ -5,6 +5,7 @@ line (visible with -s) with the measured numbers.  Tolerances and runtime
 caps are asserted, not just reported.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from kerrlink.entangle import (
     pair_gram,
     schmidt_entropy,
 )
-from kerrlink.fock import coherent_amplitudes, fidelity
+from kerrlink.fock import TruncationSpec, coherent_amplitudes, fidelity
 from kerrlink.noise import (
     NoiseParams,
     attenuation_db,
@@ -40,10 +41,9 @@ from kerrlink.protocol import (
     analytic_target_state,
     dominant_eigenstate,
     make_protocol,
-    oracle_equivalence,
     run_full_protocol,
 )
-from oracles import probe_cascade, project_click
+from oracles import equivalence_report, probe_cascade, project_click
 
 
 def test_criterion_01_bell_generation():
@@ -114,9 +114,9 @@ def test_criterion_04_oracle_equivalence():
     for name in ("bell-k1", "maxent-k2-low"):
         p = get_preset(name)
         prot = make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
-        rep = oracle_equivalence(prot)
-        assert rep.trace_distance <= 1e-5, f"{name}: td = {rep.trace_distance}"
-        assert 1.7 <= rep.exponent <= 2.3, f"{name}: exponent = {rep.exponent}"
+        td, _, exponent = equivalence_report(prot)
+        assert td <= 1e-5, f"{name}: td = {td}"
+        assert 1.7 <= exponent <= 2.3, f"{name}: exponent = {exponent}"
     dt = time.perf_counter() - t0
     assert dt <= 60.0, f"runtime {dt:.1f} s"
     print(f"criterion 4: PASS (td <= 1e-5, exponents in [1.7, 2.3], {dt:.1f} s)")
@@ -188,10 +188,11 @@ def test_criterion_07_success_probability():
         for g2 in (0.0025, 0.01, 0.04):
             gamma = math.sqrt(g2)
             # the blocked method treats probe and references analytically, so
-            # the cutoff only has to cover the held modes; the auto rule would
-            # chase the reference beams into huge dimensions at gamma = 0.2
-            prot = make_protocol(
-                p.alpha, p.beta, gamma, p.chi, p.target, delta=p.delta, n_max=40
+            # the cutoff only has to cover the held modes; the auto rule
+            # chases the reference beams into huge dimensions at gamma = 0.2
+            prot = dataclasses.replace(
+                make_protocol(p.alpha, p.beta, gamma, p.chi, p.target, delta=p.delta),
+                trunc=TruncationSpec(40),
             )
             G_a, G_b = pair_gram(p.target.K, p.alpha, p.beta, p.chi)
             c = p.target.c

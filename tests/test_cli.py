@@ -95,7 +95,8 @@ NONFINITE_ARGV = [
 # finite values that still make no configuration, each with its message: an
 # attenuation past float range (10^(dB/10) overflows beyond ~3083 dB) or below
 # zero (a gain), a vanishing mode amplitude, a fidelity target outside (0, 1),
-# a distinguishability x <= 0, and a --K list with a repeat or a value below 1
+# a distinguishability x <= 0, a --K list with a repeat or a value below 1,
+# and a simulate target whose state vanishes (1 - 1 at alpha = beta = 0)
 INVALID_CONFIG_ARGV = [
     (["feasibility", "--db-grid", "4000"], "attenuation 4000 dB is beyond float range"),
     (["feasibility", "--fixed-db", "4000"], "attenuation 4000 dB is beyond float range"),
@@ -112,6 +113,8 @@ INVALID_CONFIG_ARGV = [
     (["entangle-scan", "--x-grid", "1", "--K", "0"], "--K values must be >= 1, got 0"),
     (["feasibility", "--K", "1,1", "--db-grid", "1"], "--K values must be distinct, got 1,1"),
     (["feasibility", "--K", "0"], "--K values must be >= 1, got 0"),
+    (["simulate", "--coeffs", "1,-1", "--alpha", "0", "--gamma", "0.1", "--chi", "0.5"],
+     "the target state has squared norm 0"),
 ]
 
 
@@ -125,6 +128,15 @@ class TestInvalidConfiguration:
         assert captured.err == f"invalid configuration: {message}\n", captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_vanishing_target_stops_before_the_dense_route(self, monkeypatch, tmp_path):
+        def unreachable(params):
+            raise AssertionError("run_full_protocol ran")
+
+        monkeypatch.setattr(cli, "run_full_protocol", unreachable)
+        argv = ["simulate", "--coeffs", "1,-1", "--alpha", "0", "--gamma", "0.1",
+                "--chi", "0.5", "--out", str(tmp_path / "artifact")]
+        assert cli.main(argv) == 2
 
 
 class TestNonFiniteInput:
@@ -183,10 +195,9 @@ PUBLIC_NAMES = [
     "darkcount_loss_limit", "design", "dominant_eigenstate", "entangle",
     "entropy_of_coefficients", "errors", "feasibility_check", "fidelity",
     "fidelity_leading_order", "fock", "get_preset", "make_protocol",
-    "min_cutoff", "noise", "operator_path_final_state", "optimize_coefficients",
-    "oracle_equivalence", "practical_cutoff_db", "presets", "protocol",
-    "run_full_protocol", "schmidt_entropy", "semi_success_coeffs", "solve_roots",
-    "success_probability", "superop_pipeline_fidelity", "to_json", "trace_distance",
+    "min_cutoff", "noise", "optimize_coefficients", "practical_cutoff_db", "presets",
+    "protocol", "run_full_protocol", "schmidt_entropy", "semi_success_coeffs",
+    "solve_roots", "success_probability", "superop_pipeline_fidelity", "to_json",
     "transmittances",
 ]
 
@@ -195,7 +206,7 @@ class TestPublicNames:
     def test_public_names_are_pinned(self):
         names = [n for n in dir(kerrlink) if not n.startswith("_")]
         assert names == sorted(PUBLIC_NAMES)
-        assert len(names) == 59
+        assert len(names) == 56
 
 
 class TestFlagSets:

@@ -16,7 +16,6 @@ from kerrlink.fock import (
     coherent_tail,
     fidelity,
     min_cutoff,
-    trace_distance,
 )
 from oracles import (
     TruncationOverflow,
@@ -30,6 +29,7 @@ from oracles import (
     product_state,
     project_click,
     reduce_to_density,
+    trace_distance,
 )
 
 

@@ -558,6 +558,18 @@ class TestPipeline:
         assert abs(got - want) < 1e-9, f"pipeline {got} vs full Poisson mixture {want}"
 
 
+class TestVanishingTarget:
+    @pytest.mark.parametrize("budget", [fidelity_leading_order, superop_pipeline_fidelity])
+    def test_zero_norm_target_raises(self, budget):
+        # 1 - 1 at alpha = beta = 0: every coherent pair is the vacuum, so the
+        # target state is zero and has no fidelity to report
+        t = TargetCoefficients(np.array([1.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared norm 0"):
+                budget(t, NoiseParams(), 0.0, 0.0, 0.1, 0.5)
+
+
 class TestSuccessProbability:
     def test_k1_example(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))

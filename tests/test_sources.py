@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "kerrlink"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kerrlink"
+# the names by which library code could import the test tree
+TEST_MODULES = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
 
 
 def unread_parameters(source):
@@ -24,6 +27,38 @@ def unread_parameters(source):
         out += [(fn.lineno, fn.name, p) for p in params
                 if p not in read and p not in ("self", "cls")]
     return out
+
+
+def imports_from_tests(source):
+    """(line, module) for every import of a module of the test tree
+    (``oracles``, a test file, or the ``tests`` package)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n.split(".")[0] in TEST_MODULES]
+    return out
+
+
+class TestNoTestImports:
+    def test_library_imports_nothing_from_the_test_tree(self):
+        found = {path.name: imports_from_tests(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+        assert found and not any(found.values()), found
+
+    def test_rule_flags_a_test_import(self):
+        source = (
+            "import numpy as np\nfrom .fock import DensOp\n"
+            "from oracles import x\nimport tests.oracles\n"
+            "def f():\n    import test_cli\n"
+        )
+        assert imports_from_tests(source) == [
+            (3, "oracles"), (4, "tests.oracles"), (6, "test_cli")
+        ]
 
 
 class TestEveryParameterIsRead:
