@@ -4,12 +4,15 @@ States of the form sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> live in a
 (K+1)-dimensional span of nonorthogonal coherent vectors.  The reduced-state
 spectrum is computed directly in that span through the Gram matrices, with no
 Fock truncation; the truncated-Fock reduction in ``tests/oracles.py`` serves
-as its oracle.
+as its oracle.  Each per-mode Gram, and its square root when an entropy asks
+for one, is built once per (K, |z|^2, chi) and shared read-only, so an
+optimizer run or a noise budget that revisits a key builds nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +36,34 @@ def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
     return np.exp(z2 * (np.exp(1j * ph) - 1))
 
 
+@lru_cache(maxsize=256)
+def _mode_gram(K: int, z2: float, chi: float) -> np.ndarray:
+    """Read-only Gram of {|z e^{i chi n}>}, n=0..K, for |z|^2 = z2; memoized."""
+    th = chi * np.arange(K + 1)
+    G = _rot_gram(z2, th, th)
+    G.flags.writeable = False
+    return G
+
+
+@lru_cache(maxsize=256)
+def _gram_root(K: int, z2: float, chi: float) -> np.ndarray:
+    """Read-only square root of _mode_gram(K, z2, chi), its eigenvalues below
+    EIG_FLOOR set to 0; memoized, and built only when an entropy asks."""
+    w, v = np.linalg.eigh(_mode_gram(K, z2, chi))
+    w = np.where(w > EIG_FLOOR, w, 0.0)
+    s = (v * np.sqrt(w)) @ v.conj().T
+    s.flags.writeable = False
+    return s
+
+
 def pair_gram(K: int, alpha, beta, chi):
     """(G_a, G_b): Grams of {|alpha e^{i chi n}>} and {|beta e^{i chi n}>}, n=0..K.
 
-    Their elementwise product is the Gram of the K+1 coherent pairs.
+    Their elementwise product is the Gram of the K+1 coherent pairs.  Both
+    are shared, read-only arrays.
     """
-    th = chi * np.arange(K + 1)
-    return _rot_gram(abs(alpha) ** 2, th, th), _rot_gram(abs(beta) ** 2, th, th)
+    return (_mode_gram(K, float(abs(alpha) ** 2), float(chi)),
+            _mode_gram(K, float(abs(beta) ** 2), float(chi)))
 
 
 def _bits(lam) -> float:
@@ -60,9 +84,7 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     G_a, G_b = pair_gram(K, alpha, beta, chi)
     norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
     X = np.outer(c, np.conj(c)) * G_b.T
-    w, v = np.linalg.eigh(G_a)
-    w = np.where(w > EIG_FLOOR, w, 0.0)
-    s = (v * np.sqrt(w)) @ v.conj().T
+    s = _gram_root(K, float(abs(alpha) ** 2), float(chi))
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
     lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
     return EntanglementReport(_bits(lam), lam)

@@ -54,7 +54,8 @@ DENSE_BYTES_LIMIT = 2**30
 # LAPACK 4.4 ms, ARPACK 1.4 ms)
 EIGSH_MIN_ROWS = 128
 # a heralded probability at or below this is taken as zero: its state is left
-# unnormalized and the CLI reports no metrics for it
+# unnormalized and the CLI reports no metrics for it.  A target state whose
+# squared norm is at or below this share of sum |c_n|^2 is taken as vanishing.
 P_NEGLIGIBLE = 1e-30
 
 
@@ -127,8 +128,10 @@ def analytic_target_state(
 ) -> FockVector:
     """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> on modes (a, b).
 
-    Raises DomainError when that sum has no finite, positive squared norm
-    (c sums to zero at alpha = beta = 0, say): there is no state to normalize.
+    Raises DomainError when that sum has no finite squared norm above
+    P_NEGLIGIBLE sum |c_n|^2 (c sums to zero at alpha = beta = 0, say, or
+    coefficients that label one coherent pair cancel at chi = pi): there is
+    no state to normalize, only round-off.
     """
     if trunc is None:
         trunc = TruncationSpec(min_cutoff([alpha, beta]))
@@ -142,7 +145,7 @@ def analytic_target_state(
         )
         amp += cn * np.outer(qa, qb)
     norm = np.linalg.norm(amp)
-    if not 0 < norm < np.inf:
+    if not P_NEGLIGIBLE * np.sum(np.abs(target.c) ** 2) < norm**2 < np.inf:
         raise DomainError(f"the target state has squared norm {norm**2:.3g}")
     return FockVector(("a", "b"), amp / norm, trunc)
 

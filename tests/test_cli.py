@@ -129,6 +129,19 @@ class TestInvalidConfiguration:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_round_off_target_exits_2_without_artifact(self, tmp_path, capsys):
+        # at chi = pi, c_0 and c_2 label one coherent pair and cancel: the
+        # target's squared norm is round-off (~1e-32), not a state
+        out = tmp_path / "artifact"
+        argv = ["simulate", "--coeffs", "1,0,-1", "--alpha", "0.5", "--gamma", "0.1",
+                "--chi", "3.141592653589793", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "invalid configuration: the target state has squared norm "), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_vanishing_target_stops_before_the_dense_route(self, monkeypatch, tmp_path):
         def unreachable(params):
             raise AssertionError("run_full_protocol ran")
@@ -272,6 +285,16 @@ class TestLibraryWithoutTests:
         for argv in (["-c", imports],
                      ["-m", "kerrlink", "simulate", "--preset", "photon-correlated:2,2"]):
             self.run_src_only(argv, tmp_path)
+
+    def test_start_builds_no_gram(self, tmp_path):
+        """Importing the CLI leaves the Gram memos empty."""
+        code = (
+            "import kerrlink.cli\n"
+            "from kerrlink import entangle\n"
+            "for memo in (entangle._mode_gram, entangle._gram_root):\n"
+            "    assert memo.cache_info().currsize == 0, memo.cache_info()\n"
+        )
+        self.run_src_only(["-c", code], tmp_path)
 
     @pytest.mark.parametrize("run", [
         "kerrlink.cli.build_parser()",

@@ -150,6 +150,55 @@ class TestEntropy:
         assert rep.E <= 2.0 + 1e-9
 
 
+def scratch_entropy(c, alpha, beta, chi):
+    """(E, schmidt) from scratch: both Grams and the eigh of G_a rebuilt on
+    every call, each float operation in the memoized objective's order."""
+    c = np.asarray(c, dtype=complex)
+    th = chi * np.arange(len(c))
+    G_a = entangle._rot_gram(abs(alpha) ** 2, th, th)
+    G_b = entangle._rot_gram(abs(beta) ** 2, th, th)
+    norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
+    X = np.outer(c, np.conj(c)) * G_b.T
+    w, v = np.linalg.eigh(G_a)
+    w = np.where(w > entangle.EIG_FLOOR, w, 0.0)
+    s = (v * np.sqrt(w)) @ v.conj().T
+    lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
+    lam = np.sort(lam[lam > entangle.EIG_FLOOR])[::-1]
+    return entangle._bits(lam), lam
+
+
+class TestGramMemo:
+    def test_bit_identical_to_scratch_cold_and_warm(self):
+        alpha, beta = 1.3, 0.7 - 0.4j
+        rng = np.random.default_rng(5)
+        keys = [(K, np.sqrt(x) / abs(alpha)) for x in (1e-4, 1.0, 100.0)
+                for K in (1, 2, 3)]
+        entangle._mode_gram.cache_clear()
+        entangle._gram_root.cache_clear()
+        # each key cold, then warm twice in reverse order, every visit with a
+        # fresh c, so that visits to different keys interleave
+        visits = [(K, chi, "cold") for K, chi in keys]
+        visits += [(K, chi, "warm") for K, chi in reversed(keys)] * 2
+        for K, chi, state in visits:
+            before = entangle._gram_root.cache_info()
+            c = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+            rep = entropy_of_coefficients(c, alpha, beta, chi)
+            after = entangle._gram_root.cache_info()
+            assert (after.misses - before.misses) == (state == "cold")
+            E, lam = scratch_entropy(c, alpha, beta, chi)
+            assert rep.E == E, (K, chi)
+            assert np.array_equal(rep.schmidt, lam), (K, chi)
+
+    def test_shared_arrays_are_read_only(self):
+        G_a, G_b = pair_gram(2, 1.1, 0.6, 0.3)
+        for G in (G_a, G_b, entangle._gram_root(2, abs(1.1) ** 2, 0.3)):
+            with pytest.raises(ValueError):
+                G[0, 1] = 0.0
+        assert pair_gram(2, -1.1, 0.6j, 0.3)[0] is G_a
+        th = 0.3 * np.arange(3)
+        assert np.array_equal(G_b, entangle._rot_gram(0.6**2, th, th))
+
+
 class TestOptimizer:
     def test_k1_recovers_closed_form(self):
         alpha = beta = np.sqrt(10)

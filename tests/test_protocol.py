@@ -223,6 +223,26 @@ class TestNearDegenerateRoots:
         assert np.allclose(out[1e-9], out[1e-6], rtol=1e-6, atol=0), out
 
 
+class TestStrongProbe:
+    """|gamma|^2 > 0.5 lies outside the weak-probe regime the scheme is
+    designed for: the protocol warns once, and its routes stay exact."""
+
+    @pytest.mark.parametrize("gamma", [0.8, 1.0])
+    def test_blocked_route_matches_displaced_oracle(self, gamma):
+        t = coeffs_from_photon_target(1, 1, 0.9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = make_protocol(0.5, 0.4, gamma, 0.9, t, delta=0.25)
+            fast = run_full_protocol(params)
+            disp = _run_fock_pipeline(params, displaced=True)
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        assert abs(sum(r.probability for r in fast) - 1.0) < 1e-12
+        for rf, rd in zip(fast, disp):
+            assert rf.pattern == rd.pattern
+            assert abs(rf.probability - rd.probability) < 1e-12
+            assert trace_distance(rf.state, rd.state) < 1e-12
+
+
 class TestAssembly:
     @pytest.mark.parametrize("pattern", [(True, False)], ids=["click"])
     def test_bit_identical_to_the_gathered_formula(self, pattern):
