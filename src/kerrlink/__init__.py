@@ -61,6 +61,7 @@ from .protocol import (
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
+    lift_to_modes,
     make_protocol,
     run_full_protocol,
 )

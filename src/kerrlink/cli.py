@@ -22,8 +22,8 @@ target whose state vanishes, as coefficients summing to zero at alpha = beta
 = 0 do; no artifact is written), 3 scheme synthesis failure, 4
 truncation overflow (a coherent amplitude that does not fit the Fock
 cutoff), 5 optimizer non-convergence (rows still written, flagged in the
-flag column), 6 dense simulation over the memory budget (checked before
-allocating).
+flag column), 6 simulation over the memory budget (its (2 n_max + 1)-row
+heralded operators, checked before allocating).
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .protocol import (
     P_NEGLIGIBLE,
     analytic_target_state,
     dominant_eigenstate,
+    lift_to_modes,
     make_protocol,
     run_full_protocol,
 )
@@ -202,7 +203,7 @@ def cmd_simulate(args) -> int:
             continue
         f_target = fidelity(rec.state, tgt)
         _, vec = dominant_eigenstate(rec.state)
-        ent = schmidt_entropy(vec)
+        ent = schmidt_entropy(lift_to_modes(vec, alpha, beta))
         missing = {j for j, b in enumerate(rec.pattern, start=1) if not b}
         own = analytic_target_state(
             semi_success_coeffs(prot.scheme.roots, missing),
@@ -218,6 +219,7 @@ def cmd_simulate(args) -> int:
         ("gamma", complex(gamma).real), ("chi", float(chi)),
         ("delta", float(delta)), ("K", target.K),
         ("n_max", prot.trunc.n_max),
+        ("truncated_mass", prot.truncated_mass),
         ("probability_sum", sum(r[1] for r in rows)),
     ]
     header = ("pattern", "probability", "fidelity_vs_target", "entanglement",

@@ -1,12 +1,15 @@
-"""Multimode bosonic states on a truncated Fock basis.
+"""States on a truncated Fock basis.
 
 States are dense complex arrays indexed by per-mode photon numbers, all modes
 sharing one cutoff ``n_max``: pure states (``FockVector``), density operators
 (``DensOp``), coherent amplitudes with their Poisson tail, and the fidelity
-against a pure state that the protocol reports.  Every operation returns a
-new value and nothing is mutated in place, so states can be shared freely
-across threads.  The one exception is ``protocol._record``: it scales an
-operator just built to unit trace, before anything else holds it.
+against a pure state that the protocol reports.  A "mode" here may also be
+a conserved total photon number: ``protocol`` keeps its heralded states over
+the single mode "s" = n_a + n_b with cutoff 2 n_max, so the same operators,
+fidelity and eigensolver serve a (2 n_max + 1)-row block.  Every operation
+returns a new value and nothing is mutated in place, so states can be shared
+freely across threads.  The one exception is ``protocol._record``: it scales
+an operator just built to unit trace, before anything else holds it.
 The literal gate layer (beamsplitter, cross-Kerr, displacement, click
 projection, partial trace) and the trace distance are test oracles and live
 in ``tests/oracles.py``.
@@ -23,6 +26,10 @@ from .errors import ShapeMismatch, TailTooHeavy, UnknownMode
 DEFAULT_TAIL_TOL = 1e-12
 # rows and columns per tile of DensOp's Hermiticity check (fastest measured)
 HERMITIAN_TILE = 128
+# a heralded probability at or below this is taken as zero: its state is left
+# unnormalized and the CLI reports no metrics for it.  A target state whose
+# squared norm is at or below this share of sum |c_n|^2 is taken as vanishing.
+P_NEGLIGIBLE = 1e-30
 
 
 def coherent_tail(z, n_max) -> float:

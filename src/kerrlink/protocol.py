@@ -1,4 +1,5 @@
-"""End-to-end protocol simulation along one route, the blocked one.
+"""End-to-end protocol simulation along one route, the blocked one, held in
+the total-photon-number basis.
 
 The interaction entangles the two held modes (a, b) with a weak coherent
 probe through cross-Kerr phases, then sends the probe through the synthesized
@@ -6,17 +7,28 @@ splitter chain where each arm meets its reference beam and a non-resolving
 detector.  ``run_full_protocol`` takes the blocked route: the total held-mode
 photon number s = n_a + n_b is conserved and tags the probe branch, so the
 linear cascade acts on exact coherent labels per s and projector overlaps are
-evaluated in closed form.  No truncation anywhere except the (a, b) amplitude
-grid itself.
+evaluated in closed form, as a kernel W[s, s'] per click pattern.
 
-Its test oracles are three routes in ``tests/oracles.py``.  The monolithic
-one simulates every mode literally through a gate layer (small instances
-only), and the displaced one runs the cascade with vacuum reference ports,
-displacing each arm by -i q gamma_j before detection.  The operator path
-applies the per-detector polynomial operators (q^n/sqrt(n!)) (c - gamma_j)^n
-branch by branch and sums exact photon counts up to a cutoff; it converges
-to the network result as the cutoff grows.  All three check their dense size
-against DENSE_BYTES_LIMIT through ``_check_budget``.
+The probe sees the held modes only through s, so every heralded state is
+rho = sum_{s, s'} W[s, s'] |v_s><v_s'|, with
+v_s = sum_{n_a + n_b = s} Q_{n_a}(alpha) Q_{n_b}(beta) |n_a, n_b>.  The v_s
+are orthogonal, also after truncating each mode at n_max, with squared norms
+N_s, so rho is exactly the matrix sqrt(N_s) W[s, s'] sqrt(N_s') over the
+orthonormal v_s / sqrt(N_s): a ``DensOp`` over the single mode "s" with
+cutoff 2 n_max.  Targets live in the same basis; ``lift_to_modes`` turns an
+s-vector back into (a, b) amplitudes.  No truncation anywhere except the
+(a, b) amplitude grid itself, and no operator on that grid is built.
+
+Its test oracles are three routes in ``tests/oracles.py``, each on the
+(a, b) grid, compared through a dense view of the block records.  The
+monolithic one simulates every mode literally through a gate layer (small
+instances only), and the displaced one runs the cascade with vacuum
+reference ports, displacing each arm by -i q gamma_j before detection.  The
+operator path applies the per-detector polynomial operators
+(q^n/sqrt(n!)) (c - gamma_j)^n branch by branch and sums exact photon counts
+up to a cutoff; it converges to the network result as the cutoff grows.  All
+three check their dense size against DENSE_BYTES_LIMIT through
+``_check_budget``.
 """
 
 from __future__ import annotations
@@ -24,9 +36,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import (
     DEFAULT_DELTA,
@@ -35,28 +47,26 @@ from .design import (
     build_scheme,
     probe_affine,
 )
-from .errors import DomainError, MemoryBudgetExceeded
+from .errors import DomainError, MemoryBudgetExceeded, ShapeMismatch
 from .fock import (
     HERMITIAN_TILE,
+    P_NEGLIGIBLE,
     DensOp,
     FockVector,
     TruncationSpec,
     coherent_amplitudes,
+    coherent_tail,
     min_cutoff,
 )
 
-# dense-array budget of every route; bell-k1 (82.5 MB: its two operators, the
-# kernel and the check tiles) is the largest preset run
+# dense-array budget of every route; bell-k1 (0.5 MB: its two 79 x 79
+# operators, the kernel and the check tiles) is the largest preset run
 DENSE_BYTES_LIMIT = 2**30
 # dominant_eigenstate asks ARPACK for the top eigenpair from this many rows
 # on, LAPACK below; measured on a 2-vCPU VM with one OpenBLAS thread, they
 # cross between 100 and 144 rows (81: LAPACK 0.4 ms, ARPACK 0.6 ms; 225:
 # LAPACK 4.4 ms, ARPACK 1.4 ms)
 EIGSH_MIN_ROWS = 128
-# a heralded probability at or below this is taken as zero: its state is left
-# unnormalized and the CLI reports no metrics for it.  A target state whose
-# squared norm is at or below this share of sum |c_n|^2 is taken as vanishing.
-P_NEGLIGIBLE = 1e-30
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,15 @@ class ProtocolParams:
     target: TargetCoefficients
     scheme: DetectionScheme
     trunc: TruncationSpec
+
+    @property
+    def truncated_mass(self) -> float:
+        """1 - sum_s N_s: the share of |alpha>|beta> beyond n_max in either
+        mode, from the two Poisson tails (the difference 1 - sum_s N_s
+        itself cancels to round-off once the tails are small)."""
+        ta = coherent_tail(self.alpha, self.trunc.n_max)
+        tb = coherent_tail(self.beta, self.trunc.n_max)
+        return ta + tb - ta * tb
 
     def __post_init__(self):
         if not 0 < self.chi <= np.pi:
@@ -86,7 +105,8 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """One click pattern with its heralded normalized state and probability."""
+    """One click pattern with its heralded normalized state and probability;
+    the state is a DensOp over the total photon number "s" (module docstring)."""
 
     pattern: tuple
     state: DensOp
@@ -123,11 +143,31 @@ def make_protocol(
     )
 
 
+def _s_trunc(trunc: TruncationSpec) -> TruncationSpec:
+    """Cutoff of s = n_a + n_b when each held mode is cut at trunc.n_max."""
+    return TruncationSpec(2 * trunc.n_max, trunc.tail_tol)
+
+
+@lru_cache(maxsize=64)
+def _held_block(alpha: complex, beta: complex, trunc: TruncationSpec):
+    """(Q_a, Q_b, N): the held modes' coherent amplitudes up to trunc.n_max and
+    N_s = <v_s|v_s> for s = 0 .. 2 n_max; read-only, built once per
+    (alpha, beta, trunc) and shared by the records, targets and lifts."""
+    qa = coherent_amplitudes(alpha, trunc.n_max, trunc.tail_tol)
+    qb = coherent_amplitudes(beta, trunc.n_max, trunc.tail_tol)
+    norms = np.convolve(np.abs(qa) ** 2, np.abs(qb) ** 2)
+    for a in (qa, qb, norms):
+        a.flags.writeable = False
+    return qa, qb, norms
+
+
 def analytic_target_state(
     target: TargetCoefficients, alpha, beta, chi, trunc: TruncationSpec | None = None
 ) -> FockVector:
-    """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> on modes (a, b).
+    """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> over "s".
 
+    On (a, b) that sum is sum_s p(s) v_s with p(s) = sum_n c_n e^{i chi n s},
+    so its s-vector is sqrt(N_s) p(s); ``trunc`` is the per-mode cutoff.
     Raises DomainError when that sum has no finite squared norm above
     P_NEGLIGIBLE sum |c_n|^2 (c sums to zero at alpha = beta = 0, say, or
     coefficients that label one coherent pair cancel at chi = pi): there is
@@ -135,19 +175,28 @@ def analytic_target_state(
     """
     if trunc is None:
         trunc = TruncationSpec(min_cutoff([alpha, beta]))
-    amp = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    for n, cn in enumerate(target.c):
-        qa = coherent_amplitudes(
-            alpha * np.exp(1j * chi * n), trunc.n_max, trunc.tail_tol
-        )
-        qb = coherent_amplitudes(
-            beta * np.exp(1j * chi * n), trunc.n_max, trunc.tail_tol
-        )
-        amp += cn * np.outer(qa, qb)
+    norms = _held_block(complex(alpha), complex(beta), trunc)[2]
+    s = np.arange(len(norms))
+    p = np.exp(1j * chi * np.outer(s, np.arange(target.K + 1))) @ target.c
+    amp = np.sqrt(norms) * p
     norm = np.linalg.norm(amp)
     if not P_NEGLIGIBLE * np.sum(np.abs(target.c) ** 2) < norm**2 < np.inf:
         raise DomainError(f"the target state has squared norm {norm**2:.3g}")
-    return FockVector(("a", "b"), amp / norm, trunc)
+    return FockVector(("s",), amp / norm, _s_trunc(trunc))
+
+
+def lift_to_modes(phi: FockVector, alpha, beta) -> FockVector:
+    """The (a, b) amplitudes Q_{n_a}(alpha) Q_{n_b}(beta) phi(s) / sqrt(N_s) of
+    an s-vector phi, s = n_a + n_b, with 0 wherever N_s = 0 (an s that no
+    (n_a, n_b) within the cutoff reaches with weight)."""
+    if phi.modes != ("s",):
+        raise ShapeMismatch(f"need a vector over ('s',), got {phi.modes}")
+    trunc = TruncationSpec(phi.trunc.n_max // 2, phi.trunc.tail_tol)
+    qa, qb, norms = _held_block(complex(alpha), complex(beta), trunc)
+    root = np.sqrt(norms)
+    per_s = np.divide(phi.amplitudes, root, out=np.zeros(len(root), complex), where=root > 0)
+    s_of = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
+    return FockVector(("a", "b"), np.outer(qa, qb) * per_s[s_of], trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +204,11 @@ def analytic_target_state(
 
 
 def _coh_overlap(bra, ket):
-    """<bra|ket> for coherent labels; broadcasts."""
-    return np.exp(np.conj(bra) * ket - 0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
+    """<bra|ket> for coherent labels; broadcasts.  Built in its output array:
+    besides it, one real temporary of its shape."""
+    out = np.conj(bra) * ket
+    out -= 0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2)
+    return np.exp(out, out=out)
 
 
 def _branch_labels(params: ProtocolParams):
@@ -173,28 +225,20 @@ def _pattern_kernel(arms, probe, pattern):
     """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
 
     Per arm, False is the silent projector |0><0| and True the exact click
-    complement 1 - |0><0|.
+    complement 1 - |0><0|.  W is updated in place, so that besides it at most
+    one complex and two real arrays of its shape are alive at once.
     """
     w = _coh_overlap(probe[None, :], probe[:, None])
     for d, clicked in zip(arms, pattern):
         bra, ket = d[None, :], d[:, None]
         vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
-        w = w * (_coh_overlap(bra, ket) - vac if clicked else vac)
+        if clicked:
+            factor = _coh_overlap(bra, ket)
+            factor -= vac
+            w *= factor
+        else:
+            w *= vac
     return w
-
-
-def _assemble_rho(params: ProtocolParams, kernel) -> DensOp:
-    """rho[(na, nb), (ma, mb)] = w[na, nb] conj(w[ma, mb]) kernel[na + nb, ma + mb]
-    with w the (a, b) coherent amplitudes, built in a single dim^4 array."""
-    d = params.trunc.dim
-    qa = coherent_amplitudes(params.alpha, params.trunc.n_max, params.trunc.tail_tol)
-    qb = coherent_amplitudes(params.beta, params.trunc.n_max, params.trunc.tail_tol)
-    w = np.outer(qa, qb).ravel()
-    rho = np.multiply.outer(w, np.conj(w))
-    blocks = rho.reshape(d, d, d, d)
-    # strided Hankel view, no copy: [na, nb, ma, mb] -> kernel[na + nb, ma + mb]
-    blocks *= sliding_window_view(kernel, (d, d)).transpose(0, 2, 1, 3)
-    return DensOp(("a", "b"), rho, params.trunc)
 
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
@@ -212,13 +256,13 @@ def _record(pattern, rho: DensOp) -> OutcomeRecord:
 
 
 def _dense_bytes(params: ProtocolParams, n: int) -> int:
-    """Peak dense bytes of n heralded two-mode operators built one by one: the
-    blocked kernel, the n normalized operators kept (each assembled in one
-    array and scaled in place), and the two tile-sized temporaries of
-    DensOp's Hermiticity check."""
-    dim = params.trunc.dim
-    tile = min(HERMITIAN_TILE, dim**2)
-    return 16 * ((2 * dim - 1) ** 2 + n * dim**4 + 2 * tile**2)
+    """Peak dense bytes of n heralded block operators built one by one, each
+    S x S with S = 2 n_max + 1: the n normalized operators kept (each scaled
+    in place), the kernel of the one in the making, and the two tile-sized
+    temporaries of DensOp's Hermiticity check."""
+    S = _s_trunc(params.trunc).dim
+    tile = min(HERMITIAN_TILE, S)
+    return 16 * ((n + 1) * S**2 + 2 * tile**2)
 
 
 def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
@@ -231,15 +275,20 @@ def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
 
 def run_full_protocol(params: ProtocolParams):
     """All 2^K click-pattern outcomes with heralded states and probabilities,
-    along the blocked route; MemoryBudgetExceeded, before any allocation,
-    past DENSE_BYTES_LIMIT."""
+    along the blocked route, each state over "s"; MemoryBudgetExceeded,
+    before any allocation, past DENSE_BYTES_LIMIT."""
     K = params.scheme.K
     _check_budget(params, "blocked route", _dense_bytes(params, 2**K))
     arms, probe = _branch_labels(params)
-    return [
-        _record(pattern, _assemble_rho(params, _pattern_kernel(arms, probe, pattern)))
-        for pattern in itertools.product((True, False), repeat=K)
-    ]
+    root = np.sqrt(_held_block(params.alpha, params.beta, params.trunc)[2])
+    trunc = _s_trunc(params.trunc)
+    out = []
+    for pattern in itertools.product((True, False), repeat=K):
+        rho = _pattern_kernel(arms, probe, pattern)
+        rho *= root[:, None]
+        rho *= root
+        out.append(_record(pattern, DensOp(("s",), rho, trunc)))
+    return out
 
 
 def all_click_record(records) -> OutcomeRecord:

@@ -21,10 +21,14 @@ it, and nothing in ``src/`` imports it:
   operators (q^n/sqrt(n!)) (c - gamma_j)^n applied branch by branch and
   summed over exact photon counts, written without the blocked route's
   branch labels, kernel or assembly;
-* whole-matrix forms of two dense steps the library does tile by tile or
-  through a strided view: ``DensOp``'s Hermiticity test
-  (``hermitian_at_once``) and the heralded-operator assembly of
-  ``protocol._assemble_rho`` as an index gather (``gathered_rho``);
+* the whole-matrix form of ``DensOp``'s Hermiticity test, which the
+  library does tile by tile (``hermitian_at_once``);
+* the dense (a, b) forms of what the library keeps over the total photon
+  number s = n_a + n_b: the heralded operator as an index gather over
+  s (``gathered_rho``), a block record's dense view built through it
+  (``dense_view``), the block norms N_s summed over the (a, b) grid
+  (``block_norms``), and the analytic target on the (a, b) grid
+  (``dense_target_state``);
 * the trace distance between two density operators.
 """
 
@@ -41,8 +45,9 @@ from scipy.special import factorial
 
 from kerrlink.design import RefNet, TargetCoefficients, probe_affine, semi_success_coeffs
 from kerrlink.entangle import pair_gram
-from kerrlink.errors import KerrlinkError, UnknownMode
+from kerrlink.errors import DomainError, KerrlinkError, UnknownMode
 from kerrlink.fock import (
+    P_NEGLIGIBLE,
     DensOp,
     FockVector,
     TruncationSpec,
@@ -247,7 +252,7 @@ def trace_distance(rho: DensOp, sigma: DensOp) -> float:
 
 
 # ---------------------------------------------------------------------------
-# whole-matrix dense steps
+# whole-matrix dense steps and the (a, b) forms of the block route
 
 
 def hermitian_gap_at_once(m):
@@ -269,6 +274,53 @@ def gathered_rho(params: ProtocolParams, kernel) -> np.ndarray:
     w = np.outer(qa, qb).ravel()
     s_of = np.add.outer(np.arange(d), np.arange(d)).ravel()
     return np.outer(w, np.conj(w)) * kernel[np.ix_(s_of, s_of)]
+
+
+def block_norms(params: ProtocolParams) -> np.ndarray:
+    """N_s = sum_{n_a + n_b = s} |Q_{n_a}(alpha) Q_{n_b}(beta)|^2, summed over
+    the (a, b) grid, for s = 0 .. 2 n_max."""
+    d = params.trunc.dim
+    qa = coherent_amplitudes(params.alpha, params.trunc.n_max, params.trunc.tail_tol)
+    qb = coherent_amplitudes(params.beta, params.trunc.n_max, params.trunc.tail_tol)
+    s_of = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    w2 = np.abs(np.outer(qa, qb).ravel()) ** 2
+    return np.bincount(s_of, weights=w2, minlength=2 * d - 1)
+
+
+def dense_view(params: ProtocolParams, rho: DensOp) -> DensOp:
+    """The (a, b) operator sum_{s, s'} rho[s, s'] |v_s><v_s'| / sqrt(N_s N_s')
+    of a block state over "s", built through ``gathered_rho`` (rows and
+    columns with N_s = 0 are left out, as the library's lift does)."""
+    if rho.modes != ("s",) or rho.trunc.n_max != 2 * params.trunc.n_max:
+        raise ValueError(f"not a block state of this protocol: {rho.modes}@{rho.trunc.n_max}")
+    _check_budget(params, "dense view", 16 * 3 * params.trunc.dim**4)
+    root = np.sqrt(block_norms(params))
+    inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    kernel = inv[:, None] * rho.matrix * inv
+    return DensOp(("a", "b"), gathered_rho(params, kernel), params.trunc)
+
+
+def dense_target_state(
+    target: TargetCoefficients, alpha, beta, chi, trunc: TruncationSpec | None = None
+) -> FockVector:
+    """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> on modes
+    (a, b), summed term by term on the truncated grid; DomainError, as
+    ``protocol.analytic_target_state`` raises, for a vanishing state."""
+    if trunc is None:
+        trunc = TruncationSpec(min_cutoff([alpha, beta]))
+    amp = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    for n, cn in enumerate(target.c):
+        qa = coherent_amplitudes(
+            alpha * np.exp(1j * chi * n), trunc.n_max, trunc.tail_tol
+        )
+        qb = coherent_amplitudes(
+            beta * np.exp(1j * chi * n), trunc.n_max, trunc.tail_tol
+        )
+        amp += cn * np.outer(qa, qb)
+    norm = np.linalg.norm(amp)
+    if not P_NEGLIGIBLE * np.sum(np.abs(target.c) ** 2) < norm**2 < np.inf:
+        raise DomainError(f"the target state has squared norm {norm**2:.3g}")
+    return FockVector(("a", "b"), amp / norm, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +405,7 @@ def equivalence_report(params: ProtocolParams):
     half = make_protocol(params.alpha, params.beta, params.gamma / 2, params.chi,
                          params.target, delta=params.scheme.delta)
     _, r2 = all_click(dataclasses.replace(half, trunc=params.trunc))
-    return trace_distance(net, op), r1, float(np.log2(r1 / r2))
+    return trace_distance(dense_view(params, net), op), r1, float(np.log2(r1 / r2))
 
 
 def build_target_by_elimination(params: ProtocolParams) -> FockVector:
@@ -434,7 +486,7 @@ def dark_count_mixture(
     ck2 = abs(c[-1]) ** 2 / float(np.real(np.conj(c) @ G @ c))
 
     def projector(t):
-        v = analytic_target_state(t, alpha, beta, chi, trunc).amplitudes.ravel()
+        v = dense_target_state(t, alpha, beta, chi, trunc).amplitudes.ravel()
         return np.outer(v, np.conj(v))
 
     mat = projector(target)

@@ -40,10 +40,11 @@ from kerrlink.protocol import (
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
+    lift_to_modes,
     make_protocol,
     run_full_protocol,
 )
-from oracles import equivalence_report, probe_cascade, project_click
+from oracles import dense_view, equivalence_report, probe_cascade, project_click
 
 
 def test_criterion_01_bell_generation():
@@ -55,7 +56,7 @@ def test_criterion_01_bell_generation():
     tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, prot.trunc)
     f = fidelity(rec.state, tgt)
     _, vec = dominant_eigenstate(rec.state)
-    e = schmidt_entropy(vec)
+    e = schmidt_entropy(lift_to_modes(vec, p.alpha, p.beta))
     dt = time.perf_counter() - t0
     assert abs(e - 1.0) <= 0.02, f"E = {e}"
     assert f >= 0.99, f"F = {f}"
@@ -168,7 +169,7 @@ def test_criterion_06_photon_correlated_target():
         amp[2, 0] = 1.0
         from kerrlink.fock import FockVector
 
-        return fidelity(rec.state, FockVector(("a", "b"), amp, prot.trunc))
+        return fidelity(dense_view(prot, rec.state), FockVector(("a", "b"), amp, prot.trunc))
 
     f10 = fock_fidelity(0.1)
     f05 = fock_fidelity(0.05)

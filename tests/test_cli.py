@@ -3,12 +3,14 @@ and the documented per-subcommand behaviors.  Everything runs in-process
 through cli.main so the suite stays fast."""
 
 import argparse
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from kerrlink.design import build_scheme, to_json
 from kerrlink.entangle import EntanglementReport
 from kerrlink.errors import NonConvergence, TailTooHeavy
 from kerrlink.presets import get_preset
+from oracles import gathered_rho
 
 
 def parse_csv(text):
@@ -207,7 +210,7 @@ PUBLIC_NAMES = [
     "build_scheme", "cli", "coeffs_from_photon_target", "coherent_amplitudes",
     "darkcount_loss_limit", "design", "dominant_eigenstate", "entangle",
     "entropy_of_coefficients", "errors", "feasibility_check", "fidelity",
-    "fidelity_leading_order", "fock", "get_preset", "make_protocol",
+    "fidelity_leading_order", "fock", "get_preset", "lift_to_modes", "make_protocol",
     "min_cutoff", "noise", "optimize_coefficients", "practical_cutoff_db", "presets",
     "protocol", "run_full_protocol", "schmidt_entropy", "semi_success_coeffs",
     "solve_roots", "success_probability", "superop_pipeline_fidelity", "to_json",
@@ -219,7 +222,7 @@ class TestPublicNames:
     def test_public_names_are_pinned(self):
         names = [n for n in dir(kerrlink) if not n.startswith("_")]
         assert names == sorted(PUBLIC_NAMES)
-        assert len(names) == 56
+        assert len(names) == 57
 
 
 class TestFlagSets:
@@ -324,6 +327,23 @@ class TestMemoryBudgetExit:
         assert rc == 6
         assert "memory budget" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_maxent_k2_high_exits_6_before_allocating(self, tmp_path, capsys):
+        # n_max 10711: the target over s and the amplitudes are vectors of
+        # ~2e4 entries, and the budget check stops the run before any
+        # 21423-row operator (7.3 GB) exists; the bound leaves room for a
+        # first import of scipy inside the call
+        out = tmp_path / "artifact.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--preset", "maxent-k2-high", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 6
+        assert "n_max 10711" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 100e6, f"traced peak {peak} B"
 
 
 # design's stdout for this target at gamma 0.1; the same as when design still
@@ -535,6 +555,26 @@ class TestArtifactConventions:
         for line in lines[n_echo + 1 :]:
             assert len(line.split(",")) == width, f"ragged row: {line}"
             assert ";" not in line
+
+    @pytest.mark.parametrize("preset", ["bell-k1", "photon-correlated:1,3"])
+    def test_simulate_echoes_the_truncated_mass(self, preset, tmp_path):
+        # 1 - sum_s N_s, the trace the (a, b) cutoff loses before heralding:
+        # the dense oracle's traces summed over every click pattern
+        p = get_preset(preset)
+        prot = protocol.make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target,
+                                      delta=p.delta)
+        arms, probe = protocol._branch_labels(prot)
+        lost = 1 - sum(
+            np.trace(gathered_rho(prot, protocol._pattern_kernel(arms, probe, pat))).real
+            for pat in itertools.product((True, False), repeat=p.K)
+        )
+        rc, (params, _, _) = run_csv(tmp_path, ["simulate", "--preset", preset])
+        assert rc == 0
+        assert abs(float(params["truncated_mass"]) - lost) < 1e-14, (params, lost)
+        out = tmp_path / "art.json"
+        assert cli.main(["simulate", "--preset", preset, "--format", "json",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["truncated_mass"] == params["truncated_mass"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "art.json"

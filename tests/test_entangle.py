@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kerrlink.entangle import (
     pair_gram,
     schmidt_entropy,
 )
+from kerrlink.errors import DomainError
 from kerrlink.fock import (
     FockVector,
     TruncationSpec,
@@ -305,3 +307,27 @@ class TestProductStateSign:
                         TruncationSpec(1))
         E = schmidt_entropy(st)
         assert E == 0.0 and math.copysign(1, E) == 1
+
+
+class TestVanishingTarget:
+    @pytest.mark.parametrize("c, alpha, chi", [
+        ([1.0, -1.0], 0.0, 0.5),  # both terms are the two-mode vacuum
+        ([1.0, 0.0, -1.0], 0.5, np.pi),  # c_0 and c_2 label one pair at chi = pi
+    ])
+    def test_raises_domain_error(self, c, alpha, chi):
+        with pytest.raises(DomainError, match="the target state has squared norm"):
+            entropy_of_coefficients(c, alpha, alpha, chi)
+
+    def test_objective_takes_a_vanishing_state_as_its_worst_value(self, monkeypatch):
+        # roots 1 and -1 give c = (-1, 0, 1) up to round-off, whose state
+        # vanishes at chi = pi; the search sees -E = 0 there, not an error
+        seen = []
+
+        def one_step(fun, x0, **options):
+            seen.append(fun(np.array([1.0, 1.0, 0.0, np.pi])))
+            return SimpleNamespace(x=x0, fun=fun(x0), success=True, nfev=2)
+
+        monkeypatch.setattr(entangle, "minimize", one_step)
+        rep = optimize_coefficients(2, 0.5, 0.5, np.pi, restarts=1)
+        assert seen == [0.0]
+        assert rep.E > 0

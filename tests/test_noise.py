@@ -31,8 +31,7 @@ from kerrlink.noise import (
     superop_pipeline_fidelity,
 )
 from kerrlink.presets import get_preset
-from kerrlink.protocol import analytic_target_state
-from oracles import apply_discrete_phase_channel, dark_count_mixture
+from oracles import apply_discrete_phase_channel, dark_count_mixture, dense_target_state
 
 
 def bell_target(a2, b2, chi):
@@ -76,7 +75,7 @@ def fock_pipeline_fidelity(target, noise, alpha, beta, gamma, chi):
     rho = DensOp(("a", "b"), mat, trunc)
     rho = apply_discrete_phase_channel(rho, noise.Lambda, gamma, chi_ac)
     cb = TargetCoefficients(c * np.exp(1j * eta1 * np.arange(K + 1)))
-    ref = analytic_target_state(cb, alpha, beta, chi, trunc).amplitudes.ravel()
+    ref = dense_target_state(cb, alpha, beta, chi, trunc).amplitudes.ravel()
     val = float(np.real(np.vdot(ref, rho.matrix @ ref)))
     return val / rho.trace()
 
@@ -174,7 +173,7 @@ class TestDiscretePhaseChannel:
             t = bell_target(a2, a2, chi)
             a = math.sqrt(a2)
             trunc = TruncationSpec(min_cutoff([a, a]))
-            psi = analytic_target_state(t, a, a, chi, trunc).amplitudes.ravel()
+            psi = dense_target_state(t, a, a, chi, trunc).amplitudes.ravel()
             rho = DensOp(("a", "b"), np.outer(psi, np.conj(psi)), trunc)
             s = 0.05
             out = apply_discrete_phase_channel(rho, s, 1.0, chi)
@@ -254,7 +253,7 @@ class TestDarkCounts:
         t = bell_target(10.0, 10.0, 0.2)
         roots = solve_roots(t, 0.3)
         rho = dark_count_mixture(t, roots, math.sqrt(10), math.sqrt(10), 0.2, 0.3, 0.5, 0.0)
-        psi = analytic_target_state(t, math.sqrt(10), math.sqrt(10), 0.2).amplitudes.ravel()
+        psi = dense_target_state(t, math.sqrt(10), math.sqrt(10), 0.2).amplitudes.ravel()
         assert abs(rho.trace() - 1.0) < 1e-10
         assert np.allclose(rho.matrix, np.outer(psi, np.conj(psi)), atol=1e-12)
 
@@ -278,7 +277,7 @@ class TestDarkCounts:
         rho = dark_count_mixture(
             t, roots, math.sqrt(a2), math.sqrt(a2), chi, math.sqrt(g2), lam, zeta
         )
-        psi = analytic_target_state(t, math.sqrt(a2), math.sqrt(a2), chi).amplitudes.ravel()
+        psi = dense_target_state(t, math.sqrt(a2), math.sqrt(a2), chi).amplitudes.ravel()
         f = float(np.real(np.vdot(psi, rho.matrix @ psi))) / rho.trace()
         tau = bell_gram_tau(a2, chi)
         w = zeta / (lam * g2)
@@ -294,7 +293,7 @@ class TestDarkCounts:
         budget's darkcount term, at equal intensities a2 in both modes."""
         a = math.sqrt(a2)
         rho = dark_count_mixture(t, solve_roots(t, gamma), a, a, chi, gamma, lam, zeta)
-        psi = analytic_target_state(t, a, a, chi, rho.trunc).amplitudes.ravel()
+        psi = dense_target_state(t, a, a, chi, rho.trunc).amplitudes.ravel()
         f = float(np.real(np.vdot(psi, rho.matrix @ psi))) / rho.trace()
         noise = NoiseParams(lambda_det=lam, zeta=zeta)
         return 1 - f, fidelity_leading_order(t, noise, a, a, gamma, chi).terms["darkcount"]

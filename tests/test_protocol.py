@@ -3,6 +3,7 @@ with the analytic constructions."""
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from kerrlink.design import (
     coeffs_from_photon_target,
     reference_amplitudes,
     reference_network,
+    semi_success_coeffs,
     solve_roots,
     transmittances,
 )
@@ -23,6 +25,7 @@ from kerrlink.entangle import pair_gram, schmidt_entropy
 from kerrlink.errors import DomainError, MemoryBudgetExceeded
 from kerrlink.fock import (
     HERMITIAN_TILE,
+    DensOp,
     FockVector,
     TruncationSpec,
     coherent_amplitudes,
@@ -33,13 +36,14 @@ from kerrlink.presets import get_preset
 from kerrlink.protocol import (
     DENSE_BYTES_LIMIT,
     EIGSH_MIN_ROWS,
-    _assemble_rho,
     _branch_labels,
     _dense_bytes,
+    _held_block,
     _pattern_kernel,
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
+    lift_to_modes,
     make_protocol,
     run_full_protocol,
 )
@@ -47,7 +51,10 @@ from oracles import (
     _run_fock_pipeline,
     apply_beamsplitter,
     apply_displacement,
+    block_norms,
     build_target_by_elimination,
+    dense_target_state,
+    dense_view,
     equivalence_report,
     gathered_rho,
     inner,
@@ -99,7 +106,7 @@ class TestParams:
 class TestAnalyticTarget:
     def test_single_coefficient_is_product(self):
         t = TargetCoefficients(np.array([1.0]))
-        st = analytic_target_state(t, 0.7, -0.3j, 0.5)
+        st = lift_to_modes(analytic_target_state(t, 0.7, -0.3j, 0.5), 0.7, -0.3j)
         trunc = st.trunc
         want = product_state(
             ("a", "b"),
@@ -116,7 +123,7 @@ class TestAnalyticTarget:
         # (|0 2> + sqrt(2) |1 1> + |2 0>)/2
         chi = 1.0
         t = coeffs_from_photon_target(2, 2, chi)
-        st = analytic_target_state(t, 0.1, 0.1, chi, TruncationSpec(6))
+        st = lift_to_modes(analytic_target_state(t, 0.1, 0.1, chi, TruncationSpec(6)), 0.1, 0.1)
         want = np.zeros((7, 7), dtype=complex)
         want[0, 2] = 0.5
         want[1, 1] = np.sqrt(2) / 2
@@ -139,7 +146,24 @@ class TestAnalyticTarget:
                 params.target, params.alpha, params.beta, params.chi, params.trunc
             )
             elim = build_target_by_elimination(params)
+            tgt = lift_to_modes(tgt, params.alpha, params.beta)
             assert abs(abs(inner(tgt, elim)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("c, alpha, beta, chi", [
+        ([1.0, -1.0], 0.7, 0.5, 0.9),
+        ([1.0, 0.3j, -0.8], 1.5, -0.4j, 0.4),
+        ([2.0, 0.0, 0.0, 1.0], 0.9, 0.0, 2.1),
+    ])
+    def test_lifted_block_target_is_the_dense_target(self, c, alpha, beta, chi):
+        # the s-vector sqrt(N_s) p(s), lifted to (a, b), against the term-by-
+        # term coherent sum on the same grid
+        t = TargetCoefficients(np.array(c))
+        block = analytic_target_state(t, alpha, beta, chi)
+        dense = dense_target_state(t, alpha, beta, chi)
+        assert block.modes == ("s",) and block.trunc.n_max == 2 * dense.trunc.n_max
+        lifted = lift_to_modes(block, alpha, beta)
+        assert abs(lifted.norm() - 1.0) < 1e-13
+        assert np.max(np.abs(lifted.amplitudes - dense.amplitudes)) < 1e-13
 
 
 class TestFullProtocol:
@@ -160,7 +184,7 @@ class TestFullProtocol:
                 assert rf.pattern == rs.pattern
                 assert abs(rf.probability - rs.probability) < 1e-9
                 if rf.probability > 1e-12:
-                    assert trace_distance(rf.state, rs.state) < 1e-8
+                    assert trace_distance(dense_view(params, rf.state), rs.state) < 1e-8
 
     def test_displaced_variant_matches(self):
         params = small_k2()
@@ -169,7 +193,7 @@ class TestFullProtocol:
         for rf, rd in zip(fast, disp):
             assert abs(rf.probability - rd.probability) < 1e-9
             if rf.probability > 1e-12:
-                assert trace_distance(rf.state, rd.state) < 1e-8
+                assert trace_distance(dense_view(params, rf.state), rd.state) < 1e-8
 
     def test_all_click_close_to_target(self):
         for params in (small_k1(), small_k2()):
@@ -240,17 +264,7 @@ class TestStrongProbe:
         for rf, rd in zip(fast, disp):
             assert rf.pattern == rd.pattern
             assert abs(rf.probability - rd.probability) < 1e-12
-            assert trace_distance(rf.state, rd.state) < 1e-12
-
-
-class TestAssembly:
-    @pytest.mark.parametrize("pattern", [(True, False)], ids=["click"])
-    def test_bit_identical_to_the_gathered_formula(self, pattern):
-        params = small_k2()
-        arms, probe = _branch_labels(params)
-        kernel = _pattern_kernel(arms, probe, pattern)
-        rho = _assemble_rho(params, kernel).matrix
-        assert np.array_equal(rho, gathered_rho(params, kernel))
+            assert trace_distance(dense_view(params, rf.state), rd.state) < 1e-12
 
 
 def preset_protocol(name):
@@ -258,17 +272,116 @@ def preset_protocol(name):
     return make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
 
 
+def strong_probe():
+    t = coeffs_from_photon_target(1, 1, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |gamma|^2 > 0.5, see TestStrongProbe
+        return make_protocol(0.5, 0.4, 0.8, 0.9, t, delta=0.25)
+
+
+def bell_k1_beta0():
+    p = get_preset("bell-k1")
+    return make_protocol(p.alpha, 0.0, p.gamma, p.chi, p.target, delta=p.delta)
+
+
+def k1_wide():
+    """K = 1 at |alpha|^2 = 40 and x = 1: n_max 92, so the block operators
+    have 185 rows and dominant_eigenstate takes ARPACK."""
+    a2, chi = 40.0, np.sqrt(1 / 40)
+    t = TargetCoefficients(np.array([1.0, -np.exp(-2j * a2 * np.sin(chi))]))
+    return make_protocol(np.sqrt(a2), np.sqrt(a2), 0.1, chi, t)
+
+
+BLOCK_CASES = {
+    "bell-k1": lambda: preset_protocol("bell-k1"),
+    "maxent-k2-low": lambda: preset_protocol("maxent-k2-low"),
+    "photon-correlated:2,2": lambda: preset_protocol("photon-correlated:2,2"),
+    "photon-correlated:1,3": lambda: preset_protocol("photon-correlated:1,3"),
+    "photon-correlated:2,4": lambda: preset_protocol("photon-correlated:2,4"),
+    "small_k1": small_k1,
+    "small_k2": small_k2,
+    "strong-probe": strong_probe,
+}
+
+
+def dense_records(params):
+    """(pattern, dense (a, b) operator) per click pattern, each assembled from
+    the pattern's kernel by the oracle gather, unnormalized."""
+    arms, probe = _branch_labels(params)
+    return [(pattern, gathered_rho(params, _pattern_kernel(arms, probe, pattern)))
+            for pattern in itertools.product((True, False), repeat=params.scheme.K)]
+
+
+class TestBlockRoute:
+    """The heralded operators over s = n_a + n_b against the dense (a, b)
+    operators the oracle gathers from the same kernels."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_dense_view_matches_the_gathered_assembly(self, name):
+        params = BLOCK_CASES[name]()
+        S = 2 * params.trunc.n_max + 1
+        for rec, (pattern, dense) in zip(run_full_protocol(params), dense_records(params)):
+            assert rec.pattern == pattern
+            assert rec.state.modes == ("s",) and rec.state.matrix.shape == (S, S)
+            p = np.trace(dense).real
+            assert abs(rec.probability - p) <= 1e-12 * p, (pattern, rec.probability, p)
+            td = trace_distance(dense_view(params, rec.state), DensOp(("a", "b"), dense, params.trunc))
+            assert td <= 1e-10, (pattern, td)
+
+    def test_block_norms_sum_the_grid(self):
+        for params in (small_k2(), bell_k1_beta0()):
+            got = _held_block(params.alpha, params.beta, params.trunc)[2]
+            assert np.allclose(got, block_norms(params), rtol=1e-13, atol=1e-300)
+
+    def test_beta_zero_leaves_the_upper_s_empty(self):
+        # |beta> = |0>: N_s = |Q_s(alpha)|^2 up to n_max and exactly 0 beyond,
+        # so the block rows past n_max are zero and the lift masks them
+        params = bell_k1_beta0()
+        n_max = params.trunc.n_max
+        norms = block_norms(params)
+        assert np.all(norms[n_max + 1 :] == 0) and np.all(norms[: n_max + 1] > 0)
+        tgt = analytic_target_state(params.target, params.alpha, 0.0, params.chi, params.trunc)
+        dense_tgt = dense_target_state(params.target, params.alpha, 0.0, params.chi, params.trunc)
+        for rec, (pattern, dense) in zip(run_full_protocol(params), dense_records(params)):
+            assert np.all(rec.state.matrix[n_max + 1 :] == 0)
+            p = np.trace(dense).real
+            assert abs(rec.probability - p) <= 1e-12 * p
+            dense = DensOp(("a", "b"), dense / p, params.trunc)
+            assert abs(fidelity(rec.state, tgt) - fidelity(dense, dense_tgt)) < 1e-12
+            missing = {j for j, b in enumerate(pattern, start=1) if not b}
+            own = semi_success_coeffs(params.scheme.roots, missing)
+            residual = 1 - fidelity(rec.state, analytic_target_state(
+                own, params.alpha, 0.0, params.chi, params.trunc))
+            dense_residual = 1 - fidelity(dense, dense_target_state(
+                own, params.alpha, 0.0, params.chi, params.trunc))
+            assert abs(residual - dense_residual) < 1e-12
+            _, vec = dominant_eigenstate(rec.state)
+            e = schmidt_entropy(lift_to_modes(vec, params.alpha, 0.0))
+            assert e == 0 and math.copysign(1, e) == 1
+
+    @pytest.mark.parametrize("make", [small_k2, lambda: preset_protocol("bell-k1"),
+                                      lambda: dataclasses.replace(
+                                          small_k2(), trunc=TruncationSpec(3, tail_tol=0.1))],
+                             ids=["small_k2", "bell-k1", "short-cutoff"])
+    def test_truncated_mass_is_the_trace_lost_before_heralding(self, make):
+        params = make()
+        lost = 1 - sum(np.trace(dense).real for _, dense in dense_records(params))
+        assert abs(params.truncated_mass - lost) < 1e-14, (params.truncated_mass, lost)
+        assert params.truncated_mass >= 0
+
+
 class TestMemoryBudget:
     """The dense-size estimate: nothing here allocates an oversized route."""
 
     def test_maxent_k2_high_is_over_budget(self):
         prot = preset_protocol("maxent-k2-high")
-        dim = prot.trunc.dim
-        assert dim == 10712
-        kernel = 16 * (2 * dim - 1) ** 2  # 7.3 GB on its own
-        # 4 operators kept plus two tiles of the Hermiticity check
+        S = 2 * prot.trunc.n_max + 1
+        assert S == 21423
+        kernel = 16 * S**2  # 7.3 GB on its own
+        # 4 block operators kept, the kernel of the one in the making, and
+        # two tiles of the Hermiticity check
         tiles = 2 * 16 * HERMITIAN_TILE**2
-        assert _dense_bytes(prot, 4) == kernel + 4 * 16 * dim**4 + tiles
+        assert _dense_bytes(prot, 4) == 5 * kernel + tiles
         assert kernel > DENSE_BYTES_LIMIT
 
     @pytest.mark.parametrize("name", ["bell-k1", "maxent-k2-low", "photon-correlated:2,2",
@@ -278,20 +391,30 @@ class TestMemoryBudget:
         need = _dense_bytes(prot, 2**prot.scheme.K)
         assert need <= DENSE_BYTES_LIMIT
         if name == "bell-k1":
-            assert 82e6 < need < 83e6, f"bell-k1 needs {need} B"
+            assert 0.49e6 < need < 0.5e6, f"bell-k1 needs {need} B"
 
-    def test_estimate_covers_the_traced_peak(self):
-        prot = preset_protocol("bell-k1")
+    @staticmethod
+    def traced_peak(prot):
         tracemalloc.start()
         try:
             run_full_protocol(prot)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        need = _dense_bytes(prot, 2)
+
+    def test_estimate_covers_the_traced_peak(self):
+        prot = preset_protocol("bell-k1")
+        peak, need = self.traced_peak(prot), _dense_bytes(prot, 2)
         assert peak <= need + 2**20, f"traced peak {peak} B, estimate {need} B"
-        assert need <= peak + 2 * 2**20, f"traced peak {peak} B, estimate {need} B"
-        assert peak <= 90e6
+        assert peak <= 2e6
+        # K = 1 at |alpha|^2 = 400: 1099 block rows, so each operator (19 MB)
+        # dwarfs the cutoff-sized vectors and the estimate must hold by itself
+        a2, chi = 400.0, 0.05
+        t = TargetCoefficients(np.array([1.0, -np.exp(-2j * a2 * np.sin(chi))]))
+        prot = make_protocol(np.sqrt(a2), np.sqrt(a2), 0.1, chi, t)
+        assert 2 * prot.trunc.n_max + 1 == 1099
+        peak, need = self.traced_peak(prot), _dense_bytes(prot, 2)
+        assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
     @pytest.mark.parametrize("route", ["blocked", "monolithic", "displaced"])
     def test_over_budget_raises_before_simulating(self, monkeypatch, route):
@@ -314,9 +437,9 @@ class TestMemoryBudget:
 
     def test_single_pattern_estimate(self):
         prot = small_k2()
-        dim = prot.trunc.dim
-        tile = min(HERMITIAN_TILE, dim**2)
-        assert _dense_bytes(prot, 1) == 16 * ((2 * dim - 1) ** 2 + dim**4 + 2 * tile**2)
+        S = 2 * prot.trunc.n_max + 1
+        tile = min(HERMITIAN_TILE, S)
+        assert _dense_bytes(prot, 1) == 16 * (2 * S**2 + 2 * tile**2)
 
 
 class TestEliminationSoundness:
@@ -356,7 +479,7 @@ class TestOperatorPath:
         for params in (small_k1(), small_k2()):
             net = all_click_record(run_full_protocol(params)).state
             op = operator_path_state(params, [range(1, 5)] * params.scheme.K)
-            assert trace_distance(net, op) < 1e-6
+            assert trace_distance(dense_view(params, net), op) < 1e-6
 
     def test_count_range_kernel_is_sum_of_single_counts(self):
         # a count range on each arm heralds the sum of the single-count
@@ -436,37 +559,51 @@ class TestDominantEigenstate:
         assert lam > 0.9
         # eigenvector of a nearly pure heralded state carries its entanglement;
         # weak-probe corrections push it slightly off the ideal two-term value
-        e = schmidt_entropy(vec)
+        e = schmidt_entropy(lift_to_modes(vec, params.alpha, params.beta))
         assert abs(e - 1.0) < 0.05
 
     def test_agrees_with_dense_eigh(self):
         params = small_k1()
         rec = all_click_record(run_full_protocol(params))
         lam, vec = dominant_eigenstate(rec.state)
-        w, v = np.linalg.eigh(rec.state.matrix)
+        w, v = np.linalg.eigh(dense_view(params, rec.state).matrix)
         assert abs(lam - w[-1]) < 1e-10
-        ov = abs(np.vdot(v[:, -1], vec.amplitudes.ravel()))
+        lifted = lift_to_modes(vec, params.alpha, params.beta).amplitudes.ravel()
+        ov = abs(np.vdot(v[:, -1], lifted))
         assert abs(ov - 1.0) < 1e-8
 
     @pytest.mark.parametrize("name, rows", [("photon-correlated:2,2", 81),
                                             ("maxent-k2-low", 225)])
     def test_both_solvers_agree_with_dense_eigh(self, name, rows):
-        # one preset below the LAPACK/ARPACK crossover, one above it
-        assert (rows < EIGSH_MIN_ROWS) == (name == "photon-correlated:2,2")
-        for rec in run_full_protocol(preset_protocol(name)):
-            m = rec.state.matrix
+        # rows of the dense (a, b) view; the block operators have 17 and 29
+        # rows, below the LAPACK/ARPACK crossover
+        params = preset_protocol(name)
+        for rec in run_full_protocol(params):
+            m = dense_view(params, rec.state).matrix
             assert m.shape == (rows, rows)
+            assert rec.state.matrix.shape[0] == 2 * params.trunc.n_max + 1 < EIGSH_MIN_ROWS
             lam, vec = dominant_eigenstate(rec.state)
             w, v = np.linalg.eigh(m)
-            assert abs(lam - w[-1] / rec.state.trace()) < 1e-12, rec.pattern
-            ov = abs(np.vdot(v[:, -1], vec.amplitudes.ravel()))
+            assert abs(lam - w[-1] / np.trace(m).real) < 1e-12, rec.pattern
+            lifted = lift_to_modes(vec, params.alpha, params.beta).amplitudes.ravel()
+            ov = abs(np.vdot(v[:, -1], lifted))
+            assert abs(ov - 1.0) < 1e-10, rec.pattern
+
+    def test_arpack_branch_agrees_with_dense_eigh(self):
+        params = k1_wide()
+        for rec in run_full_protocol(params):
+            m = rec.state.matrix
+            assert m.shape[0] == 185 >= EIGSH_MIN_ROWS
+            lam, vec = dominant_eigenstate(rec.state)
+            w, v = np.linalg.eigh(m)
+            assert abs(lam - w[-1]) < 1e-12, rec.pattern
+            ov = abs(np.vdot(v[:, -1], vec.amplitudes))
             assert abs(ov - 1.0) < 1e-10, rec.pattern
 
     def test_arpack_route_repeats_bit_for_bit(self):
-        # the near-product "00" row prints an entanglement of ~4e-11, whose
-        # last digits follow the eigenvector's rounding
-        prot = preset_protocol("maxent-k2-low")
-        rec = {r.pattern: r for r in run_full_protocol(prot)}[(False, False)]
+        # a near-product row: its printed entanglement follows the
+        # eigenvector's rounding
+        rec = {r.pattern: r for r in run_full_protocol(k1_wide())}[(False,)]
         assert rec.state.matrix.shape[0] >= EIGSH_MIN_ROWS
         (lam1, vec1), (lam2, vec2) = (dominant_eigenstate(rec.state) for _ in range(2))
         assert lam1 == lam2
