@@ -13,7 +13,11 @@ it, and nothing in ``src/`` imports it:
   and the leading-order heralded state written as a product of elimination
   factors (``build_target_by_elimination``);
 * the dense Fock forms of the discrete-phase channel and the dark-count
-  mixture, which ``noise`` evaluates through Gram overlaps;
+  mixture, which ``noise`` evaluates through Gram overlaps, and the two
+  budgets' loops that ``noise`` writes as single contractions: the exact
+  budget's Poisson series term by term (``pipeline_fidelity_per_term``)
+  and the leading-order dark-count term detector by detector
+  (``darkcount_term_per_detector``);
 * a bare probe through the synthesized splitter chain in truncated Fock
   space (``probe_cascade``), and the full (theta', phi) arrays of the
   reference cascade, which the tests drive through the beamsplitter gate;
@@ -43,8 +47,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import factorial
 
-from kerrlink.design import RefNet, TargetCoefficients, probe_affine, semi_success_coeffs
-from kerrlink.entangle import pair_gram
+from kerrlink.design import (
+    RefNet,
+    TargetCoefficients,
+    probe_affine,
+    semi_success_coeffs,
+    solve_roots,
+)
+from kerrlink.entangle import _rot_gram, pair_gram
 from kerrlink.errors import DomainError, KerrlinkError, UnknownMode
 from kerrlink.fock import (
     P_NEGLIGIBLE,
@@ -56,7 +66,7 @@ from kerrlink.fock import (
     fidelity,
     min_cutoff,
 )
-from kerrlink.noise import _poisson_weights
+from kerrlink.noise import _poisson_weights, eta_params
 from kerrlink.protocol import (
     ProtocolParams,
     _check_budget,
@@ -427,7 +437,7 @@ def build_target_by_elimination(params: ProtocolParams) -> FockVector:
 
 
 # ---------------------------------------------------------------------------
-# dense Fock forms of the noise channels
+# noise channels: dense Fock forms, and the budgets' loops
 
 
 def apply_discrete_phase_channel(rho: DensOp, Lambda, gamma, chi_ac) -> DensOp:
@@ -499,6 +509,57 @@ def dark_count_mixture(
                     semi_success_coeffs(roots, {i, j})
                 )
     return DensOp(("a", "b"), mat, trunc)
+
+
+def pipeline_fidelity_per_term(target, noise, alpha, beta, gamma, chi) -> float:
+    """``noise.superop_pipeline_fidelity`` with its Poisson series summed term
+    by term: per k one rotated mode-a Gram, one overlap vector u and one
+    quadratic form u rho u^H, accumulated in a Python loop."""
+    c = np.asarray(target.c, dtype=complex)
+    n = np.arange(target.K + 1, dtype=float)
+    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+    chi_ac = chi * (1.0 + noise.eps_ac)
+    chi_bc = chi * (1.0 + noise.eps_bc)
+    eta1, eta2 = eta_params(noise, alpha, beta, chi_ac, chi_bc)
+    d = n[:, None] - n[None, :]
+    rho = np.outer(c, np.conj(c)) * np.exp(1j * eta1 * d - eta2 * d * d)
+    cb = c * np.exp(1j * eta1 * n)
+    G_a, G_b = pair_gram(target.K, alpha, beta, chi)
+    norm_bra = float(np.real(np.conj(cb) @ (G_a * G_b) @ cb))
+    G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)
+    tr = float(np.real(np.sum(rho * G_act.T)))
+    w = _poisson_weights(noise.Lambda * abs(gamma) ** 2)
+    Gb = _rot_gram(b2, chi * n, chi_bc * n)
+    num = 0.0
+    for k, wk in enumerate(w):
+        Gk = _rot_gram(a2, chi * n, chi_ac * n + chi_ac * k) * Gb
+        u = np.conj(cb) @ Gk
+        num += wk * float(np.real(u @ rho @ np.conj(u)))
+    return num / (norm_bra * tr)
+
+
+def darkcount_term_per_detector(target, noise, alpha, beta, gamma, chi) -> float:
+    """The ``darkcount`` term of ``noise.fidelity_leading_order`` one silent
+    detector at a time: the roots solved on every call, then per detector j
+    its ``semi_success_coeffs`` and two Gram forms."""
+    if noise.zeta == 0:
+        return 0.0
+    c = np.asarray(target.c, dtype=complex)
+    G_a, G_b = pair_gram(target.K, alpha, beta, chi)
+    G = G_a * G_b
+    N = float(np.real(np.conj(c) @ G @ c))
+    ck2 = abs(c[-1]) ** 2 / N
+    roots = solve_roots(target, gamma)
+    w1 = noise.zeta / (noise.lambda_det * abs(gamma) ** 2)
+    t_dark = 0.0
+    for j in range(1, target.K + 1):
+        ct = np.zeros(target.K + 1, dtype=complex)
+        cj = semi_success_coeffs(roots, {j}).c
+        ct[: len(cj)] = cj
+        nt = float(np.real(np.conj(ct) @ G @ ct))
+        ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (N * nt)
+        t_dark += w1 * ck2 * (1.0 - ov2)
+    return t_dark
 
 
 # ---------------------------------------------------------------------------

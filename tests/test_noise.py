@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import poisson
 
 import kerrlink.noise as noise_module
-from kerrlink.design import TargetCoefficients, solve_roots
+from kerrlink.design import TargetCoefficients, semi_success_coeffs, solve_roots
 from kerrlink.entangle import _rot_gram, pair_gram
 from kerrlink.errors import DomainError
 from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutoff
@@ -31,7 +31,13 @@ from kerrlink.noise import (
     superop_pipeline_fidelity,
 )
 from kerrlink.presets import get_preset
-from oracles import apply_discrete_phase_channel, dark_count_mixture, dense_target_state
+from oracles import (
+    apply_discrete_phase_channel,
+    dark_count_mixture,
+    darkcount_term_per_detector,
+    dense_target_state,
+    pipeline_fidelity_per_term,
+)
 
 
 def bell_target(a2, b2, chi):
@@ -479,6 +485,66 @@ class TestGramPerBudget:
         assert len(calls) == 1
 
 
+# The noise-budget benchmark's grid at four attenuations: its presets, and
+# its three mixes, two of which carry a nonlinearity mismatch scaled by dB.
+GRID_PRESETS = ("bell-k1", "maxent-k2-low", "photon-correlated:2,2", "photon-correlated:1,3")
+GRID_MIXES = (
+    (dict(dphi2=1e-4, Lambda1=1e-3, Lambda2=1e-2), (3e-6, -2e-6)),
+    (dict(lambda_det=1e-1, zeta=1e-6), (0.0, 0.0)),
+    (dict(lambda_det=1e-2, zeta=1e-8), (2e-3, -1e-3)),
+)
+
+
+def grid_noise(db, mix):
+    extra, (eps_ac, eps_bc) = mix
+    scale = 1.0 + db / 31
+    return NoiseParams(
+        Lambda=db_to_loss(db), eps_ac=eps_ac * scale, eps_bc=eps_bc * scale, **extra
+    )
+
+
+class TestSingleContraction:
+    """The budgets' contractions against the loops they replaced."""
+
+    @pytest.mark.parametrize("preset", GRID_PRESETS)
+    def test_budgets_match_the_loops_on_the_grid(self, preset):
+        p = get_preset(preset)
+        for db, mix in itertools.product((0, 10, 20, 30), GRID_MIXES):
+            args = (p.target, grid_noise(db, mix), p.alpha, p.beta, p.gamma, p.chi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # between-regime interpolation
+                dark = fidelity_leading_order(*args).terms["darkcount"]
+            want = darkcount_term_per_detector(*args)
+            assert abs(dark - want) <= 1e-11 * abs(want), (db, mix, dark, want)
+            exact, want = superop_pipeline_fidelity(*args), pipeline_fidelity_per_term(*args)
+            assert abs(exact - want) <= 1e-11 * abs(want), (db, mix, exact, want)
+            assert 0.0 <= exact <= 1.0, (db, mix, exact)
+
+    def test_silent_rows_are_read_only_semi_success_coeffs(self):
+        t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
+        rows = noise_module._silent_rows(tuple(t.c), 0.3 + 0j)
+        assert not rows.flags.writeable
+        roots = solve_roots(t, 0.3)
+        for j in range(1, t.K + 1):
+            cj = semi_success_coeffs(roots, {j}).c
+            assert np.array_equal(rows[j - 1], np.pad(cj, (0, t.K + 1 - len(cj))))
+
+    def test_second_call_solves_no_roots(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_roots(*args)
+
+        monkeypatch.setattr(noise_module, "solve_roots", counted)
+        noise_module._silent_rows.cache_clear()
+        t = TargetCoefficients(np.array([1, -0.3 + 0.1j, 0.2j, 0.5]))
+        noise = NoiseParams(lambda_det=0.5, zeta=1e-6)
+        first, second = (fidelity_leading_order(t, noise, 1.0, 1.0, 0.3, 0.2) for _ in range(2))
+        assert len(calls) == 1
+        assert first == second
+
+
 class TestPipeline:
     def test_quiet_noise_is_exact_unity(self):
         t = bell_target(10.0, 10.0, 0.3)
@@ -567,6 +633,20 @@ class TestVanishingTarget:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="squared norm 0"):
                 budget(t, NoiseParams(), 0.0, 0.0, 0.1, 0.5)
+
+    @pytest.mark.parametrize("c, chi, Lambda", [
+        ([1.0, 0.0, -1.0], math.pi / 1.01, 0.0),
+        ([1.0, -1.0], 2 * math.pi / 1.01, 0.5),
+    ])
+    def test_vanishing_noisy_state_raises(self, c, chi, Lambda):
+        # chi_ac = chi_bc = 1.01 chi puts pairs 0 and 2 (or 0 and 1) on one
+        # label, so the noisy state vanishes while the nominal target does not
+        t = TargetCoefficients(np.array(c))
+        noise = NoiseParams(Lambda=Lambda, eps_ac=0.01, eps_bc=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="noisy state has squared norm"):
+                superop_pipeline_fidelity(t, noise, 1.0, 1.0, 0.1, chi)
 
 
 class TestSuccessProbability:

@@ -44,6 +44,49 @@ def imports_from_tests(source):
     return out
 
 
+def _is_lru_cache(decorator):
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(f, ast.Name) and f.id == "lru_cache") or (
+        isinstance(f, ast.Attribute) and f.attr == "lru_cache")
+
+
+def _frozen_name(stmt):
+    """X for a statement ``X.flags.writeable = False``, else None."""
+    if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is False and len(stmt.targets) == 1):
+        return None
+    t = stmt.targets[0]
+    if (isinstance(t, ast.Attribute) and t.attr == "writeable"
+            and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+            and isinstance(t.value.value, ast.Name)):
+        return t.value.value.id
+    return None
+
+
+def unfrozen_memo_returns(source):
+    """(line, function) for every return of an ``lru_cache`` function whose
+    value is not a name, or a tuple of names, that the body makes read-only
+    with ``X.flags.writeable = False``.  A frozen loop variable freezes each
+    name of the tuple or list it runs over."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(map(_is_lru_cache, fn.decorator_list))):
+            continue
+        frozen = {_frozen_name(n) for n in ast.walk(fn)} - {None}
+        for loop in ast.walk(fn):
+            if (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                    and loop.target.id in frozen and isinstance(loop.iter, (ast.Tuple, ast.List))):
+                frozen |= {e.id for e in loop.iter.elts if isinstance(e, ast.Name)}
+        for ret in ast.walk(fn):
+            if not isinstance(ret, ast.Return):
+                continue
+            values = ret.value.elts if isinstance(ret.value, ast.Tuple) else [ret.value]
+            if not all(isinstance(v, ast.Name) and v.id in frozen for v in values):
+                out.append((ret.lineno, fn.name))
+    return out
+
+
 class TestNoTestImports:
     def test_library_imports_nothing_from_the_test_tree(self):
         found = {path.name: imports_from_tests(path.read_text())
@@ -73,3 +116,38 @@ class TestEveryParameterIsRead:
             "class C:\n    def m(self, x):\n        return lambda: x\n"
         )
         assert unread_parameters(source) == [(1, "f", "target"), (1, "f", "k")]
+
+
+class TestMemosAreReadOnly:
+    def test_library_memos_return_read_only_arrays(self):
+        found = {path.name: unfrozen_memo_returns(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+        assert found and not any(found.values()), found
+
+    def test_rule_flags_a_writeable_memo(self):
+        source = (
+            "@lru_cache(maxsize=8)\n"
+            "def both(k):\n"
+            "    a, b = f(k), g(k)\n"
+            "    for x in (a, b):\n"
+            "        x.flags.writeable = False\n"
+            "    return a, b\n"
+            "@functools.lru_cache\n"
+            "def reopened(k):\n"
+            "    a = f(k)\n"
+            "    a.flags.writeable = True\n"
+            "    return a\n"
+            "@lru_cache\n"
+            "def half(k):\n"
+            "    a, b = f(k), g(k)\n"
+            "    a.flags.writeable = False\n"
+            "    return a, b\n"
+            "@lru_cache\n"
+            "def fresh(k):\n"
+            "    a = f(k)\n"
+            "    a.flags.writeable = False\n"
+            "    return a.copy()\n"
+            "def plain(k):\n"
+            "    return f(k)\n"
+        )
+        assert unfrozen_memo_returns(source) == [(11, "reopened"), (16, "half"), (21, "fresh")]
