@@ -21,9 +21,11 @@ one below 1, a negative attenuation or one beyond float range, or a simulate
 target whose state vanishes, as coefficients summing to zero at alpha = beta
 = 0 do; no artifact is written), 3 scheme synthesis failure, 4
 truncation overflow (a coherent amplitude that does not fit the Fock
-cutoff), 5 optimizer non-convergence (rows still written, flagged in the
-flag column), 6 simulation over the memory budget (its (2 n_max + 1)-row
-heralded operators, checked before allocating).
+cutoff), 5 optimizer non-convergence (entangle-scan returns it itself once
+every row is written, the unconverged ones flagged in the flag column), 6
+simulation over the memory budget (its (2 n_max + 1)-row heralded
+operators, checked before anything of their size is allocated, on every
+argv).
 """
 
 from __future__ import annotations
@@ -425,9 +427,6 @@ def main(argv=None) -> int:
     except TailTooHeavy as err:
         print(f"truncation overflow: {err}", file=sys.stderr)
         return 4
-    except NonConvergence as err:
-        print(f"optimizer did not converge: {err}", file=sys.stderr)
-        return 5
     except MemoryBudgetExceeded as err:
         print(f"over the memory budget: {err}", file=sys.stderr)
         return 6

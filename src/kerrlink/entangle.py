@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ShapeMismatch
-from .fock import P_NEGLIGIBLE
+from .fock import _nonvanishing_norm2
 
 EIG_FLOOR = 1e-14
 
@@ -79,15 +79,12 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     c_n c_m* <beta_m|beta_n>; whitening with G_a^{1/2} turns its spectrum into
     the Schmidt weights.  Eigenvalues below EIG_FLOOR are discarded (the span
     is heavily ill-conditioned when the constituent states nearly coalesce).
-    Raises DomainError, as ``protocol.analytic_target_state`` does, when the
-    state's squared norm is not finite and above P_NEGLIGIBLE sum |c_n|^2.
+    Raises DomainError when the state vanishes (``fock._nonvanishing_norm2``).
     """
     c = np.asarray(c, dtype=complex)
     K = len(c) - 1
     G_a, G_b = pair_gram(K, alpha, beta, chi)
-    norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
-    if not P_NEGLIGIBLE * np.vdot(c, c).real < norm2 < np.inf:
-        raise DomainError(f"the target state has squared norm {norm2:.3g}")
+    norm2 = _nonvanishing_norm2(float(np.real(np.conj(c) @ ((G_a * G_b) @ c))), c)
     X = np.outer(c, np.conj(c)) * G_b.T
     s = _gram_root(K, float(abs(alpha) ** 2), float(chi))
     lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2

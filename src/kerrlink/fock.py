@@ -17,19 +17,30 @@ in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, TailTooHeavy, UnknownMode
+from .errors import DomainError, ShapeMismatch, TailTooHeavy, UnknownMode
 
 DEFAULT_TAIL_TOL = 1e-12
 # rows and columns per tile of DensOp's Hermiticity check (fastest measured)
 HERMITIAN_TILE = 128
 # a heralded probability at or below this is taken as zero: its state is left
-# unnormalized and the CLI reports no metrics for it.  A target state whose
-# squared norm is at or below this share of sum |c_n|^2 is taken as vanishing.
+# unnormalized and the CLI reports no metrics for it.  A state of coefficients
+# c vanishes unless its squared norm is finite and above this share of
+# sum |c_n|^2 (c sums to zero at alpha = beta = 0, say, or coefficients that
+# label one coherent pair cancel at chi = pi).
 P_NEGLIGIBLE = 1e-30
+
+
+def _nonvanishing_norm2(norm2: float, c, name: str = "target state") -> float:
+    """norm2, the squared norm of a state of coefficients c; DomainError when
+    the state vanishes (see P_NEGLIGIBLE): no state to normalize, only round-off."""
+    if not P_NEGLIGIBLE * float(np.vdot(c, c).real) < norm2 < np.inf:
+        raise DomainError(f"the {name} has squared norm {norm2:.3g}")
+    return norm2
 
 
 def coherent_tail(z, n_max) -> float:
@@ -40,12 +51,16 @@ def coherent_tail(z, n_max) -> float:
 
 
 def min_cutoff(amplitudes, tail_tol=DEFAULT_TAIL_TOL) -> int:
-    """Smallest n_max such that every coherent amplitude fits within tail_tol."""
+    """Smallest n_max >= max(1, |z|^2) such that every coherent amplitude z
+    fits within tail_tol.  The tail falls monotonically in n, so a doubling
+    bracket and a bisection find it in O(log |z|) tail evaluations."""
     biggest = max((abs(z) for z in amplitudes), default=0.0)
-    n = max(1, int(biggest**2))
-    while coherent_tail(biggest, n) > tail_tol:
-        n += 1
-    return n
+    lo = hi = max(1, int(biggest**2))
+    step = 1
+    while coherent_tail(biggest, hi) > tail_tol:  # every n <= hi falls short
+        lo, hi, step = hi + 1, hi + step, 2 * step
+    return lo + bisect.bisect_left(
+        range(lo, hi), True, key=lambda n: coherent_tail(biggest, n) <= tail_tol)
 
 
 @dataclass(frozen=True)

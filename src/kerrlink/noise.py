@@ -43,7 +43,7 @@ import numpy as np
 from .design import TargetCoefficients, semi_success_coeffs, solve_roots
 from .entangle import _rot_gram, pair_gram
 from .errors import DomainError
-from .fock import P_NEGLIGIBLE
+from .fock import _nonvanishing_norm2
 
 DB_PER_KM = 0.20
 SERIES_TOL = 1e-14
@@ -159,18 +159,6 @@ def _poisson_weights(s: float):
 # leading-order infidelity terms
 
 
-def _squared_norm(c, G) -> float:
-    """Re(c^H G c), the squared norm of the target c of pair Gram G.
-
-    Raises DomainError unless it is finite and positive (c sums to zero at
-    alpha = beta = 0, say): there is no target state to compare against.
-    """
-    N = float(np.real(np.conj(c) @ G @ c))
-    if not 0 < N < math.inf:
-        raise DomainError(f"the target state has squared norm {N:.3g}")
-    return N
-
-
 @lru_cache(maxsize=256)
 def _silent_rows(c: tuple, gamma: complex) -> np.ndarray:
     """Read-only (K, K+1) array whose row j-1 holds the coefficients heralded
@@ -184,16 +172,24 @@ def _silent_rows(c: tuple, gamma: complex) -> np.ndarray:
     return rows
 
 
-def _chi_error_term(c, G, N, a2, b2, chi, eps_ac, eps_bc) -> float:
+def _label_variance(v, M2, M1) -> float:
+    """Re<w|M2|w> - |<w|M1|v>|^2, w = n v: <Psi1|g^2|Psi1> - |<Psi1|g|Psi_f>|^2
+    for the normalized target v and |Psi1> = sum n v_n |pair_n>, where M1 and
+    M2 hold the pair matrix elements of g and g^2 (both the pair Gram if g = 1)."""
+    w = np.arange(len(v), dtype=float) * v
+    quad = float(np.real(np.conj(w) @ M2 @ w))
+    lin = complex(np.conj(w) @ M1 @ v)
+    return quad - abs(lin) ** 2
+
+
+def _chi_error_term(v, G, a2, b2, chi, eps_ac, eps_bc) -> float:
     """Infidelity from nonlinearity-strength errors Delta chi = eps * chi.
 
-    Evaluates <Psi1|g^2|Psi1> - |<Psi1|g|Psi_f>|^2 in the coherent span,
-    where g = Dchi_ac n_a + Dchi_bc n_b and |Psi1> = sum n c_n |pair_n> for
-    the target c of pair Gram G and squared norm N.  Coherent matrix
-    elements of n and n^2 reduce to Gram entries times powers of z1* z2.
+    The label variance of g = Dchi_ac n_a + Dchi_bc n_b over the normalized
+    target v of pair Gram G.  Coherent matrix elements of n and n^2 reduce
+    to Gram entries times powers of z1* z2.
     """
-    cn = c / math.sqrt(N)
-    n = np.arange(len(c), dtype=float)
+    n = np.arange(len(v), dtype=float)
     d = n[None, :] - n[:, None]  # n - m
     ph = np.exp(1j * chi * d)
     Am = a2 * ph  # <pair_m|n_a|pair_n> / G[m,n]
@@ -201,19 +197,7 @@ def _chi_error_term(c, G, N, a2, b2, chi, eps_ac, eps_bc) -> float:
     da, db = eps_ac * chi, eps_bc * chi
     M1 = (da * Am + db * Bm) * G
     M2 = (da**2 * (Am**2 + Am) + 2 * da * db * Am * Bm + db**2 * (Bm**2 + Bm)) * G
-    w1 = n * cn
-    quad = float(np.real(np.conj(w1) @ M2 @ w1))
-    lin = complex(np.conj(w1) @ M1 @ cn)
-    return quad - abs(lin) ** 2
-
-
-def _dephasing_susceptibility(c: np.ndarray, G: np.ndarray, N: float) -> float:
-    """Factor multiplying eta2 in the pair-decay infidelity: 2 <Psi1|P_perp|Psi1>."""
-    n = np.arange(len(c), dtype=float)
-    w1 = n * c
-    B1 = float(np.real(np.conj(w1) @ G @ w1))
-    A1 = complex(np.conj(c) @ G @ w1)
-    return 2.0 * (B1 * N - abs(A1) ** 2) / N**2
+    return _label_variance(v, M2, M1)
 
 
 def _discrete_phase_term(x: float, s: float) -> float:
@@ -243,15 +227,16 @@ def fidelity_leading_order(
     three sources (phase noise, Kerr-stage loss, storage loss) so that
     removing one noise source zeroes exactly its term.  The probe-photon
     phase drift eta1 is taken as compensated by redesigned roots and does
-    not appear.  Raises DomainError when the target has no finite, positive
-    squared norm.
+    not appear.  Raises DomainError when the target state vanishes
+    (``fock._nonvanishing_norm2``).
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     G_a, G_b = pair_gram(target.K, alpha, beta, chi)
     G = G_a * G_b
-    N = _squared_norm(c, G)
-    D = _dephasing_susceptibility(c, G, N)
+    N = _nonvanishing_norm2(float(np.real(np.conj(c) @ G @ c)), c)
+    v = c / math.sqrt(N)
+    D = 2.0 * _label_variance(v, G, G)  # 2 <Psi1|P_perp|Psi1>
 
     t_dark = 0.0
     if noise.zeta > 0:
@@ -268,7 +253,7 @@ def fidelity_leading_order(
         "dephase": noise.dphi2 * D,
         "kerr_loss": (noise.Lambda1 / 3.0) * (a2 + b2) * chi**2 * D,
         "storage": 0.5 * a2 * chi**2 * noise.Lambda2 * D,
-        "chi_err": _chi_error_term(c, G, N, a2, b2, chi, noise.eps_ac, noise.eps_bc),
+        "chi_err": _chi_error_term(v, G, a2, b2, chi, noise.eps_ac, noise.eps_bc),
         "darkcount": t_dark,
         "discrete_phase": _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2),
     }
@@ -295,10 +280,9 @@ def superop_pipeline_fidelity(
     rotated by e^{-i eta1} heralds.  All overlaps are closed-form Gram
     entries, so the only approximation left is the Poisson series cutoff.
     Raises DomainError when Lambda |gamma|^2 is too large for that series
-    (see _poisson_weights), when the target has no finite, positive squared
-    norm, and when the compensated reference or the noisy state (whose pairs
-    sit on the actual-coupling labels) has a squared norm that is not finite
-    and above P_NEGLIGIBLE sum |c_n|^2.
+    (see _poisson_weights), and when the target, the compensated reference or
+    the noisy state (whose pairs sit on the actual-coupling labels) vanishes
+    (``fock._nonvanishing_norm2``).
     """
     c = np.asarray(target.c, dtype=complex)
     K = target.K
@@ -314,15 +298,12 @@ def superop_pipeline_fidelity(
     cb = c * np.exp(1j * eta1 * n)  # compensated reference, nominal labels
     G_a, G_b = pair_gram(K, alpha, beta, chi)
     G_nom = G_a * G_b
-    _squared_norm(c, G_nom)
-    norm_bra = float(np.real(np.conj(cb) @ G_nom @ cb))
-
+    _nonvanishing_norm2(float(np.real(np.conj(c) @ G_nom @ c)), c)
+    norm_bra = _nonvanishing_norm2(
+        float(np.real(np.conj(cb) @ G_nom @ cb)), c, "compensated reference"
+    )
     G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)
-    tr = float(np.real(np.sum(rho * G_act.T)))
-    floor = P_NEGLIGIBLE * float(np.vdot(c, c).real)
-    for name, value in (("compensated reference", norm_bra), ("noisy state", tr)):
-        if not floor < value < math.inf:
-            raise DomainError(f"the {name} has squared norm {value:.3g}")
+    tr = _nonvanishing_norm2(float(np.real(np.sum(rho * G_act.T))), c, "noisy state")
 
     w = _poisson_weights(noise.Lambda * abs(gamma) ** 2)
     Gb = _rot_gram(b2, chi * n, chi_bc * n)

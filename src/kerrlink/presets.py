@@ -17,9 +17,6 @@ import numpy as np
 
 from .design import TargetCoefficients, coeffs_from_photon_target
 
-PRESET_NAMES = ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated")
-
-
 @dataclass(frozen=True)
 class Preset:
     name: str
@@ -67,22 +64,24 @@ def _photon_correlated(s: int, K: int) -> Preset:
     )
 
 
+# name -> factory; photon-correlated alone takes parameters, from its name
+_PRESETS = {"bell-k1": _bell_k1, "maxent-k2-low": _maxent_k2_low,
+            "maxent-k2-high": _maxent_k2_high, "photon-correlated": _photon_correlated}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def get_preset(name: str) -> Preset:
     """Look up a preset by name; photon-correlated takes its s and K in the
-    name, as "photon-correlated:s,K"."""
-    base, _, tail = name.partition(":")
-    if base == "bell-k1":
-        return _bell_k1()
-    if base == "maxent-k2-low":
-        return _maxent_k2_low()
-    if base == "maxent-k2-high":
-        return _maxent_k2_high()
-    if base == "photon-correlated":
-        try:
-            s, K = (int(v) for v in tail.split(","))
-        except ValueError:
-            raise ValueError(
-                f"cannot parse {tail!r}; expected photon-correlated:s,K"
-            ) from None
-        return _photon_correlated(s, K)
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    name, as "photon-correlated:s,K", and any other name takes no suffix."""
+    base, colon, tail = name.partition(":")
+    if base not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if base != "photon-correlated":
+        if colon:
+            raise ValueError(f"preset {base!r} takes no parameters, got {name!r}")
+        return _PRESETS[base]()
+    try:
+        s, K = (int(v) for v in tail.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse {tail!r}; expected photon-correlated:s,K") from None
+    return _PRESETS[base](s, K)

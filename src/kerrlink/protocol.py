@@ -47,13 +47,14 @@ from .design import (
     build_scheme,
     probe_affine,
 )
-from .errors import DomainError, MemoryBudgetExceeded, ShapeMismatch
+from .errors import MemoryBudgetExceeded, ShapeMismatch
 from .fock import (
     HERMITIAN_TILE,
     P_NEGLIGIBLE,
     DensOp,
     FockVector,
     TruncationSpec,
+    _nonvanishing_norm2,
     coherent_amplitudes,
     coherent_tail,
     min_cutoff,
@@ -148,11 +149,23 @@ def _s_trunc(trunc: TruncationSpec) -> TruncationSpec:
     return TruncationSpec(2 * trunc.n_max, trunc.tail_tol)
 
 
+def _check_budget(n_max: int, route: str, need: int) -> None:
+    if need > DENSE_BYTES_LIMIT:
+        raise MemoryBudgetExceeded(
+            f"{route} needs {need:.3g} B of dense arrays (n_max "
+            f"{n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"
+        )
+
+
 @lru_cache(maxsize=64)
 def _held_block(alpha: complex, beta: complex, trunc: TruncationSpec):
     """(Q_a, Q_b, N): the held modes' coherent amplitudes up to trunc.n_max and
     N_s = <v_s|v_s> for s = 0 .. 2 n_max; read-only, built once per
-    (alpha, beta, trunc) and shared by the records, targets and lifts."""
+    (alpha, beta, trunc) and shared by the records, targets and lifts.
+    MemoryBudgetExceeded, before any allocation, when one (2 n_max + 1)-row
+    operator alone is past DENSE_BYTES_LIMIT: no route could hold it."""
+    S = _s_trunc(trunc).dim
+    _check_budget(trunc.n_max, "one heralded block operator", 16 * S**2)
     qa = coherent_amplitudes(alpha, trunc.n_max, trunc.tail_tol)
     qb = coherent_amplitudes(beta, trunc.n_max, trunc.tail_tol)
     norms = np.convolve(np.abs(qa) ** 2, np.abs(qb) ** 2)
@@ -162,26 +175,22 @@ def _held_block(alpha: complex, beta: complex, trunc: TruncationSpec):
 
 
 def analytic_target_state(
-    target: TargetCoefficients, alpha, beta, chi, trunc: TruncationSpec | None = None
+    target: TargetCoefficients, alpha, beta, chi, trunc: TruncationSpec
 ) -> FockVector:
     """Normalized sum_n c_n |alpha e^{i chi n}> |beta e^{i chi n}> over "s".
 
     On (a, b) that sum is sum_s p(s) v_s with p(s) = sum_n c_n e^{i chi n s},
-    so its s-vector is sqrt(N_s) p(s); ``trunc`` is the per-mode cutoff.
-    Raises DomainError when that sum has no finite squared norm above
-    P_NEGLIGIBLE sum |c_n|^2 (c sums to zero at alpha = beta = 0, say, or
-    coefficients that label one coherent pair cancel at chi = pi): there is
-    no state to normalize, only round-off.
+    so its s-vector is sqrt(N_s) p(s); ``trunc`` is the per-mode cutoff, the
+    protocol's own (``ProtocolParams.trunc``) for a target compared with its
+    records.  Raises DomainError when that sum vanishes
+    (``fock._nonvanishing_norm2``).
     """
-    if trunc is None:
-        trunc = TruncationSpec(min_cutoff([alpha, beta]))
     norms = _held_block(complex(alpha), complex(beta), trunc)[2]
     s = np.arange(len(norms))
     p = np.exp(1j * chi * np.outer(s, np.arange(target.K + 1))) @ target.c
     amp = np.sqrt(norms) * p
     norm = np.linalg.norm(amp)
-    if not P_NEGLIGIBLE * np.sum(np.abs(target.c) ** 2) < norm**2 < np.inf:
-        raise DomainError(f"the target state has squared norm {norm**2:.3g}")
+    _nonvanishing_norm2(norm**2, target.c)
     return FockVector(("s",), amp / norm, _s_trunc(trunc))
 
 
@@ -265,20 +274,12 @@ def _dense_bytes(params: ProtocolParams, n: int) -> int:
     return 16 * ((n + 1) * S**2 + 2 * tile**2)
 
 
-def _check_budget(params: ProtocolParams, route: str, need: int) -> None:
-    if need > DENSE_BYTES_LIMIT:
-        raise MemoryBudgetExceeded(
-            f"{route} needs {need:.3g} B of dense arrays (n_max "
-            f"{params.trunc.n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"
-        )
-
-
 def run_full_protocol(params: ProtocolParams):
     """All 2^K click-pattern outcomes with heralded states and probabilities,
     along the blocked route, each state over "s"; MemoryBudgetExceeded,
     before any allocation, past DENSE_BYTES_LIMIT."""
     K = params.scheme.K
-    _check_budget(params, "blocked route", _dense_bytes(params, 2**K))
+    _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, 2**K))
     arms, probe = _branch_labels(params)
     root = np.sqrt(_held_block(params.alpha, params.beta, params.trunc)[2])
     trunc = _s_trunc(params.trunc)

@@ -303,7 +303,7 @@ def dense_view(params: ProtocolParams, rho: DensOp) -> DensOp:
     columns with N_s = 0 are left out, as the library's lift does)."""
     if rho.modes != ("s",) or rho.trunc.n_max != 2 * params.trunc.n_max:
         raise ValueError(f"not a block state of this protocol: {rho.modes}@{rho.trunc.n_max}")
-    _check_budget(params, "dense view", 16 * 3 * params.trunc.dim**4)
+    _check_budget(params.trunc.n_max, "dense view", 16 * 3 * params.trunc.dim**4)
     root = np.sqrt(block_norms(params))
     inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
     kernel = inv[:, None] * rho.matrix * inv
@@ -344,7 +344,7 @@ def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
     DENSE_BYTES_LIMIT before allocating."""
     K = params.scheme.K
     trunc = params.trunc
-    _check_budget(params, "Fock route", 16 * trunc.dim ** (K + 3))
+    _check_budget(trunc.n_max, "Fock route", 16 * trunc.dim ** (K + 3))
     modes = ["a", "b", "c"] + [f"r{j}" for j in range(1, K + 1)]
     refs = np.zeros(K, dtype=complex) if displaced else params.scheme.gtilde
     amps = [
@@ -384,7 +384,7 @@ def operator_path_state(params: ProtocolParams, counts) -> DensOp:
     """
     n_max, dim = params.trunc.n_max, params.trunc.dim
     # the kernel, then gathered_rho's outer product, gather and their product
-    _check_budget(params, "operator path", 16 * ((2 * n_max + 1) ** 2 + 3 * dim**4))
+    _check_budget(n_max, "operator path", 16 * ((2 * n_max + 1) ** 2 + 3 * dim**4))
     z = params.gamma * np.exp(1j * params.chi * np.arange(2 * n_max + 1))
     mu, nu = probe_affine(params.scheme)
     p = mu * z + nu

@@ -51,6 +51,14 @@ class TestExitCodes:
     def test_unknown_preset(self):
         assert cli.main(["design", "--preset", "nope"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "maxent-k2-low:7,7"],
+        ["design", "--preset", "bell-k1:anything"],
+    ])
+    def test_suffix_on_a_fixed_preset(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "takes no parameters" in capsys.readouterr().err
+
     def test_missing_target(self):
         assert cli.main(["design", "--gamma", "0.1"]) == 2
 
@@ -342,6 +350,27 @@ class TestMemoryBudgetExit:
             tracemalloc.stop()
         assert rc == 6
         assert "n_max 10711" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 100e6, f"traced peak {peak} B"
+
+    @pytest.mark.parametrize("alpha", ["400", "1000", "1e5", "1e8"])
+    def test_large_amplitude_exits_6_before_allocating(self, alpha, tmp_path, capsys):
+        # n_max ~ alpha^2: one (2 n_max + 1)-row operator is past the budget,
+        # so the run stops before the held modes' O(n_max) amplitudes and
+        # their O(n_max^2) norms are built; the bound leaves room for a first
+        # import of scipy inside the call
+        out = tmp_path / "artifact.csv"
+        argv = ["simulate", "--coeffs", "1,-1", "--alpha", alpha, "--gamma", "0.1",
+                "--chi", "0.1", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert err.startswith("over the memory budget: one heralded block operator"), err
         assert not out.exists()
         assert peak < 100e6, f"traced peak {peak} B"
 

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from kerrlink import fock
+from kerrlink.design import build_scheme
 from kerrlink.errors import ShapeMismatch, TailTooHeavy, UnknownMode
 from kerrlink.fock import (
     HERMITIAN_TILE,
@@ -17,6 +19,7 @@ from kerrlink.fock import (
     fidelity,
     min_cutoff,
 )
+from kerrlink.presets import get_preset
 from oracles import (
     TruncationOverflow,
     apply_beamsplitter,
@@ -79,6 +82,41 @@ class TestTruncation:
             n = min_cutoff([z], tol)
             assert coherent_tail(z, n) <= tol
             assert n == 1 or coherent_tail(z, n - 1) > tol, f"n={n} not minimal for z={z}"
+
+    @staticmethod
+    def stepped_cutoff(z, tol):
+        """The cutoff by the rule of stepping n up by one from |z|^2."""
+        n = max(1, int(abs(z) ** 2))
+        while coherent_tail(z, n) > tol:
+            n += 1
+        return n
+
+    def test_min_cutoff_is_the_stepped_cutoff(self):
+        # 0, a grid up to |z| = 60 and every beam of the presets (held modes,
+        # probe, references and master beam; maxent-k2-high's are 100)
+        beams = [0.0, *np.geomspace(1e-3, 60.0, 150)]
+        for name in ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated:2,2",
+                     "photon-correlated:1,3", "photon-correlated:2,4"):
+            p = get_preset(name)
+            scheme = build_scheme(p.target, p.gamma, delta=p.delta)
+            beams += [p.alpha, p.beta, p.gamma, scheme.ref_net.master, *scheme.gtilde]
+        for tol in (1e-12, 1e-9, 1e-3):
+            for z in beams:
+                assert min_cutoff([z], tol) == self.stepped_cutoff(z, tol), (z, tol)
+
+    def test_min_cutoff_takes_logarithmically_many_tail_calls(self, monkeypatch):
+        calls = []
+
+        def counted(z, n):
+            calls.append(n)
+            return coherent_tail(z, n)
+
+        monkeypatch.setattr(fock, "coherent_tail", counted)
+        n = min_cutoff([1e5])
+        assert coherent_tail(1e5, n) <= fock.DEFAULT_TAIL_TOL < coherent_tail(1e5, n - 1)
+        calls.clear()
+        n = min_cutoff([1e8])  # n - |z|^2 is ~6e8: stepping would take as many calls
+        assert 1e16 < n < 1e16 + 1e9 and len(calls) <= 100, (n, len(calls))
 
     def test_for_amplitudes_uses_largest(self):
         # several amplitudes: the cutoff is the one the largest needs

@@ -61,5 +61,8 @@ def test_name_parsing_and_errors():
         get_preset("photon-correlated:one,two")
     with pytest.raises(ValueError):
         get_preset("no-such-preset")
+    for name in ("bell-k1:anything", "maxent-k2-low:7,7", "maxent-k2-high:"):
+        with pytest.raises(ValueError, match="takes no parameters"):
+            get_preset(name)
     for name in PRESET_NAMES[:3]:
         assert get_preset(name).name == name

@@ -30,6 +30,7 @@ from kerrlink.fock import (
     TruncationSpec,
     coherent_amplitudes,
     fidelity,
+    min_cutoff,
 )
 from kerrlink.noise import success_probability
 from kerrlink.presets import get_preset
@@ -106,7 +107,8 @@ class TestParams:
 class TestAnalyticTarget:
     def test_single_coefficient_is_product(self):
         t = TargetCoefficients(np.array([1.0]))
-        st = lift_to_modes(analytic_target_state(t, 0.7, -0.3j, 0.5), 0.7, -0.3j)
+        cut = TruncationSpec(min_cutoff([0.7, -0.3j]))
+        st = lift_to_modes(analytic_target_state(t, 0.7, -0.3j, 0.5, cut), 0.7, -0.3j)
         trunc = st.trunc
         want = product_state(
             ("a", "b"),
@@ -137,7 +139,25 @@ class TestAnalyticTarget:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="squared norm 0"):
-                analytic_target_state(t, 0.0, 0.0, 0.5)
+                analytic_target_state(
+                    t, 0.0, 0.0, 0.5, TruncationSpec(min_cutoff([0.0, 0.0]))
+                )
+
+    def test_cutoff_is_required(self):
+        t = TargetCoefficients(np.array([1.0, -1.0]))
+        with pytest.raises(TypeError):
+            analytic_target_state(t, 0.5, 0.5, 0.5)
+
+    def test_target_at_the_protocol_cutoff_meets_its_records(self):
+        # photon-correlated:2,2 sizes n_max from every beam (8), above what
+        # alpha and beta alone need (4); a target at prot.trunc has the
+        # records' shape, so the library session gives a fidelity
+        p = get_preset("photon-correlated:2,2")
+        prot = make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
+        assert prot.trunc.n_max == 8 and min_cutoff([p.alpha, p.beta]) == 4
+        rec = all_click_record(run_full_protocol(prot))
+        tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, prot.trunc)
+        assert 0.99 < fidelity(rec.state, tgt) <= 1 + 1e-12
 
     def test_elimination_product_identity(self):
         # the root-product construction equals the coefficient superposition
@@ -158,7 +178,9 @@ class TestAnalyticTarget:
         # the s-vector sqrt(N_s) p(s), lifted to (a, b), against the term-by-
         # term coherent sum on the same grid
         t = TargetCoefficients(np.array(c))
-        block = analytic_target_state(t, alpha, beta, chi)
+        block = analytic_target_state(
+            t, alpha, beta, chi, TruncationSpec(min_cutoff([alpha, beta]))
+        )
         dense = dense_target_state(t, alpha, beta, chi)
         assert block.modes == ("s",) and block.trunc.n_max == 2 * dense.trunc.n_max
         lifted = lift_to_modes(block, alpha, beta)

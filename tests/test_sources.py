@@ -44,6 +44,27 @@ def imports_from_tests(source):
     return out
 
 
+def _own_nodes(fn):
+    """The nodes of fn's body, without those of the functions nested in it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def squared_norm_raisers(source):
+    """(line, function) for every raise inside a function whose message
+    speaks of a squared norm: the vanishing-state DomainError."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(n.lineno, fn.name) for n in _own_nodes(fn)
+                    if isinstance(n, ast.Raise) and "squared norm" in ast.unparse(n)]
+    return sorted(out)
+
+
 def _is_lru_cache(decorator):
     f = decorator.func if isinstance(decorator, ast.Call) else decorator
     return (isinstance(f, ast.Name) and f.id == "lru_cache") or (
@@ -151,3 +172,22 @@ class TestMemosAreReadOnly:
             "    return f(k)\n"
         )
         assert unfrozen_memo_returns(source) == [(11, "reopened"), (16, "half"), (21, "fresh")]
+
+
+class TestOneVanishingStateCheck:
+    def test_library_raises_it_from_one_helper(self):
+        found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+                 for _, name in squared_norm_raisers(path.read_text())]
+        assert found == [("fock.py", "_nonvanishing_norm2")], found
+
+    def test_rule_flags_each_raiser(self):
+        source = (
+            "def check(n2):\n"
+            "    if n2 <= 0:\n"
+            "        raise DomainError(f'the state has squared norm {n2:.3g}')\n"
+            "def outer(c):\n"
+            "    def inner():\n"
+            "        raise DomainError('squared norm 0')\n"
+            "    raise ValueError('bad c')\n"
+        )
+        assert squared_norm_raisers(source) == [(3, "check"), (6, "inner")]
