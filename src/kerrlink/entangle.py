@@ -7,6 +7,11 @@ Fock truncation; the truncated-Fock reduction in ``tests/oracles.py`` serves
 as its oracle.  Each per-mode Gram, and its square root when an entropy asks
 for one, is built once per (K, |z|^2, chi) and shared read-only, so an
 optimizer run or a noise budget that revisits a key builds nothing.
+
+An entropy evaluation, and the optimizer's expansion of roots into
+coefficients, keep a fixed order of float operations (the references in
+``tests/oracles.py`` pin it bit for bit), so that scan artifacts are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def pair_gram(K: int, alpha, beta, chi):
 
 def _bits(lam) -> float:
     """Shannon entropy (bits) of the weights lam; +0.0, not -0.0, for lam = [1]."""
-    return float(0.0 - np.sum(lam * np.log2(lam)))
+    return float(0.0 - (lam * np.log2(lam)).sum())
 
 
 def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
@@ -82,13 +87,15 @@ def entropy_of_coefficients(c, alpha, beta, chi) -> EntanglementReport:
     Raises DomainError when the state vanishes (``fock._nonvanishing_norm2``).
     """
     c = np.asarray(c, dtype=complex)
+    cc = c.conj()
     K = len(c) - 1
     G_a, G_b = pair_gram(K, alpha, beta, chi)
-    norm2 = _nonvanishing_norm2(float(np.real(np.conj(c) @ ((G_a * G_b) @ c))), c)
-    X = np.outer(c, np.conj(c)) * G_b.T
+    norm2 = _nonvanishing_norm2(float((cc @ ((G_a * G_b) @ c)).real), c)
+    X = c[:, None] * cc * G_b.T
     s = _gram_root(K, float(abs(alpha) ** 2), float(chi))
-    lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
-    lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
+    # eigvalsh returns real eigenvalues in ascending order, and norm2 > 0
+    lam = np.linalg.eigvalsh(s @ X @ s) / norm2
+    lam = lam[lam > EIG_FLOOR][::-1]
     return EntanglementReport(_bits(lam), lam)
 
 
@@ -99,6 +106,18 @@ def schmidt_entropy(state) -> float:
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = sv**2 / np.sum(sv**2)
     return _bits(lam[lam > EIG_FLOOR])
+
+
+def _poly(roots) -> np.ndarray:
+    """np.poly(roots) for a 1-d complex array, without its input checks: the
+    same convolutions in the same order, hence the same floats, and real when
+    the roots are closed under conjugation."""
+    a = np.ones(1, dtype=complex)
+    for z in roots:
+        a = np.convolve(a, [1, -z])
+    if (np.sort(roots) == np.sort(roots.conjugate())).all():
+        return a.real.copy()
+    return a
 
 
 def minimize(fun, x0, **options):
@@ -134,11 +153,11 @@ def optimize_coefficients(
     unity = np.exp(2j * np.pi * np.arange(1, K + 1) / (K + 1))
 
     def coeffs(params):
-        return np.poly(params[:K] * np.exp(1j * params[K:]))[::-1]
+        return _poly(params[:K] * np.exp(1j * params[K:]))[::-1]
 
     def neg_entropy(params):
         c = coeffs(params)
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             return 0.0
         try:
             return -entropy_of_coefficients(c, alpha, beta, chi).E
@@ -157,11 +176,12 @@ def optimize_coefficients(
         while True:
             yield rng.normal(size=K) + 1j * rng.normal(size=K)
 
-    starts = []
+    starts, polys = [], []
     for roots in candidates():
-        if not any(np.allclose(np.poly(roots), np.poly(r), rtol=0, atol=1e-12)
-                   for r in starts):
+        p = _poly(roots)
+        if not any(np.allclose(p, q, rtol=0, atol=1e-12) for q in polys):
             starts.append(roots)
+            polys.append(p)
         if len(starts) == restarts:
             break
 

@@ -33,6 +33,10 @@ it, and nothing in ``src/`` imports it:
   (``dense_view``), the block norms N_s summed over the (a, b) grid
   (``block_norms``), and the analytic target on the (a, b) grid
   (``dense_target_state``);
+* the entanglement objective as first written (``entropy_outer_sorted``:
+  np.outer, np.real on the eigenvalues and a descending re-sort) and the
+  root expansion by np.poly (``poly_by_numpy``), which the lean forms in
+  ``entangle`` must match bit for bit;
 * the trace distance between two density operators.
 """
 
@@ -54,7 +58,13 @@ from kerrlink.design import (
     semi_success_coeffs,
     solve_roots,
 )
-from kerrlink.entangle import _rot_gram, pair_gram
+from kerrlink.entangle import (
+    EIG_FLOOR,
+    EntanglementReport,
+    _gram_root,
+    _rot_gram,
+    pair_gram,
+)
 from kerrlink.errors import DomainError, KerrlinkError, UnknownMode
 from kerrlink.fock import (
     P_NEGLIGIBLE,
@@ -62,6 +72,7 @@ from kerrlink.fock import (
     FockVector,
     TruncationSpec,
     _check_same,
+    _nonvanishing_norm2,
     coherent_amplitudes,
     fidelity,
     min_cutoff,
@@ -560,6 +571,31 @@ def darkcount_term_per_detector(target, noise, alpha, beta, gamma, chi) -> float
         ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (N * nt)
         t_dark += w1 * ck2 * (1.0 - ov2)
     return t_dark
+
+
+# ---------------------------------------------------------------------------
+# the entanglement objective, operation by operation as first written
+
+
+def entropy_outer_sorted(c, alpha, beta, chi) -> EntanglementReport:
+    """entangle.entropy_of_coefficients as first written: the reduced
+    operator by np.outer, np.real on eigvalsh's output, a descending re-sort
+    of the kept weights, and np.sum for the entropy."""
+    c = np.asarray(c, dtype=complex)
+    K = len(c) - 1
+    G_a, G_b = pair_gram(K, alpha, beta, chi)
+    norm2 = _nonvanishing_norm2(float(np.real(np.conj(c) @ ((G_a * G_b) @ c))), c)
+    X = np.outer(c, np.conj(c)) * G_b.T
+    s = _gram_root(K, float(abs(alpha) ** 2), float(chi))
+    lam = np.real(np.linalg.eigvalsh(s @ X @ s)) / norm2
+    lam = np.sort(lam[lam > EIG_FLOOR])[::-1]
+    return EntanglementReport(float(0.0 - np.sum(lam * np.log2(lam))), lam)
+
+
+def poly_by_numpy(roots) -> np.ndarray:
+    """Coefficients of prod_m (z - roots[m]), highest power first: np.poly,
+    which the optimizer expanded its roots with before entangle._poly."""
+    return np.poly(roots)
 
 
 # ---------------------------------------------------------------------------

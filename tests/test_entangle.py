@@ -27,7 +27,12 @@ from kerrlink.fock import (
     coherent_amplitudes,
     min_cutoff,
 )
-from oracles import product_state, reduce_to_density
+from oracles import (
+    entropy_outer_sorted,
+    poly_by_numpy,
+    product_state,
+    reduce_to_density,
+)
 
 
 def pair_target(a2, chi):
@@ -201,6 +206,57 @@ class TestGramMemo:
         assert np.array_equal(G_b, entangle._rot_gram(0.6**2, th, th))
 
 
+def assert_same_entropy(c, alpha, beta, chi):
+    rep = entropy_of_coefficients(c, alpha, beta, chi)
+    ref = entropy_outer_sorted(c, alpha, beta, chi)
+    assert rep.E == ref.E
+    assert rep.schmidt.dtype == ref.schmidt.dtype
+    assert np.array_equal(rep.schmidt, ref.schmidt)
+
+
+def root_sets(rng, K):
+    """Root sets of each kind the optimizer meets: generic, closed under
+    conjugation, K-fold repeated, real and the structured unit-circle fans."""
+    pairs = rng.normal(size=K // 2) + 1j * rng.normal(size=K // 2)
+    yield rng.normal(size=K) + 1j * rng.normal(size=K)
+    yield np.concatenate((pairs, pairs.conj(), rng.normal(size=K % 2) + 0j))
+    yield np.concatenate((pairs.conj(), rng.normal(size=K % 2) + 0j, pairs))
+    yield np.full(K, np.exp(0.7j))
+    yield np.full(K, -1.0 + 0j)
+    yield rng.normal(size=K) + 0j
+    yield -np.exp(2j * np.pi * np.arange(1, K + 1) / (K + 1))
+    yield np.exp(1j * (0.3 + 0.2 * (np.arange(K) - (K - 1) / 2.0)))
+
+
+class TestLeanObjective:
+    """The optimizer's objective and root expansion, bit for bit against the
+    forms they replaced (tests/oracles.py): scan artifacts rest on it."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_entropy_matches_the_reference_bitwise(self, K):
+        rng = np.random.default_rng(K)
+        for x in (1e-4, 1e-2, 1.0, 100.0):
+            for alpha, beta in ((math.sqrt(max(10.0, x)),) * 2, (1.3, 0.7 - 0.4j)):
+                chi = math.sqrt(x) / abs(alpha)
+                for _ in range(4):
+                    c = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+                    assert_same_entropy(c, alpha, beta, chi)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_root_expansion_matches_np_poly_bitwise(self, K):
+        rng = np.random.default_rng(10 + K)
+        for roots in root_sets(rng, K):
+            got, want = entangle._poly(roots), poly_by_numpy(roots)
+            assert got.dtype == want.dtype, roots
+            assert np.array_equal(got, want), roots
+            assert_same_entropy(got[::-1], math.sqrt(10), math.sqrt(10), 0.3)
+
+    def test_vanishing_state_raises_on_both_sides(self):
+        for entropy in (entropy_of_coefficients, entropy_outer_sorted):
+            with pytest.raises(DomainError):
+                entropy([1.0, -1.0], 0.0, 0.0, 0.5)
+
+
 class TestOptimizer:
     def test_k1_recovers_closed_form(self):
         alpha = beta = np.sqrt(10)
@@ -246,6 +302,20 @@ def counted_starts(monkeypatch):
     return starts
 
 
+def recorded_searches(monkeypatch):
+    """Record (start point, nfev) of every Nelder-Mead search."""
+    searches = []
+    real = entangle.minimize
+
+    def recording(fun, x0, *args, **kwargs):
+        res = real(fun, x0, *args, **kwargs)
+        searches.append((np.array(x0, dtype=float), res.nfev))
+        return res
+
+    monkeypatch.setattr(entangle, "minimize", recording)
+    return searches
+
+
 class TestSingleStageSearch:
     """One root-space search per start: no polishing pass, no second stage."""
 
@@ -277,6 +347,30 @@ class TestSingleStageSearch:
     def test_restarts_validation(self):
         with pytest.raises(ValueError):
             optimize_coefficients(1, 1.0, 1.0, 0.5, restarts=0)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_is_the_reference_search(self, monkeypatch, K, seed):
+        # the same starts, the same nfev per start, the same result with the
+        # objective and root expansion the optimizer used before
+        runs = []
+        for reference in (False, True):
+            with monkeypatch.context() as m:
+                if reference:
+                    m.setattr(entangle, "entropy_of_coefficients", entropy_outer_sorted)
+                    m.setattr(entangle, "_poly", poly_by_numpy)
+                searches = recorded_searches(m)
+                rep = optimize_coefficients(K, np.sqrt(10), np.sqrt(10), 1 / np.sqrt(10),
+                                            restarts=3, seed=seed)
+            runs.append((rep, searches))
+        (rep, searches), (ref, ref_searches) = runs
+        assert rep.E == ref.E
+        assert rep.c_opt.dtype == ref.c_opt.dtype
+        assert np.array_equal(rep.c_opt, ref.c_opt)
+        assert len(searches) == len(ref_searches) == 3
+        for (x0, nfev), (ref_x0, ref_nfev) in zip(searches, ref_searches):
+            assert np.array_equal(x0, ref_x0)
+            assert nfev == ref_nfev
 
 
 class TestSemiSuccess:
