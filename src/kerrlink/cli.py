@@ -8,7 +8,8 @@ scheme depends only on the target, gamma and delta, takes no mode amplitudes
 or chi.  The target fixes K for design and simulate; entangle-scan and
 feasibility take a --K list.  Only entangle-scan takes a seed (its
 optimizer's random starts).  feasibility gives each of its six budget terms
-eps = (1 - F)/6 of the --f-target F.  CSV output is comma-separated with a
+eps = (1 - F)/6 of the --f-target F, and writes its inequality report to
+stderr, never into the artifact.  CSV output is comma-separated with a
 '.' decimal point, one header row, and '#'-prefixed parameter echo lines in
 front, so each artifact is self-describing.  The same flags always produce
 byte-identical output.  Channel loss Lambda is the relative intensity loss
@@ -334,7 +335,8 @@ def cmd_feasibility(args) -> int:
         ("dphi2", dphi2), ("fixed_dB", ",".join(_fmt(v) for v in args.fixed_db)),
         ("dB_convention", DB_NOTE),
     ] + walls + cuts
-    sys.stdout.write("\n".join(report) + "\n")
+    # stderr, so that stdout carries the artifact alone
+    sys.stderr.write("\n".join(report) + "\n")
     _emit(args, params, ("sweep", "K", "Lambda_dB", "F", "p_K"), rows)
     return 0
 

@@ -11,7 +11,7 @@ derives every reference beam from one master coherent source.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +75,25 @@ class RefNet:
 
 @dataclass(frozen=True)
 class DetectionScheme:
-    """Complete synthesized network for one target and probe amplitude."""
+    """Complete synthesized network.  Its inputs are the roots and the
+    last-splitter transmittance delta; the splitter chain (T, q), the
+    references gtilde and their cascade ref_net are derived on construction,
+    also under ``dataclasses.replace``."""
 
     roots: EliminationRoots
-    T: np.ndarray
-    q: float
     delta: float
-    gtilde: np.ndarray
-    ref_net: RefNet
+    T: np.ndarray = field(init=False)
+    q: float = field(init=False)
+    gtilde: np.ndarray = field(init=False)
+    ref_net: RefNet = field(init=False)
+
+    def __post_init__(self):
+        T, q = transmittances(self.roots.K, self.delta)
+        gt = reference_amplitudes(self.roots, T, q)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "gtilde", gt)
+        object.__setattr__(self, "ref_net", reference_network(gt))
 
     @property
     def K(self) -> int:
@@ -244,11 +255,7 @@ def build_scheme(
     target: TargetCoefficients, gamma, delta: float = DEFAULT_DELTA
 ) -> DetectionScheme:
     """Full synthesis: roots, splitter chain, references, reference cascade."""
-    roots = solve_roots(target, gamma)
-    T, q = transmittances(roots.K, delta)
-    gt = reference_amplitudes(roots, T, q)
-    net = reference_network(gt)
-    return DetectionScheme(roots, T, q, float(delta), gt, net)
+    return DetectionScheme(solve_roots(target, gamma), float(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,9 @@ def fidelity_leading_order(
     removing one noise source zeroes exactly its term.  The probe-photon
     phase drift eta1 is taken as compensated by redesigned roots and does
     not appear.  Raises DomainError when the target state vanishes
-    (``fock._nonvanishing_norm2``).
+    (``fock._nonvanishing_norm2``), and when dark counts (zeta > 0) meet a
+    gamma with |gamma|^2 = 0, where their term zeta/(lambda_det |gamma|^2)
+    has no value.
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
@@ -240,8 +242,14 @@ def fidelity_leading_order(
 
     t_dark = 0.0
     if noise.zeta > 0:
+        g2 = abs(gamma) ** 2
+        if g2 == 0:
+            raise DomainError(
+                f"gamma = {gamma} leaves the dark-count term zeta/(lambda_det "
+                "|gamma|^2) undefined; dark counts (zeta > 0) need a nonzero gamma"
+            )
         ck2 = abs(c[-1]) ** 2 / N
-        w1 = noise.zeta / (noise.lambda_det * abs(gamma) ** 2)
+        w1 = noise.zeta / (noise.lambda_det * g2)
         ct = _silent_rows(tuple(target.c), complex(gamma))
         # every detector j at once: nt_j = ct_j^H G ct_j, ov_j = c^H G ct_j
         nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
@@ -279,6 +287,9 @@ def superop_pipeline_fidelity(
     c_n -> c_n e^{i eta1 n}, which is exactly the state a scheme with roots
     rotated by e^{-i eta1} heralds.  All overlaps are closed-form Gram
     entries, so the only approximation left is the Poisson series cutoff.
+    The detectors do not enter: lambda_det and zeta are not read, so F is the
+    same for every detector efficiency and dark-count probability (the
+    leading-order budget carries the dark-count term alone).
     Raises DomainError when Lambda |gamma|^2 is too large for that series
     (see _poisson_weights), and when the target, the compensated reference or
     the noisy state (whose pairs sit on the actual-coupling labels) vanishes

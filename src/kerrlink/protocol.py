@@ -72,15 +72,19 @@ EIGSH_MIN_ROWS = 128
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Physical inputs plus the synthesized scheme and shared truncation."""
+    """Held-mode amplitudes, coupling, the synthesized scheme and the shared
+    truncation.  The probe amplitude gamma is the one the scheme's roots were
+    solved for, read from the scheme rather than stored a second time."""
 
     alpha: complex
     beta: complex
-    gamma: complex
     chi: float
-    target: TargetCoefficients
     scheme: DetectionScheme
     trunc: TruncationSpec
+
+    @property
+    def gamma(self) -> complex:
+        return self.scheme.roots.gamma
 
     @property
     def truncated_mass(self) -> float:
@@ -128,15 +132,14 @@ def make_protocol(
     (held modes, probe, references, master) within fock.DEFAULT_TAIL_TOL, so
     the same ProtocolParams can drive the blocked route and its truncated-Fock
     oracles.  To run at another cutoff, replace ``trunc`` on the result
-    (``dataclasses.replace``).
+    (``dataclasses.replace``).  The target itself is not kept: the run reads
+    it only through the scheme's roots.
     """
     scheme = build_scheme(target, gamma, delta=delta)
     return ProtocolParams(
         complex(alpha),
         complex(beta),
-        complex(gamma),
         float(chi),
-        target,
         scheme,
         TruncationSpec(
             min_cutoff([alpha, beta, gamma, scheme.ref_net.master, *scheme.gtilde])

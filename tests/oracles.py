@@ -408,8 +408,9 @@ def operator_path_state(params: ProtocolParams, counts) -> DensOp:
     return DensOp(("a", "b"), gathered_rho(params, kernel), params.trunc)
 
 
-def equivalence_report(params: ProtocolParams):
-    """(trace distance, residual, exponent) of the all-click outcome.
+def equivalence_report(params: ProtocolParams, target: TargetCoefficients):
+    """(trace distance, residual, exponent) of the all-click outcome of
+    params, a protocol made for target.
 
     trace distance: the blocked route against the operator path with counts
     1..3 on every arm.  residual: the blocked state's infidelity against
@@ -418,13 +419,13 @@ def equivalence_report(params: ProtocolParams):
     """
     def all_click(p):
         state = all_click_record(run_full_protocol(p)).state
-        tgt = analytic_target_state(p.target, p.alpha, p.beta, p.chi, p.trunc)
+        tgt = analytic_target_state(target, p.alpha, p.beta, p.chi, p.trunc)
         return state, 1.0 - fidelity(state, tgt)
 
     net, r1 = all_click(params)
     op = operator_path_state(params, [range(1, 4)] * params.scheme.K)
     half = make_protocol(params.alpha, params.beta, params.gamma / 2, params.chi,
-                         params.target, delta=params.scheme.delta)
+                         target, delta=params.scheme.delta)
     _, r2 = all_click(dataclasses.replace(half, trunc=params.trunc))
     return trace_distance(dense_view(params, net), op), r1, float(np.log2(r1 / r2))
 

@@ -115,7 +115,7 @@ def test_criterion_04_oracle_equivalence():
     for name in ("bell-k1", "maxent-k2-low"):
         p = get_preset(name)
         prot = make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta)
-        td, _, exponent = equivalence_report(prot)
+        td, _, exponent = equivalence_report(prot, p.target)
         assert td <= 1e-5, f"{name}: td = {td}"
         assert 1.7 <= exponent <= 2.3, f"{name}: exponent = {exponent}"
     dt = time.perf_counter() - t0

@@ -550,10 +550,30 @@ class TestFeasibility:
 
     def test_report_prints_inequalities(self, capsys):
         rc = cli.main(["feasibility", "--K", "1", "--db-grid", "0", "--out", "/dev/null"])
-        out = capsys.readouterr().out
+        err = capsys.readouterr().err
         assert rc == 0
-        assert "overall:" in out
-        assert out.count("PASS") + out.count("FAIL") >= 6
+        assert "overall:" in err
+        assert err.count("PASS") + err.count("FAIL") >= 6
+
+    def test_stdout_is_the_json_artifact_alone(self, capsys):
+        rc = cli.main(["feasibility", "--K", "1", "--db-grid", "0,10", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and "overall:" in err
+        doc = json.loads(out)
+        assert doc["params"]["subcommand"] == "feasibility"
+        assert [r["Lambda_dB"] for r in doc["rows"] if r["sweep"] == "loss"] == [0.0, 10.0]
+
+    def test_stdout_is_the_csv_artifact_alone(self, capsys):
+        rc = cli.main(["feasibility", "--K", "1", "--db-grid", "0,10"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and "overall:" in err
+        lines = out.splitlines()
+        n_echo = 0
+        while lines[n_echo].startswith("# "):
+            n_echo += 1
+        assert n_echo > 0 and lines[n_echo] == "sweep,K,Lambda_dB,F,p_K"
+        rows = [line.split(",") for line in lines[n_echo + 1 :]]
+        assert len(rows) == 2 + 2 * 50 and all(len(r) == 5 for r in rows)
 
 
 class TestArtifactConventions:

@@ -1,5 +1,6 @@
 """Network synthesis: root finding, splitter chain, reference cascade."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -136,7 +137,7 @@ class TestReferenceAmplitudes:
         for K, delta in [(1, 0.2), (2, 0.15), (3, 0.2)]:
             vals = 0.25 * (rng.normal(size=K) + 1j * rng.normal(size=K))
             roots = EliminationRoots(tuple((v, 1) for v in vals), 0.1)
-            scheme = build_scheme_from_roots(roots, delta)
+            scheme = DetectionScheme(roots, delta)
             gamma_x = complex(0.2 * (rng.normal() + 1j * rng.normal()))
             st = probe_cascade(scheme, gamma_x, 16)
             mu, nu = probe_affine(scheme)
@@ -152,12 +153,9 @@ class TestReferenceAmplitudes:
             assert ov > 1 - 1e-8, f"K={K}: overlap {ov}"
 
     def test_degenerate_roots_repeat_entries(self):
-        roots = EliminationRoots(((0.2, 2),), 0.1)
-        T, q = transmittances(2, 0.1)
-        gt = reference_amplitudes(roots, T, q)
-        assert len(gt) == 2
+        scheme = DetectionScheme(EliminationRoots(((0.2, 2),), 0.1), 0.1)
+        assert len(scheme.gtilde) == 2
         # both arms cancel the same root, so a probe at that root stays dark
-        scheme = DetectionScheme(roots, T, q, 0.1, gt, reference_network(gt))
         st = probe_cascade(scheme, 0.2, 14)
         for j in (1, 2):
             idx = st.axis(f"r{j}")
@@ -165,12 +163,6 @@ class TestReferenceAmplitudes:
             sl[idx] = slice(1, None)
             mass = float(np.sum(np.abs(st.amplitudes[tuple(sl)]) ** 2))
             assert mass < 1e-12, f"arm {j} not dark: {mass:.2e}"
-
-
-def build_scheme_from_roots(roots, delta):
-    T, q = transmittances(roots.K, delta)
-    gt = reference_amplitudes(roots, T, q)
-    return DetectionScheme(roots, T, q, delta, gt, reference_network(gt))
 
 
 class TestReferenceNetwork:
@@ -303,6 +295,16 @@ class TestSemiSuccess:
             semi_success_coeffs(r, {0})
 
 
+def same_network(s, T, q, gtilde, ref_net):
+    """Whether scheme s holds exactly these derived values, bit for bit."""
+    return (
+        np.array_equal(s.T, T) and s.q == q and np.array_equal(s.gtilde, gtilde)
+        and np.array_equal(s.ref_net.Tp, ref_net.Tp)
+        and np.array_equal(s.ref_net.phi, ref_net.phi)
+        and s.ref_net.master == ref_net.master
+    )
+
+
 class TestBuildAndSerialize:
     def test_build_scheme_bundles_consistently(self):
         t = coeffs_from_photon_target(1, 2, 0.8)
@@ -311,6 +313,30 @@ class TestBuildAndSerialize:
         assert s.T[-1] == 0.05
         assert len(s.gtilde) == 2
         assert s.ref_net.Tp.shape == (1,)
+
+    def test_only_roots_and_delta_are_inputs(self):
+        init = [f.name for f in dataclasses.fields(DetectionScheme) if f.init]
+        assert init == ["roots", "delta"]
+        s = build_scheme(coeffs_from_photon_target(1, 2, 0.8), 0.1)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(s, q=0.5)
+
+    def test_derived_network_follows_the_synthesis_chain(self):
+        # T and q, then the references, then their cascade, bit for bit
+        roots = solve_roots(coeffs_from_photon_target(1, 3, 0.8), 0.1 + 0.05j)
+        s = DetectionScheme(roots, 0.02)
+        T, q = transmittances(3, 0.02)
+        gt = reference_amplitudes(roots, T, q)
+        net = reference_network(gt)
+        assert same_network(s, T, q, gt, net)
+
+    @pytest.mark.parametrize("delta", [0.5, 1e-6])
+    def test_replaced_delta_rebuilds_the_network(self, delta):
+        t = coeffs_from_photon_target(1, 2, 0.8)
+        s = dataclasses.replace(build_scheme(t, 0.1), delta=delta)
+        want = build_scheme(t, 0.1, delta=delta)
+        assert s.delta == want.delta == delta
+        assert same_network(s, want.T, want.q, want.gtilde, want.ref_net)
 
     def test_low_x_two_root_network_matches_small_angle_forms(self):
         # weak-nonlinearity pair target: leading phase shift sqrt(2)|alpha| chi

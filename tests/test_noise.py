@@ -1,6 +1,7 @@
 """Nonideality maps checked against closed forms and a dense Fock-space
 reconstruction of the same pipeline."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -334,6 +335,15 @@ class TestDarkCounts:
         infid, t_dark = self.dense_and_budget(t, a2, chi, 0.3, 0.5, zeta)
         assert abs(infid - t_dark) <= 5 * t_dark**2, f"dense {infid} vs budget {t_dark}"
 
+    def test_zero_gamma_with_dark_counts_is_a_domain_error(self):
+        # the term's weight zeta/(lambda_det |gamma|^2) has no value at gamma 0;
+        # without dark counts gamma = 0 is a valid (lossless) budget
+        t = bell_target(1.0, 1.0, 0.5)
+        with pytest.raises(DomainError, match="gamma"):
+            fidelity_leading_order(t, NoiseParams(zeta=1e-6), 1.0, 1.0, 0.0, 0.5)
+        quiet = fidelity_leading_order(t, NoiseParams(), 1.0, 1.0, 0.0, 0.5)
+        assert quiet.terms["darkcount"] == 0.0
+
     def test_warns_when_truncation_unreliable(self):
         t = bell_target(1.0, 1.0, 0.5)
         roots = solve_roots(t, 0.1)
@@ -563,6 +573,18 @@ class TestPipeline:
         got = superop_pipeline_fidelity(t, noise, a, a, 0.3, chi)
         want = fock_pipeline_fidelity(t, noise, a, a, 0.3, chi)
         assert abs(got - want) < 1e-8, f"pair {got} vs Fock {want}"
+
+    def test_detectors_do_not_enter(self):
+        # the exact budget composes the channel stages only: detector
+        # efficiency and dark counts leave F bit-identical
+        p = get_preset("bell-k1")
+        noise = NoiseParams(Lambda=0.2, Lambda1=1e-3, Lambda2=2e-3, dphi2=1e-4,
+                            eps_ac=0.03, eps_bc=-0.02)
+        detectors = dataclasses.replace(noise, lambda_det=0.01, zeta=1e-3)
+        args = (p.alpha, p.beta, p.gamma, p.chi)
+        f = superop_pipeline_fidelity(p.target, noise, *args)
+        assert f < 1.0
+        assert superop_pipeline_fidelity(p.target, detectors, *args) == f
 
     def test_matches_dense_fock_k2(self):
         chi = 0.01

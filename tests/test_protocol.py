@@ -12,14 +12,12 @@ import pytest
 
 from kerrlink import protocol
 from kerrlink.design import (
+    DetectionScheme,
     EliminationRoots,
     TargetCoefficients,
     coeffs_from_photon_target,
-    reference_amplitudes,
-    reference_network,
     semi_success_coeffs,
     solve_roots,
-    transmittances,
 )
 from kerrlink.entangle import pair_gram, schmidt_entropy
 from kerrlink.errors import DomainError, MemoryBudgetExceeded
@@ -67,15 +65,23 @@ from oracles import (
 )
 
 
+# the targets of small_k1 and small_k2; a protocol keeps only its scheme
+SMALL_K1_TARGET = TargetCoefficients(np.array([1.0, -np.exp(-2j * 0.3 * np.sin(0.9))]))
+SMALL_K2_TARGET = coeffs_from_photon_target(1, 2, 0.9)
+
+
 def small_k1(gamma=0.1):
-    a2 = 0.3
-    c = TargetCoefficients(np.array([1.0, -np.exp(-2j * a2 * np.sin(0.9))]))
-    return make_protocol(np.sqrt(a2), np.sqrt(a2), gamma, 0.9, c, delta=0.2)
+    a = np.sqrt(0.3)
+    return make_protocol(a, a, gamma, 0.9, SMALL_K1_TARGET, delta=0.2)
 
 
 def small_k2(gamma=0.1):
-    t = coeffs_from_photon_target(1, 2, 0.9)
-    return make_protocol(0.5, 0.4, gamma, 0.9, t, delta=0.25)
+    return make_protocol(0.5, 0.4, gamma, 0.9, SMALL_K2_TARGET, delta=0.25)
+
+
+def small_cases():
+    """(protocol, its target) for small_k1 and small_k2."""
+    return ((small_k1(), SMALL_K1_TARGET), (small_k2(), SMALL_K2_TARGET))
 
 
 class TestParams:
@@ -93,6 +99,18 @@ class TestParams:
         with pytest.warns(UserWarning) as rec:
             make_protocol(0.5, 0.5, 0.8, 0.9, t)
         assert [w.filename for w in rec] == [__file__]
+
+    def test_fields_are_the_independent_inputs(self):
+        names = [f.name for f in dataclasses.fields(protocol.ProtocolParams)]
+        assert names == ["alpha", "beta", "chi", "scheme", "trunc"]
+        p = small_k2(gamma=0.07 + 0.02j)
+        assert p.gamma is p.scheme.roots.gamma and p.gamma == 0.07 + 0.02j
+
+    @pytest.mark.parametrize("change", [{"gamma": 0.2}, {"target": SMALL_K1_TARGET}])
+    def test_gamma_and_target_cannot_be_set_apart_from_the_scheme(self, change):
+        # the probe amplitude comes with the scheme, and no target is kept
+        with pytest.raises(TypeError):
+            dataclasses.replace(small_k1(), **change)
 
     def test_cutoff_covers_references(self):
         p = small_k2()
@@ -161,9 +179,9 @@ class TestAnalyticTarget:
 
     def test_elimination_product_identity(self):
         # the root-product construction equals the coefficient superposition
-        for params in (small_k1(), small_k2()):
+        for params, target in small_cases():
             tgt = analytic_target_state(
-                params.target, params.alpha, params.beta, params.chi, params.trunc
+                target, params.alpha, params.beta, params.chi, params.trunc
             )
             elim = build_target_by_elimination(params)
             tgt = lift_to_modes(tgt, params.alpha, params.beta)
@@ -218,10 +236,10 @@ class TestFullProtocol:
                 assert trace_distance(dense_view(params, rf.state), rd.state) < 1e-8
 
     def test_all_click_close_to_target(self):
-        for params in (small_k1(), small_k2()):
+        for params, target in small_cases():
             rec = all_click_record(run_full_protocol(params))
             tgt = analytic_target_state(
-                params.target, params.alpha, params.beta, params.chi, params.trunc
+                target, params.alpha, params.beta, params.chi, params.trunc
             )
             f = fidelity(rec.state, tgt)
             assert f >= 1 - 5 * abs(params.gamma) ** 2, f"fidelity {f:.4f}"
@@ -359,11 +377,12 @@ class TestBlockRoute:
         # |beta> = |0>: N_s = |Q_s(alpha)|^2 up to n_max and exactly 0 beyond,
         # so the block rows past n_max are zero and the lift masks them
         params = bell_k1_beta0()
+        target = get_preset("bell-k1").target
         n_max = params.trunc.n_max
         norms = block_norms(params)
         assert np.all(norms[n_max + 1 :] == 0) and np.all(norms[: n_max + 1] > 0)
-        tgt = analytic_target_state(params.target, params.alpha, 0.0, params.chi, params.trunc)
-        dense_tgt = dense_target_state(params.target, params.alpha, 0.0, params.chi, params.trunc)
+        tgt = analytic_target_state(target, params.alpha, 0.0, params.chi, params.trunc)
+        dense_tgt = dense_target_state(target, params.alpha, 0.0, params.chi, params.trunc)
         for rec, (pattern, dense) in zip(run_full_protocol(params), dense_records(params)):
             assert np.all(rec.state.matrix[n_max + 1 :] == 0)
             p = np.trace(dense).real
@@ -532,14 +551,9 @@ class TestOperatorPath:
         params = small_k2()
         roots = params.scheme.roots
         flipped = EliminationRoots(tuple(reversed(roots.roots)), roots.gamma)
-        T, q = transmittances(2, params.scheme.delta)
-        gt = reference_amplitudes(flipped, T, q)
-        from kerrlink.design import DetectionScheme
-
-        scheme2 = DetectionScheme(
-            flipped, T, q, params.scheme.delta, gt, reference_network(gt)
+        params2 = dataclasses.replace(
+            params, scheme=DetectionScheme(flipped, params.scheme.delta)
         )
-        params2 = dataclasses.replace(params, scheme=scheme2)
         r1 = operator_path_state(params, [(1,), (2,)]).normalized()
         r2 = operator_path_state(params2, [(2,), (1,)]).normalized()
         assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-12
@@ -547,18 +561,18 @@ class TestOperatorPath:
 
 class TestEquivalenceAndProbability:
     def test_equivalence_report(self):
-        td, residual, exponent = equivalence_report(small_k1())
+        td, residual, exponent = equivalence_report(small_k1(), SMALL_K1_TARGET)
         assert td < 1e-6
         assert residual < 5e-2
         assert 1.5 < exponent < 2.5
 
     def test_success_probability_formula(self):
-        for params in (small_k1(), small_k2()):
-            G_a, G_b = pair_gram(params.target.K, params.alpha, params.beta, params.chi)
-            c = params.target.c
+        for params, target in small_cases():
+            G_a, G_b = pair_gram(target.K, params.alpha, params.beta, params.chi)
+            c = target.c
             norm2 = float(np.real(np.conj(c) @ ((G_a * G_b) @ c)))
             want = success_probability(
-                params.target,
+                target,
                 params.gamma,
                 1.0,
                 q=params.scheme.q,
