@@ -415,8 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main call, not at import, and reused by every later
+# one: parse_args leaves a parser as it found it
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         _check_finite(args)
         return args.func(args)

@@ -61,7 +61,8 @@ from .fock import (
 )
 
 # dense-array budget of every route; bell-k1 (0.5 MB: its two 79 x 79
-# operators, the kernel and the check tiles) is the largest preset run
+# operators and the temporaries of their Hermiticity check) is the largest
+# preset run
 DENSE_BYTES_LIMIT = 2**30
 # dominant_eigenstate asks ARPACK for the top eigenpair from this many rows
 # on, LAPACK below; measured on a 2-vCPU VM with one OpenBLAS thread, they
@@ -233,24 +234,24 @@ def _branch_labels(params: ProtocolParams):
     return arms, mu * z + nu
 
 
-def _pattern_kernel(arms, probe, pattern):
-    """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
-
-    Per arm, False is the silent projector |0><0| and True the exact click
-    complement 1 - |0><0|.  W is updated in place, so that besides it at most
-    one complex and two real arrays of its shape are alive at once.
-    """
-    w = _coh_overlap(probe[None, :], probe[:, None])
-    for d, clicked in zip(arms, pattern):
-        bra, ket = d[None, :], d[:, None]
-        vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
-        if clicked:
-            factor = _coh_overlap(bra, ket)
-            factor -= vac
-            w *= factor
-        else:
-            w *= vac
-    return w
+def _arm_factors(d):
+    """(click, vac) of one arm over its branch labels d: entries [r, c] of
+    the click complement 1 - |0><0| and of the silent projector |0><0|
+    between <out(c)| and |out(r)>.  vac is real; one real and one complex
+    array of their shape are all that is ever alive.  Each entry takes the
+    operations of ``_coh_overlap`` and of exp(-(|bra|^2 + |ket|^2) / 2) in
+    their order, so both factors are those of a pattern built on its own
+    to the last bit."""
+    bra, ket = d[None, :], d[:, None]
+    vac = np.abs(bra) ** 2 + np.abs(ket) ** 2
+    vac *= 0.5
+    click = np.conj(bra) * ket
+    click -= vac
+    np.exp(click, out=click)  # <bra|ket>, as _coh_overlap forms it
+    np.negative(vac, out=vac)
+    np.exp(vac, out=vac)
+    click -= vac
+    return click, vac
 
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
@@ -268,27 +269,48 @@ def _record(pattern, rho: DensOp) -> OutcomeRecord:
 
 
 def _dense_bytes(params: ProtocolParams, n: int) -> int:
-    """Peak dense bytes of n heralded block operators built one by one, each
-    S x S with S = 2 n_max + 1: the n normalized operators kept (each scaled
-    in place), the kernel of the one in the making, and the two tile-sized
-    temporaries of DensOp's Hermiticity check."""
+    """Peak dense bytes of n = 2^K heralded block operators, each S x S with
+    S = 2 n_max + 1, as ``run_full_protocol`` builds them: the n kernels and
+    the larger of two later needs.  At the last level the real silent factor
+    (half a kernel) is alive, with numpy's buffers for casting it to complex,
+    at most two tiles; once it is freed, DensOp's Hermiticity check holds
+    three tile-sized temporaries.  No earlier step holds more: an arm's two
+    factors come on top of at most n/2 prefixes, and the probe Gram's one
+    real temporary on top of nothing."""
     S = _s_trunc(params.trunc).dim
     tile = min(HERMITIAN_TILE, S)
-    return 16 * ((n + 1) * S**2 + 2 * tile**2)
+    return 16 * n * S**2 + max(8 * S**2 + 32 * tile**2, 48 * tile**2)
 
 
 def run_full_protocol(params: ProtocolParams):
     """All 2^K click-pattern outcomes with heralded states and probabilities,
     along the blocked route, each state over "s"; MemoryBudgetExceeded,
-    before any allocation, past DENSE_BYTES_LIMIT."""
+    before any allocation, past DENSE_BYTES_LIMIT.
+
+    The kernel of a pattern is the probe Gram times one factor per arm, the
+    click or the silent one, multiplied in arm order.  The Gram and each
+    arm's pair of factors are built once; going breadth-first over the arms,
+    each prefix product yields its click child and then becomes its silent
+    child in place, so the kernels come out in pattern order."""
     K = params.scheme.K
     _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, 2**K))
     arms, probe = _branch_labels(params)
+    kernels = [_coh_overlap(probe[None, :], probe[:, None])]
+    for d in arms:
+        click, vac = _arm_factors(d)
+        last = kernels[-1]
+        level = []
+        for w in kernels:
+            level.append(np.multiply(w, click, out=click if w is last else None))
+            w *= vac
+            level.append(w)
+        kernels = level
+    # the silent factor goes before DensOp's check tiles come (_dense_bytes)
+    del vac
     root = np.sqrt(_held_block(params.alpha, params.beta, params.trunc)[2])
     trunc = _s_trunc(params.trunc)
     out = []
-    for pattern in itertools.product((True, False), repeat=K):
-        rho = _pattern_kernel(arms, probe, pattern)
+    for pattern, rho in zip(itertools.product((True, False), repeat=K), kernels):
         rho *= root[:, None]
         rho *= root
         out.append(_record(pattern, DensOp(("s",), rho, trunc)))

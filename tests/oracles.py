@@ -27,6 +27,10 @@ it, and nothing in ``src/`` imports it:
   branch labels, kernel or assembly;
 * the whole-matrix form of ``DensOp``'s Hermiticity test, which the
   library does tile by tile (``hermitian_at_once``);
+* the kernel of one click pattern built on its own, factor by factor
+  (``_pattern_kernel``), which ``run_full_protocol`` forms for all 2^K
+  patterns at once as prefix products over shared per-arm factors and must
+  match bit for bit;
 * the dense (a, b) forms of what the library keeps over the total photon
   number s = n_a + n_b: the heralded operator as an index gather over
   s (``gathered_rho``), a block record's dense view built through it
@@ -81,6 +85,7 @@ from kerrlink.noise import _poisson_weights, eta_params
 from kerrlink.protocol import (
     ProtocolParams,
     _check_budget,
+    _coh_overlap,
     _record,
     all_click_record,
     analytic_target_state,
@@ -285,6 +290,26 @@ def hermitian_at_once(m) -> bool:
     """DensOp's Hermiticity test: max |m - m^H| <= 1e-8 max |m| (1 if m = 0)."""
     gap, scale = hermitian_gap_at_once(m)
     return not gap > 1e-8 * (scale or 1.0)
+
+
+def _pattern_kernel(arms, probe, pattern):
+    """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
+
+    Per arm, False is the silent projector |0><0| and True the exact click
+    complement 1 - |0><0|.  W is updated in place, so that besides it at most
+    one complex and two real arrays of its shape are alive at once.
+    """
+    w = _coh_overlap(probe[None, :], probe[:, None])
+    for d, clicked in zip(arms, pattern):
+        bra, ket = d[None, :], d[:, None]
+        vac = np.exp(-0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2))
+        if clicked:
+            factor = _coh_overlap(bra, ket)
+            factor -= vac
+            w *= factor
+        else:
+            w *= vac
+    return w
 
 
 def gathered_rho(params: ProtocolParams, kernel) -> np.ndarray:

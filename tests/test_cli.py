@@ -22,7 +22,7 @@ from kerrlink.design import build_scheme, to_json
 from kerrlink.entangle import EntanglementReport
 from kerrlink.errors import NonConvergence, TailTooHeavy
 from kerrlink.presets import get_preset
-from oracles import gathered_rho
+from oracles import _pattern_kernel, gathered_rho
 
 
 def parse_csv(text):
@@ -298,12 +298,14 @@ class TestLibraryWithoutTests:
             self.run_src_only(argv, tmp_path)
 
     def test_start_builds_no_gram(self, tmp_path):
-        """Importing the CLI leaves the Gram memos empty."""
+        """Importing the CLI leaves the Gram memos empty and builds no parser:
+        main builds its own on its first call."""
         code = (
             "import kerrlink.cli\n"
             "from kerrlink import entangle\n"
             "for memo in (entangle._mode_gram, entangle._gram_root):\n"
             "    assert memo.cache_info().currsize == 0, memo.cache_info()\n"
+            "assert kerrlink.cli._parser is None\n"
         )
         self.run_src_only(["-c", code], tmp_path)
 
@@ -584,6 +586,29 @@ class TestArtifactConventions:
         assert cli.main(["simulate", "--preset", "bell-k1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        """main builds its parser once per process; a usage error and other
+        subcommands in between leave the next artifact as a fresh
+        interpreter writes it."""
+        monkeypatch.setattr(cli, "_parser", None)
+        sim = ["simulate", "--preset", "photon-correlated:2,2", "--out"]
+        first, last, fresh = (tmp_path / name for name in ("a.csv", "c.csv", "f.csv"))
+        assert cli.main(sim + [str(first)]) == 0
+        parser = cli._parser
+        assert cli.main(sim + [str(tmp_path / "b.json"), "--format", "json"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(sim + [str(tmp_path / "x.csv"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert cli.main(["feasibility", "--K", "1", "--db-grid", "0",
+                         "--out", str(tmp_path / "d.csv")]) == 0
+        assert cli.main(sim + [str(last)]) == 0
+        capsys.readouterr()
+        assert cli._parser is parser
+        TestLibraryWithoutTests.run_src_only(["-m", "kerrlink", *sim, str(fresh)], tmp_path)
+        assert first.read_bytes() == last.read_bytes() == fresh.read_bytes()
+        assert not (tmp_path / "x.csv").exists()
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_scan_byte_identical(self, tmp_path):
         argv = ["entangle-scan", "--x-grid", "1", "--K", "1,2", "--seed", "3"]
         a = tmp_path / "a.csv"
@@ -614,7 +639,7 @@ class TestArtifactConventions:
                                       delta=p.delta)
         arms, probe = protocol._branch_labels(prot)
         lost = 1 - sum(
-            np.trace(gathered_rho(prot, protocol._pattern_kernel(arms, probe, pat))).real
+            np.trace(gathered_rho(prot, _pattern_kernel(arms, probe, pat))).real
             for pat in itertools.product((True, False), repeat=p.K)
         )
         rc, (params, _, _) = run_csv(tmp_path, ["simulate", "--preset", preset])

@@ -23,6 +23,7 @@ from kerrlink.entangle import pair_gram, schmidt_entropy
 from kerrlink.errors import DomainError, MemoryBudgetExceeded
 from kerrlink.fock import (
     HERMITIAN_TILE,
+    P_NEGLIGIBLE,
     DensOp,
     FockVector,
     TruncationSpec,
@@ -38,7 +39,6 @@ from kerrlink.protocol import (
     _branch_labels,
     _dense_bytes,
     _held_block,
-    _pattern_kernel,
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
@@ -47,6 +47,7 @@ from kerrlink.protocol import (
     run_full_protocol,
 )
 from oracles import (
+    _pattern_kernel,
     _run_fock_pipeline,
     apply_beamsplitter,
     apply_displacement,
@@ -332,6 +333,12 @@ def k1_wide():
     return make_protocol(np.sqrt(a2), np.sqrt(a2), 0.1, chi, t)
 
 
+def k4_wide():
+    """K = 4 at |alpha|^2 = 9 and chi = 0.3: n_max 80, so the block operators
+    have 161 rows, past one tile of DensOp's Hermiticity check."""
+    return make_protocol(3.0, 3.0, 0.1, 0.3, coeffs_from_photon_target(1, 4, 0.3))
+
+
 BLOCK_CASES = {
     "bell-k1": lambda: preset_protocol("bell-k1"),
     "maxent-k2-low": lambda: preset_protocol("maxent-k2-low"),
@@ -367,6 +374,27 @@ class TestBlockRoute:
             assert abs(rec.probability - p) <= 1e-12 * p, (pattern, rec.probability, p)
             td = trace_distance(dense_view(params, rec.state), DensOp(("a", "b"), dense, params.trunc))
             assert td <= 1e-10, (pattern, td)
+
+    @pytest.mark.parametrize("name", [*BLOCK_CASES, "k4-wide"])
+    def test_records_are_the_oracle_kernels_bit_for_bit(self, name):
+        """The prefix products repeat the one-pattern kernel's multiplications
+        in its order, so each record is that kernel scaled by sqrt(N_s) and
+        normalized as _record does, to the last bit."""
+        params = {**BLOCK_CASES, "k4-wide": k4_wide}[name]()
+        arms, probe = _branch_labels(params)
+        root = np.sqrt(_held_block(params.alpha, params.beta, params.trunc)[2])
+        patterns = list(itertools.product((True, False), repeat=params.scheme.K))
+        records = run_full_protocol(params)
+        assert [rec.pattern for rec in records] == patterns
+        for rec, pattern in zip(records, patterns):
+            w = _pattern_kernel(arms, probe, pattern)
+            w *= root[:, None]
+            w *= root
+            p = float(np.trace(w).real)
+            if p > P_NEGLIGIBLE:
+                w /= p
+            assert rec.probability == p, (pattern, rec.probability, p)
+            assert np.array_equal(rec.state.matrix, w), pattern
 
     def test_block_norms_sum_the_grid(self):
         for params in (small_k2(), bell_k1_beta0()):
@@ -419,10 +447,10 @@ class TestMemoryBudget:
         S = 2 * prot.trunc.n_max + 1
         assert S == 21423
         kernel = 16 * S**2  # 7.3 GB on its own
-        # 4 block operators kept, the kernel of the one in the making, and
-        # two tiles of the Hermiticity check
+        # 4 block operators, the real silent factor of the last arm and two
+        # tiles of casting buffers
         tiles = 2 * 16 * HERMITIAN_TILE**2
-        assert _dense_bytes(prot, 4) == 5 * kernel + tiles
+        assert _dense_bytes(prot, 4) == 4 * kernel + kernel // 2 + tiles
         assert kernel > DENSE_BYTES_LIMIT
 
     @pytest.mark.parametrize("name", ["bell-k1", "maxent-k2-low", "photon-correlated:2,2",
@@ -456,6 +484,28 @@ class TestMemoryBudget:
         assert 2 * prot.trunc.n_max + 1 == 1099
         peak, need = self.traced_peak(prot), _dense_bytes(prot, 2)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
+
+    def test_estimate_covers_the_traced_peak_at_k2(self):
+        # K = 2 at |alpha|^2 = 160: 515 block rows, so the four operators
+        # and the silent factor dwarf everything else
+        p = get_preset("maxent-k2-low")
+        prot = make_protocol(np.sqrt(160), np.sqrt(160), p.gamma, p.chi, p.target,
+                             delta=p.delta)
+        assert 2 * prot.trunc.n_max + 1 == 515
+        peak, need = self.traced_peak(prot), _dense_bytes(prot, 4)
+        assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
+
+    def test_estimate_stays_within_the_one_pattern_budget(self):
+        # the budget of the route that built one pattern's kernel at a time:
+        # the operators kept, the kernel in the making and two check tiles;
+        # an argv it let run must still run
+        for n_max in (5, 39, 63, 64, 90, 549, 10711):
+            prot = dataclasses.replace(small_k2(), trunc=TruncationSpec(n_max))
+            S = 2 * n_max + 1
+            tile = min(HERMITIAN_TILE, S)
+            for n in (2**K for K in range(1, 7)):
+                old = 16 * ((n + 1) * S**2 + 2 * tile**2)
+                assert _dense_bytes(prot, n) <= old, (n_max, n)
 
     @pytest.mark.parametrize("route", ["blocked", "monolithic", "displaced"])
     def test_over_budget_raises_before_simulating(self, monkeypatch, route):
