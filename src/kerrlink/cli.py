@@ -197,9 +197,9 @@ def cmd_simulate(args) -> int:
     target, delta, alpha, beta, gamma, chi = _resolve(args, "alpha", "beta", "gamma", "chi")
     prot = make_protocol(alpha, beta, gamma, chi, target, delta=delta)
     tgt = analytic_target_state(target, alpha, beta, chi, prot.trunc)
-    records = run_full_protocol(prot)
     rows = []
-    for rec in sorted(records, key=lambda r: r.pattern, reverse=True):
+    # records come all-click first, in itertools.product order: the row order
+    for rec in run_full_protocol(prot):
         pat = "".join("1" if b else "0" for b in rec.pattern)
         if rec.probability <= P_NEGLIGIBLE:
             rows.append((pat, rec.probability, 0.0, 0.0, 0.0))

@@ -121,23 +121,16 @@ def solve_roots(target: TargetCoefficients, gamma) -> EliminationRoots:
     vals = gamma * np.roots(c[::-1])
     tol = 1e-7 * float(np.max(np.abs(vals)))
 
-    parent = list(range(len(vals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tol:
-                parent[find(i)] = find(j)
-
-    clusters = {}
-    for i, v in enumerate(vals):
-        clusters.setdefault(find(i), []).append(v)
-    merged = [(np.mean(members), len(members)) for members in clusters.values()]
+    # a cluster is a connected component of the graph joining roots within
+    # tol: a boolean power of its adjacency reaches along every chain, so
+    # row i holds the component of root i, taken once at its lowest index
+    near = np.abs(vals[:, None] - vals[None, :]) <= tol
+    reach = np.linalg.matrix_power(near, len(vals))
+    merged = [
+        (np.mean(vals[row]), int(np.count_nonzero(row)))
+        for i, row in enumerate(reach)
+        if row.argmax() == i
+    ]
     merged.sort(key=lambda zl: (np.angle(zl[0]), abs(zl[0])))
     return EliminationRoots(tuple(merged), gamma)
 
@@ -194,16 +187,12 @@ def reference_network(gtilde) -> RefNet:
     nz = np.nonzero(np.abs(gt))[0]
     ref = gt[nz[-1]]
 
-    Tp = np.empty(K)
+    Tp = np.ones(K)  # 1 where nothing is left to split off
     phi = np.zeros(K)
-    for j in range(K):
-        if R[j] == 0:
-            Tp[j] = 1.0  # nothing left to split off
-            continue
-        sin2 = mag2[j] / R[j]
-        Tp[j] = 1.0 - sin2
-        if abs(gt[j]) > 0:
-            phi[j] = float(np.angle(gt[j] / ref))
+    left = R != 0
+    Tp[left] = 1.0 - mag2[left] / R[left]
+    lit = left & (np.abs(gt) > 0)
+    phi[lit] = np.angle(gt[lit] / ref)
     master = ref * np.sqrt(R[0]) / (1j * abs(ref))
     return RefNet(Tp[: K - 1], phi[: K - 1], complex(master))
 

@@ -81,21 +81,32 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
-    """Six leading-order loss terms by name and the resulting fidelity F = 1 - sum."""
+    """Six leading-order loss terms by name; the fidelity is F = 1 - their sum."""
 
     terms: dict
-    F: float
+
+    @property
+    def F(self) -> float:
+        return 1.0 - sum(self.terms.values())
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One feasibility inequality: value must not exceed bound."""
+    """One feasibility inequality: value must not exceed bound.  A value
+    within round-off of its bound (BOUND_RTOL) passes, so an operating point
+    placed on a bound is feasible."""
 
     name: str
     value: float
     bound: float
-    margin: float
-    passed: bool
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.value
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound * (1 + BOUND_RTOL)
 
 
 @dataclass(frozen=True)
@@ -103,9 +114,15 @@ class FeasibilityReport:
     """All six inequality checks plus the implied channel reach."""
 
     checks: tuple
-    all_pass: bool
     max_attenuation_db: float
-    max_distance_km: float
+
+    @property
+    def all_pass(self) -> bool:
+        return all(ch.passed for ch in self.checks)
+
+    @property
+    def max_distance_km(self) -> float:
+        return self.max_attenuation_db / DB_PER_KM
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +282,6 @@ def fidelity_leading_order(
         "darkcount": t_dark,
         "discrete_phase": _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2),
     }
-    budget = FidelityBreakdown(terms, F=1.0 - sum(terms.values()))
     for name, t in terms.items():
         if t > 0.2:
             warnings.warn(
@@ -273,7 +289,7 @@ def fidelity_leading_order(
                 "is outside its validity range",
                 stacklevel=2,
             )
-    return budget
+    return FidelityBreakdown(terms)
 
 
 def superop_pipeline_fidelity(
@@ -400,9 +416,8 @@ def feasibility_check(
     For K = 1 the bounds read Lambda < 2 eps^2 lambda/zeta, Lambda2 < 2 eps,
     dphi2 < |alpha|^2 chi^2 eps, Lambda1 < 3 eps/2, |gamma|^2 <
     eps/(|alpha|^2 chi^2 Lambda) and eps_ac^2, eps_bc^2 < eps/(2|alpha|^2);
-    for K >= 2 conditions 2, 3, 4 and 6 tighten (_tightening).  A value
-    within round-off of its bound (BOUND_RTOL) passes, so an operating point
-    placed on a bound is feasible.
+    for K >= 2 conditions 2, 3, 4 and 6 tighten (_tightening).  Each check
+    passes within round-off of its bound (``InequalityCheck.passed``).
     """
     if not 0 < eps < 1.0 / 6.0:
         raise ValueError(f"eps must lie in (0, 1/6), got {eps}")
@@ -422,18 +437,9 @@ def feasibility_check(
         ("probe_intensity", abs(gamma) ** 2, _probe_bound(eps, x, noise.Lambda)),
         ("nonlinearity_error", max(noise.eps_ac**2, noise.eps_bc**2), eps * f / (2 * a2)),
     )
-    checks = tuple(
-        InequalityCheck(
-            name, float(v), float(b), float(b - v), bool(v <= b * (1 + BOUND_RTOL))
-        )
-        for name, v, b in entries
-    )
     db = attenuation_db(lam_max) if math.isfinite(lam_max) else math.inf
     return FeasibilityReport(
-        checks=checks,
-        all_pass=all(ch.passed for ch in checks),
-        max_attenuation_db=db,
-        max_distance_km=db / DB_PER_KM,
+        tuple(InequalityCheck(name, float(v), float(b)) for name, v, b in entries), db
     )
 
 

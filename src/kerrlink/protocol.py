@@ -216,14 +216,6 @@ def lift_to_modes(phi: FockVector, alpha, beta) -> FockVector:
 # blocked network path (exact coherent-label evolution per conserved s)
 
 
-def _coh_overlap(bra, ket):
-    """<bra|ket> for coherent labels; broadcasts.  Built in its output array:
-    besides it, one real temporary of its shape."""
-    out = np.conj(bra) * ket
-    out -= 0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2)
-    return np.exp(out, out=out)
-
-
 def _branch_labels(params: ProtocolParams):
     """Per-branch arm and end-probe coherent labels for s = 0 .. 2 n_max."""
     s = np.arange(2 * params.trunc.n_max + 1)
@@ -234,24 +226,24 @@ def _branch_labels(params: ProtocolParams):
     return arms, mu * z + nu
 
 
-def _arm_factors(d):
-    """(click, vac) of one arm over its branch labels d: entries [r, c] of
-    the click complement 1 - |0><0| and of the silent projector |0><0|
-    between <out(c)| and |out(r)>.  vac is real; one real and one complex
-    array of their shape are all that is ever alive.  Each entry takes the
-    operations of ``_coh_overlap`` and of exp(-(|bra|^2 + |ket|^2) / 2) in
-    their order, so both factors are those of a pattern built on its own
+def _overlaps(d):
+    """(gram, vac) over coherent labels d: entries [r, c] of the identity and
+    of the vacuum projector |0><0| between <d_c| and |d_r>, so gram is the
+    labels' Gram <d_c|d_r> and vac = exp(-(|d_c|^2 + |d_r|^2) / 2) is real.
+    One builder for the probe Gram and every arm, whose click factor
+    (1 - |0><0|) is gram - vac; besides its two outputs, it holds nothing of
+    their shape.  Each entry takes the operations of the one-pattern kernel
+    in their order, so every factor is that of a pattern built on its own
     to the last bit."""
     bra, ket = d[None, :], d[:, None]
     vac = np.abs(bra) ** 2 + np.abs(ket) ** 2
     vac *= 0.5
-    click = np.conj(bra) * ket
-    click -= vac
-    np.exp(click, out=click)  # <bra|ket>, as _coh_overlap forms it
+    gram = np.conj(bra) * ket
+    gram -= vac
+    np.exp(gram, out=gram)
     np.negative(vac, out=vac)
     np.exp(vac, out=vac)
-    click -= vac
-    return click, vac
+    return gram, vac
 
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
@@ -275,8 +267,8 @@ def _dense_bytes(params: ProtocolParams, n: int) -> int:
     (half a kernel) is alive, with numpy's buffers for casting it to complex,
     at most two tiles; once it is freed, DensOp's Hermiticity check holds
     three tile-sized temporaries.  No earlier step holds more: an arm's two
-    factors come on top of at most n/2 prefixes, and the probe Gram's one
-    real temporary on top of nothing."""
+    factors come on top of at most n/2 prefixes, and the probe's Gram and
+    silent factor, from the same overlap builder, on top of nothing."""
     S = _s_trunc(params.trunc).dim
     tile = min(HERMITIAN_TILE, S)
     return 16 * n * S**2 + max(8 * S**2 + 32 * tile**2, 48 * tile**2)
@@ -288,16 +280,18 @@ def run_full_protocol(params: ProtocolParams):
     before any allocation, past DENSE_BYTES_LIMIT.
 
     The kernel of a pattern is the probe Gram times one factor per arm, the
-    click or the silent one, multiplied in arm order.  The Gram and each
-    arm's pair of factors are built once; going breadth-first over the arms,
-    each prefix product yields its click child and then becomes its silent
-    child in place, so the kernels come out in pattern order."""
+    click or the silent one, multiplied in arm order.  One overlap builder
+    (``_overlaps``) gives the Gram and each arm's pair of factors, once per
+    run; going breadth-first over the arms, each prefix product yields its
+    click child and then becomes its silent child in place, so the kernels
+    come out in pattern order."""
     K = params.scheme.K
     _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, 2**K))
     arms, probe = _branch_labels(params)
-    kernels = [_coh_overlap(probe[None, :], probe[:, None])]
+    kernels = [_overlaps(probe)[0]]
     for d in arms:
-        click, vac = _arm_factors(d)
+        click, vac = _overlaps(d)
+        click -= vac
         last = kernels[-1]
         level = []
         for w in kernels:

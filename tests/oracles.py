@@ -9,7 +9,8 @@ it, and nothing in ``src/`` imports it:
   beamsplitters, displacements, click projection, reduction and partial
   trace), which raises ``TruncationOverflow`` instead of truncating silently;
 * the monolithic and displaced truncated-Fock protocol routes
-  (``_run_fock_pipeline``), still bounded by ``protocol.DENSE_BYTES_LIMIT``,
+  (``_run_fock_pipeline``), still bounded by ``protocol.DENSE_BYTES_LIMIT``
+  and normalizing their records themselves (``_oracle_record``),
   and the leading-order heralded state written as a product of elimination
   factors (``build_target_by_elimination``);
 * the dense Fock forms of the discrete-phase channel and the dark-count
@@ -28,9 +29,9 @@ it, and nothing in ``src/`` imports it:
 * the whole-matrix form of ``DensOp``'s Hermiticity test, which the
   library does tile by tile (``hermitian_at_once``);
 * the kernel of one click pattern built on its own, factor by factor
-  (``_pattern_kernel``), which ``run_full_protocol`` forms for all 2^K
-  patterns at once as prefix products over shared per-arm factors and must
-  match bit for bit;
+  (``_pattern_kernel``) from its own coherent overlaps (``_coh_overlap``),
+  which ``run_full_protocol`` forms for all 2^K patterns at once as prefix
+  products over shared per-arm factors and must match bit for bit;
 * the dense (a, b) forms of what the library keeps over the total photon
   number s = n_a + n_b: the heralded operator as an index gather over
   s (``gathered_rho``), a block record's dense view built through it
@@ -83,10 +84,9 @@ from kerrlink.fock import (
 )
 from kerrlink.noise import _poisson_weights, eta_params
 from kerrlink.protocol import (
+    OutcomeRecord,
     ProtocolParams,
     _check_budget,
-    _coh_overlap,
-    _record,
     all_click_record,
     analytic_target_state,
     make_protocol,
@@ -292,6 +292,14 @@ def hermitian_at_once(m) -> bool:
     return not gap > 1e-8 * (scale or 1.0)
 
 
+def _coh_overlap(bra, ket):
+    """<bra|ket> for coherent labels; broadcasts.  Built in its output array:
+    besides it, one real temporary of its shape."""
+    out = np.conj(bra) * ket
+    out -= 0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2)
+    return np.exp(out, out=out)
+
+
 def _pattern_kernel(arms, probe, pattern):
     """W[r, c] = <out(c)| P_pattern (x) 1_probe |out(r)> over branch labels.
 
@@ -373,6 +381,15 @@ def dense_target_state(
 # truncated-Fock protocol routes
 
 
+def _oracle_record(pattern, rho: DensOp) -> OutcomeRecord:
+    """The outcome of one pattern: rho's trace is its probability, and rho
+    divided by it is the heralded state, unless that trace is negligible."""
+    p = rho.trace()
+    if p > P_NEGLIGIBLE:
+        rho = DensOp(rho.modes, rho.matrix / p, rho.trunc)
+    return OutcomeRecord(tuple(pattern), rho, p)
+
+
 def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
     """Test oracle for run_full_protocol: every mode in truncated Fock space,
     monolithic (references at the ports) or displaced (vacuum ports, arms
@@ -403,7 +420,7 @@ def _run_fock_pipeline(params: ProtocolParams, displaced: bool = False):
         for j, clicked in enumerate(pattern, start=1):
             proj = project_click(proj, f"r{j}", clicked)
         rho = reduce_to_density(proj, ("a", "b"))
-        out.append(_record(pattern, rho))
+        out.append(_oracle_record(pattern, rho))
     return out
 
 

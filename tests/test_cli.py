@@ -62,6 +62,10 @@ class TestExitCodes:
     def test_missing_target(self):
         assert cli.main(["design", "--gamma", "0.1"]) == 2
 
+    def test_missing_amplitudes(self, capsys):
+        assert cli.main(["simulate", "--coeffs", "1,-1"]) == 2
+        assert "must come from a preset or flags" in capsys.readouterr().err
+
     def test_degenerate_leading_coefficient(self):
         assert cli.main(["design", "--coeffs", "1,0", "--gamma", "0.1"]) == 3
 

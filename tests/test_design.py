@@ -90,6 +90,19 @@ class TestSolveRoots:
         with pytest.raises(ValueError):
             solve_roots(TargetCoefficients(np.array([1.0, 1.0])), 0.0)
 
+    def test_constant_target_has_no_roots(self):
+        r = solve_roots(TargetCoefficients(np.array([2.0])), 0.1)
+        assert r.roots == () and r.K == 0
+
+    def test_two_double_roots_merge_in_angle_then_modulus_order(self):
+        r = solve_roots(TargetCoefficients(np.poly([1, 1, 1j, 1j])[::-1]), 0.1)
+        assert [l for _, l in r.roots] == [2, 2]
+        assert abs(r.roots[0][0] - 0.1) < 1e-7 and abs(r.roots[1][0] - 0.1j) < 1e-7
+
+    def test_zero_target_rejected(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            TargetCoefficients([0, 0])
+
 
 class TestTransmittances:
     def test_k2_small_delta(self):
@@ -202,6 +215,11 @@ class TestReferenceNetwork:
             run *= np.cos(theta[j])
         assert abs(beams[1]) < 1e-14
         assert abs(beams[0] - 0.5) < 1e-12 and abs(beams[2] - 0.2j) < 1e-12
+
+    def test_arms_past_the_last_live_one_transmit_all(self):
+        # nothing is left to split off after beam 1: Tp = 1 there, phi = 0
+        net = reference_network([1, 0, 0])
+        assert net.Tp.tolist() == [0.0, 1.0] and net.phi.tolist() == [0.0, 0.0]
 
     def test_all_zero_raises(self):
         with pytest.raises(NoSolution):

@@ -20,7 +20,7 @@ from kerrlink.entangle import (
     pair_gram,
     schmidt_entropy,
 )
-from kerrlink.errors import DomainError
+from kerrlink.errors import DomainError, ShapeMismatch
 from kerrlink.fock import (
     FockVector,
     TruncationSpec,
@@ -155,6 +155,11 @@ class TestEntropy:
     def test_rank_bound(self):
         rep = entropy_of_coefficients(np.array([1.0, -1.0, 1.0, -1.0]), 2.0, 2.0, 1.0)
         assert rep.E <= 2.0 + 1e-9
+
+    def test_schmidt_entropy_needs_two_modes(self):
+        st = FockVector(("a", "b", "c"), np.ones((2, 2, 2), dtype=complex), TruncationSpec(1))
+        with pytest.raises(ShapeMismatch, match="exactly two modes"):
+            schmidt_entropy(st)
 
 
 def scratch_entropy(c, alpha, beta, chi):

@@ -318,6 +318,10 @@ class TestValueChecks:
         with pytest.raises(ShapeMismatch):
             FockVector(("a", "b"), np.zeros((3, 4), dtype=complex), TruncationSpec(2))
 
+    def test_densop_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            DensOp(("a", "b"), np.eye(3, dtype=complex), TruncationSpec(2))
+
     def test_densop_requires_hermitian(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):

@@ -16,7 +16,11 @@ from kerrlink.entangle import _rot_gram, pair_gram
 from kerrlink.errors import DomainError
 from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutoff
 from kerrlink.noise import (
+    DB_PER_KM,
     P_FLOOR,
+    FeasibilityReport,
+    FidelityBreakdown,
+    InequalityCheck,
     NoiseParams,
     _poisson_weights,
     attenuation_db,
@@ -359,6 +363,13 @@ class TestBreakdown:
         )
         assert b.F == 1.0
         assert all(v == 0.0 for v in b.terms.values())
+
+    def test_fidelity_is_one_minus_the_terms(self):
+        assert [f.name for f in dataclasses.fields(FidelityBreakdown)] == ["terms"]
+        t = bell_target(10.0, 10.0, 0.1)
+        noise = NoiseParams(Lambda=0.5, dphi2=1e-5, Lambda1=1e-3, eps_ac=1e-3)
+        b = fidelity_leading_order(t, noise, math.sqrt(10), math.sqrt(10), 0.3, 0.1)
+        assert b.F == 1.0 - sum(b.terms.values()) < 1.0
 
     def test_dephasing_term_closed_form(self):
         # eta2 susceptibility (1+tau)/(2(1-tau)) for the K=1 pair
@@ -729,6 +740,24 @@ class TestFeasibility:
             feasibility_check(NoiseParams(), 1.0, 0.1, 0.1, 0.2, 1)
         with pytest.raises(ValueError):
             feasibility_check(NoiseParams(), 1.0, 0.1, 0.1, 0.0, 1)
+
+    def test_k_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            feasibility_check(NoiseParams(), 1.0, 0.1, 0.1, 0.01, 0)
+
+    def test_verdicts_derive_from_the_stored_values(self):
+        # a check stores (name, value, bound) and a report (checks, reach);
+        # margin, passed, all_pass and the distance are read off them
+        assert [f.name for f in dataclasses.fields(InequalityCheck)] == ["name", "value", "bound"]
+        assert [f.name for f in dataclasses.fields(FeasibilityReport)] == [
+            "checks", "max_attenuation_db"]
+        on = InequalityCheck("x", 1.0 + 1e-13, 1.0)
+        past = InequalityCheck("x", 1.0 + 1e-9, 1.0)
+        assert on.passed and on.margin == 1.0 - (1.0 + 1e-13)
+        assert not past.passed
+        assert FeasibilityReport((on,), 20.0).all_pass
+        rep = FeasibilityReport((on, past), 20.0)
+        assert not rep.all_pass and rep.max_distance_km == 20.0 / DB_PER_KM
 
     def test_zero_alpha_is_rejected(self):
         with pytest.raises(ValueError, match="alpha"):

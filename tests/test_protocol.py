@@ -20,7 +20,7 @@ from kerrlink.design import (
     solve_roots,
 )
 from kerrlink.entangle import pair_gram, schmidt_entropy
-from kerrlink.errors import DomainError, MemoryBudgetExceeded
+from kerrlink.errors import DomainError, MemoryBudgetExceeded, ShapeMismatch
 from kerrlink.fock import (
     HERMITIAN_TILE,
     P_NEGLIGIBLE,
@@ -161,6 +161,11 @@ class TestAnalyticTarget:
                 analytic_target_state(
                     t, 0.0, 0.0, 0.5, TruncationSpec(min_cutoff([0.0, 0.0]))
                 )
+
+    def test_lift_needs_a_vector_over_s(self):
+        st = FockVector(("a",), np.ones(3, dtype=complex), TruncationSpec(2))
+        with pytest.raises(ShapeMismatch, match="over \\('s',\\)"):
+            lift_to_modes(st, 0.5, 0.5)
 
     def test_cutoff_is_required(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))
@@ -631,6 +636,10 @@ class TestEquivalenceAndProbability:
             got = all_click_record(run_full_protocol(params)).probability
             rel = abs(got - want) / want
             assert rel < 3 * abs(params.gamma) ** 2, f"rel err {rel:.3e}"
+
+    def test_no_all_click_record_raises(self):
+        with pytest.raises(ValueError, match="no all-click record"):
+            all_click_record([])
 
     def test_zero_gamma_probability(self):
         t = TargetCoefficients(np.array([1.0, -1.0]))
