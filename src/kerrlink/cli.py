@@ -152,13 +152,13 @@ def _resolve(args, *names):
     for name in ("delta", *names):
         flag = getattr(args, name)
         vals[name] = flag if flag is not None else getattr(p, name, None)
-    if "beta" in vals and vals["beta"] is None:
-        vals["beta"] = vals["alpha"]
     if target is None:
         raise ValueError("no target: give --preset or --coeffs")
-    missing = [n for n in names if vals[n] is None]
+    missing = [n for n in names if vals[n] is None and n != "beta"]
     if missing:
         raise ValueError(f"{' and '.join(missing)} must come from a preset or flags")
+    if "beta" in vals and vals["beta"] is None:
+        vals["beta"] = vals["alpha"]
     if vals["delta"] is None:
         vals["delta"] = DEFAULT_DELTA
     return (target, *vals.values())
@@ -250,8 +250,8 @@ def cmd_entangle_scan(args) -> int:
             except NonConvergence as err:
                 rep, flag, flagged = err.best, 1, True
             rows.append((x, K, "full", rep.E, flag))
-            # the silent-detector states depend only on the roots of c
-            roots = solve_roots(TargetCoefficients(rep.c_opt), 1.0)
+            # the silent-detector states depend only on the roots found
+            roots = solve_roots([(z, 1) for z in rep.roots], 1.0)
             for r in range(1, K):
                 for missing in itertools.combinations(range(1, K + 1), r):
                     ent = entropy_of_coefficients(

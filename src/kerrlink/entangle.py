@@ -29,11 +29,14 @@ EIG_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Entropy in bits, reduced-state spectrum, and (if optimized) the c vector."""
+    """Entropy in bits, reduced-state spectrum, and (if optimized) the c vector
+    and its K roots: ``optimize_coefficients`` always fills both, with c_opt
+    np.poly(roots) reversed and gauged by c_0."""
 
     E: float
     schmidt: np.ndarray
     c_opt: np.ndarray | None = None
+    roots: np.ndarray | None = None
 
 
 def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
@@ -152,11 +155,8 @@ def optimize_coefficients(
     fan = 2.0 * abs(chi) * np.sqrt(a2b2) * (np.arange(K) - (K - 1) / 2.0)
     unity = np.exp(2j * np.pi * np.arange(1, K + 1) / (K + 1))
 
-    def coeffs(params):
-        return _poly(params[:K] * np.exp(1j * params[K:]))[::-1]
-
     def neg_entropy(params):
-        c = coeffs(params)
+        c = _poly(params[:K] * np.exp(1j * params[K:]))[::-1]
         if not np.isfinite(c).all():
             return 0.0
         try:
@@ -195,11 +195,12 @@ def optimize_coefficients(
         for x, f in ((x0, neg_entropy(x0)), (res.x, res.fun)):
             if f < best_f - 1e-12:
                 best_x, best_f = x, f
-    c = coeffs(best_x)
+    roots = best_x[:K] * np.exp(1j * best_x[K:])
+    c = _poly(roots)[::-1]
     if abs(c[0]) > 1e-12 * np.max(np.abs(c)):
         c = c / c[0]
     rep = entropy_of_coefficients(c, alpha, beta, chi)
-    report = EntanglementReport(rep.E, rep.schmidt, c)
+    report = EntanglementReport(rep.E, rep.schmidt, c, roots)
     if not converged:
         raise NonConvergence(
             f"no restart converged for K={K}; best E = {report.E:.6f}", best=report

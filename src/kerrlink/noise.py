@@ -20,8 +20,8 @@ The exact budget sums its Poisson series as one contraction: one rotated
 mode-a Gram per term, stacked, then every term's overlap vector from one
 matmul and every quadratic form from one broadcast product and sum.  The
 leading-order dark-count term reads the silent-detector coefficient rows,
-which depend only on (c, gamma), from a read-only memo, so a second call on
-the same target solves no roots.
+which depend only on the target's roots and gamma, from a read-only memo,
+so a budget call solves no roots beyond the target's own single solve.
 The dense Fock forms of the discrete-phase channel and the dark-count
 mixture, which the tests compare against, live in ``tests/oracles.py``.
 
@@ -177,14 +177,14 @@ def _poisson_weights(s: float):
 
 
 @lru_cache(maxsize=256)
-def _silent_rows(c: tuple, gamma: complex) -> np.ndarray:
+def _silent_rows(target_roots: tuple, gamma: complex) -> np.ndarray:
     """Read-only (K, K+1) array whose row j-1 holds the coefficients heralded
-    when only detector j stays silent, zero-padded; memoized per (c, gamma)."""
-    roots = solve_roots(TargetCoefficients(np.array(c)), gamma)
-    rows = np.zeros((roots.K, len(c)), dtype=complex)
+    when only detector j stays silent, zero-padded; memoized per gamma and
+    target roots, the target's (x_m, l_m) pairs."""
+    roots = solve_roots(target_roots, gamma)
+    rows = np.zeros((roots.K, roots.K + 1), dtype=complex)
     for j in range(1, roots.K + 1):
-        cj = semi_success_coeffs(roots, {j}).c
-        rows[j - 1, : len(cj)] = cj
+        rows[j - 1, :-1] = semi_success_coeffs(roots, {j}).c
     rows.flags.writeable = False
     return rows
 
@@ -247,7 +247,7 @@ def fidelity_leading_order(
     not appear.  Raises DomainError when the target state vanishes
     (``fock._nonvanishing_norm2``), and when dark counts (zeta > 0) meet a
     gamma with |gamma|^2 = 0, where their term zeta/(lambda_det |gamma|^2)
-    has no value.
+    has no value.  Only the dark-count term reads the target's roots.
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
@@ -267,7 +267,7 @@ def fidelity_leading_order(
             )
         ck2 = abs(c[-1]) ** 2 / N
         w1 = noise.zeta / (noise.lambda_det * g2)
-        ct = _silent_rows(tuple(target.c), complex(gamma))
+        ct = _silent_rows(target.roots, complex(gamma))
         # every detector j at once: nt_j = ct_j^H G ct_j, ov_j = c^H G ct_j
         nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
         ov = np.sum(ct * (np.conj(c) @ G), axis=1)

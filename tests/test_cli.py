@@ -64,7 +64,10 @@ class TestExitCodes:
 
     def test_missing_amplitudes(self, capsys):
         assert cli.main(["simulate", "--coeffs", "1,-1"]) == 2
-        assert "must come from a preset or flags" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "alpha and gamma and chi must come from a preset or flags" in err
+        # --beta defaults to alpha, so it is never named as missing
+        assert "beta" not in err
 
     def test_degenerate_leading_coefficient(self):
         assert cli.main(["design", "--coeffs", "1,0", "--gamma", "0.1"]) == 3
@@ -77,7 +80,10 @@ class TestExitCodes:
         assert cli.main(["simulate", "--preset", "bell-k1"]) == 4
 
     def test_nonconvergence_exits_5_with_flagged_rows(self, monkeypatch, tmp_path):
-        best = EntanglementReport(0.5, np.array([0.5, 0.5]), np.array([1.0, -1.0 + 0j]))
+        # c_opt = [1, -1] and the root it expands, as the optimizer reports them
+        best = EntanglementReport(
+            0.5, np.array([0.5, 0.5]), np.array([1.0, -1.0 + 0j]), np.array([1.0 + 0j])
+        )
 
         def stuck(*a, **k):
             raise NonConvergence("forced", best=best)
@@ -424,6 +430,15 @@ class TestDesign:
             assert abs(abs(z) - 0.1) < 1e-9, f"|root| = {abs(z)}"
             rel.append(float(np.angle(z * np.exp(-2j * 1e4 * 0.1))))
         assert np.allclose(sorted(rel), [-np.pi / 3, np.pi / 3], atol=1e-9), f"rel = {rel}"
+
+    def test_triple_root_is_one_detector_row(self, capsys):
+        # np.roots splits it by ~1e-5 relative; the row still reads 3 slots
+        assert cli.main(["design", "--coeffs", "1,-3,3,-1", "--gamma", "0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("detector,root_re,root_im,mult,abs,arg") + 1
+        assert lines[start].startswith("1,0.2,") and lines[start].split(",")[3] == "3"
+        assert lines[start + 1].startswith("splitter transmittances T: ")
+        assert len(lines[start + 1].split(",")) == 3
 
     def test_out_writes_scheme_json_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "scheme.json"

@@ -103,6 +103,55 @@ class TestSolveRoots:
         with pytest.raises(ValueError, match="identically zero"):
             TargetCoefficients([0, 0])
 
+    @pytest.mark.parametrize("others", [[], [-1.0, 0.5 + 2j]])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_m_fold_root_is_one_root(self, m, others):
+        # np.roots splits (x - 1)^m by about eps^(1/m), 1.2e-4 at m = 4
+        r = solve_roots(TargetCoefficients(np.poly([1.0] * m + others)[::-1]), 0.2)
+        assert r.K == m + len(others) and len(r.roots) == 1 + len(others)
+        ((z, l),) = [(z, l) for z, l in r.roots if abs(z - 0.2) < 1e-2]
+        assert l == m and abs(z - 0.2) < 1e-8
+
+    @pytest.mark.parametrize("xs", [[1.0, 1.0 + 1e-6], [1.0, 1.0 + 1e-3, 1.0 + 2e-3]])
+    def test_close_simple_roots_stay_separate(self, xs):
+        r = solve_roots(TargetCoefficients(np.poly(xs)[::-1]), 0.1)
+        assert [l for _, l in r.roots] == [1] * len(xs)
+        assert np.allclose(np.sort(r.expanded().real), 0.1 * np.array(xs), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("xs", [
+        [1.0 + 5e-4 * j for j in range(m)] for m in (4, 5, 6)
+    ] + [[10.0, 0.1, 0.105, 0.11, 0.115]])
+    def test_simple_roots_inside_the_split_tolerance_stay_separate(self, xs):
+        # within ROOT_SPLIT eps^(1/m) max|x| (2e-3 at m = 4, 3.9e-2 at m = 6),
+        # but the polynomial has no m-fold root there
+        r = solve_roots(TargetCoefficients(np.poly(xs)[::-1]), 0.1)
+        assert [l for _, l in r.roots] == [1] * len(xs)
+
+    def test_target_solves_its_roots_once(self, monkeypatch):
+        calls = []
+        np_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or np_roots(p))
+        t = TargetCoefficients(np.array([0.3, -1.0, 1.0]))
+        assert solve_roots(t, 0.1).K == solve_roots(t, 0.2j).K == 2
+        assert len(calls) == 1
+
+    def test_root_solve_waits_for_a_read(self):
+        # a vanishing c_K is an error only once the roots are asked for
+        t = TargetCoefficients(np.array([1.0, 0.0]))
+        assert t.K == 1
+        with pytest.raises(DegenerateLeadingCoefficient):
+            t.roots
+
+    def test_target_from_roots_carries_them(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", None)  # nothing is solved
+        xs = [0.5j, -1.0, 0.5j]
+        t = TargetCoefficients.from_roots(xs)
+        assert np.array_equal(t.c, np.poly(xs)[::-1])
+        assert t.roots == ((0.5j, 2), (-1 + 0j, 1))
+        assert solve_roots(t, 0.2).roots == ((0.1j, 2), (-0.2 + 0j, 1))
+        empty = TargetCoefficients.from_roots([])
+        assert empty.roots == () and np.array_equal(empty.c, [1.0])
+
 
 class TestTransmittances:
     def test_k2_small_delta(self):
@@ -311,6 +360,15 @@ class TestSemiSuccess:
         r = solve_roots(t, 0.1)
         with pytest.raises(ValueError):
             semi_success_coeffs(r, {0})
+
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_dropping_one_slot_of_a_triple_root_leaves_a_double_one(self, slot):
+        r = solve_roots(TargetCoefficients(np.array([-1.0, 3.0, -3.0, 1.0])), 0.2)
+        ((z, l),) = r.roots
+        assert l == 3
+        out = semi_success_coeffs(r, {slot})
+        assert out.roots == ((complex(r.expanded()[0] / r.gamma), 2),)
+        assert abs(out.roots[0][0] - 1) < 1e-8
 
 
 def same_network(s, T, q, gtilde, ref_net):

@@ -354,6 +354,13 @@ class TestSingleStageSearch:
             optimize_coefficients(1, 1.0, 1.0, 0.5, restarts=0)
 
     @pytest.mark.parametrize("K", [1, 2])
+    def test_reported_roots_expand_to_c_opt_bit_for_bit(self, K):
+        rep = optimize_coefficients(K, 1.0, 1.0, 0.3, restarts=1)
+        assert rep.roots.shape == (K,)
+        c = np.poly(rep.roots)[::-1]
+        assert np.array_equal(c / c[0], rep.c_opt)
+
+    @pytest.mark.parametrize("K", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_search_is_the_reference_search(self, monkeypatch, K, seed):
         # the same starts, the same nfev per start, the same result with the

@@ -13,7 +13,7 @@ from scipy.stats import poisson
 import kerrlink.noise as noise_module
 from kerrlink.design import TargetCoefficients, semi_success_coeffs, solve_roots
 from kerrlink.entangle import _rot_gram, pair_gram
-from kerrlink.errors import DomainError
+from kerrlink.errors import DegenerateLeadingCoefficient, DomainError
 from kerrlink.fock import DensOp, TruncationSpec, coherent_amplitudes, min_cutoff
 from kerrlink.noise import (
     DB_PER_KM,
@@ -543,7 +543,7 @@ class TestSingleContraction:
 
     def test_silent_rows_are_read_only_semi_success_coeffs(self):
         t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
-        rows = noise_module._silent_rows(tuple(t.c), 0.3 + 0j)
+        rows = noise_module._silent_rows(t.roots, 0.3 + 0j)
         assert not rows.flags.writeable
         roots = solve_roots(t, 0.3)
         for j in range(1, t.K + 1):
@@ -552,16 +552,18 @@ class TestSingleContraction:
 
     def test_second_call_solves_no_roots(self, monkeypatch):
         calls = []
+        np_roots = np.roots
 
-        def counted(*args):
-            calls.append(args)
-            return solve_roots(*args)
+        def counted(p):
+            calls.append(p)
+            return np_roots(p)
 
-        monkeypatch.setattr(noise_module, "solve_roots", counted)
+        monkeypatch.setattr(np, "roots", counted)
         noise_module._silent_rows.cache_clear()
         t = TargetCoefficients(np.array([1, -0.3 + 0.1j, 0.2j, 0.5]))
         noise = NoiseParams(lambda_det=0.5, zeta=1e-6)
         first, second = (fidelity_leading_order(t, noise, 1.0, 1.0, 0.3, 0.2) for _ in range(2))
+        # the target solves its roots once; the rows come from them
         assert len(calls) == 1
         assert first == second
 
@@ -680,6 +682,20 @@ class TestVanishingTarget:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="noisy state has squared norm"):
                 superop_pipeline_fidelity(t, noise, 1.0, 1.0, 0.1, chi)
+
+
+class TestRootsOnlyForDarkCounts:
+    def test_budgets_run_on_a_target_whose_c_K_vanishes(self):
+        # only the dark-count term reads the target's roots
+        t = TargetCoefficients(np.array([1.0, 0.5, 0.0]))
+        noise = NoiseParams(dphi2=1e-5, Lambda=0.1, lambda_det=0.5)
+        budget = fidelity_leading_order(t, noise, 1.0, 1.0, 0.1, 0.3)
+        assert budget.terms["darkcount"] == 0.0 and 0.0 < budget.F < 1.0
+        assert 0.0 < superop_pipeline_fidelity(t, noise, 1.0, 1.0, 0.1, 0.3) <= 1.0
+        with pytest.raises(DegenerateLeadingCoefficient):
+            fidelity_leading_order(
+                t, dataclasses.replace(noise, zeta=1e-6), 1.0, 1.0, 0.1, 0.3
+            )
 
 
 class TestSuccessProbability:

@@ -6,6 +6,7 @@ import pytest
 from kerrlink.design import solve_roots
 from kerrlink.entangle import entropy_of_coefficients
 from kerrlink.presets import PRESET_NAMES, get_preset
+from kerrlink.protocol import make_protocol
 
 
 def test_bell_preset_sits_at_unit_distinguishability():
@@ -50,6 +51,17 @@ def test_photon_correlated_example_coefficients():
     scale = c[2]
     assert abs(c[0] / scale - np.exp(1j * p.chi)) < 1e-12
     assert abs(c[1] / scale - (-1 - np.exp(1j * p.chi))) < 1e-12
+
+
+@pytest.mark.parametrize("s, K", [(2, 2), (1, 3), (2, 4), (0, 1)])
+def test_photon_correlated_scheme_roots_are_exact(s, K):
+    # the target carries its roots e^{i chi s'}: the scheme scales them by
+    # gamma, bit for bit, with no polynomial solved in between
+    p = get_preset(f"photon-correlated:{s},{K}")
+    scheme = make_protocol(p.alpha, p.beta, p.gamma, p.chi, p.target, delta=p.delta).scheme
+    others = np.array([np.exp(1j * p.chi * sp) for sp in range(K + 1) if sp != s])
+    assert [l for _, l in scheme.roots.roots] == [1] * K
+    assert set(scheme.roots.expanded().tolist()) == set((p.gamma * others).tolist())
 
 
 def test_name_parsing_and_errors():

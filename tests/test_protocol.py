@@ -267,7 +267,8 @@ class TestFullProtocol:
 
 class TestNearDegenerateRoots:
     """c = poly(1 - eps, 1 + eps): a root pair 2 eps gamma apart at gamma 0.1,
-    on either side of solve_roots' merge tolerance (1e-7 of the largest root)."""
+    on either side of a double root's merge tolerance (design.ROOT_SPLIT
+    eps^(1/2), 2.4e-7 of the largest root)."""
 
     @staticmethod
     def target(eps):

@@ -108,6 +108,52 @@ def unfrozen_memo_returns(source):
     return out
 
 
+def _is_np_roots(node):
+    """Whether node names numpy's root solver: ``np.roots``, ``numpy.roots``,
+    or an import of ``roots`` from numpy."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy" and any(a.name == "roots" for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "roots"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def root_solves(source):
+    """(line, scope) for every use of numpy's root solver; the scope is
+    Class.method in a class body, the function's name outside one, and ""
+    at module level."""
+    tree = ast.parse(source)
+    methods = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    out = [(n.lineno, "") for n in _own_nodes(tree) if _is_np_roots(n)]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(n.lineno, methods.get(fn, fn.name)) for n in _own_nodes(fn)
+                    if _is_np_roots(n)]
+    return sorted(out)
+
+
+class TestOneRootSolve:
+    def test_library_solves_roots_in_the_target_alone(self):
+        found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+                 for _, scope in root_solves(path.read_text())]
+        assert found == [("design.py", "TargetCoefficients.roots")], found
+
+    def test_rule_flags_each_solve(self):
+        source = (
+            "import numpy as np\n"
+            "from numpy import roots\n"
+            "class T:\n"
+            "    def roots(self):\n"
+            "        return np.roots(self.c)\n"
+            "def f(c, target):\n"
+            "    def g():\n"
+            "        return numpy.roots(c)\n"
+            "    return target.roots, g\n"
+        )
+        assert root_solves(source) == [(2, ""), (5, "T.roots"), (8, "g")]
+
+
 class TestNoTestImports:
     def test_library_imports_nothing_from_the_test_tree(self):
         found = {path.name: imports_from_tests(path.read_text())
