@@ -106,9 +106,18 @@ def schmidt_entropy(state) -> float:
     """Entanglement entropy (bits) of a pure two-mode Fock-space state."""
     if len(state.modes) != 2:
         raise ShapeMismatch(f"need exactly two modes, got {state.modes}")
-    sv = np.linalg.svd(state.amplitudes, compute_uv=False)
-    lam = sv**2 / np.sum(sv**2)
-    return _bits(lam[lam > EIG_FLOOR])
+    return float(_schmidt_entropies(state.amplitudes[None])[0])
+
+
+def _schmidt_entropies(amps) -> np.ndarray:
+    """``schmidt_entropy`` of each two-mode amplitude matrix of the stack amps,
+    from one SVD of the stack; Schmidt weights at or below EIG_FLOOR are
+    dropped (taken as 1, which adds no bits)."""
+    sv = np.linalg.svd(amps, compute_uv=False)
+    lam = sv**2 / np.sum(sv**2, axis=-1, keepdims=True)
+    lam = np.where(lam > EIG_FLOOR, lam, 1.0)
+    # _bits row by row; _bits itself stays the optimizer's lean 1-d form
+    return 0.0 - (lam * np.log2(lam)).sum(-1)
 
 
 def _poly(roots) -> np.ndarray:

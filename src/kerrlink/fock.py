@@ -5,11 +5,14 @@ sharing one cutoff ``n_max``: pure states (``FockVector``), density operators
 (``DensOp``), coherent amplitudes with their Poisson tail, and the fidelity
 against a pure state that the protocol reports.  A "mode" here may also be
 a conserved total photon number: ``protocol`` keeps its heralded states over
-the single mode "s" = n_a + n_b with cutoff 2 n_max, so the same operators,
-fidelity and eigensolver serve a (2 n_max + 1)-row block.  Every operation
-returns a new value and nothing is mutated in place, so states can be shared
-freely across threads.  The one exception is ``protocol._record``: it scales
-an operator just built to unit trace, before anything else holds it.
+the single mode "s" = n_a + n_b with cutoff 2 n_max, so the same operators
+and fidelity serve a (2 n_max + 1)-row block.  ``fidelity`` is its stacked
+form (``_fidelities``, operators against vectors, each pair with the same
+float operations) on one pair; ``protocol`` runs the stacked form over all
+click patterns at once.  Every operation returns a new value and nothing is
+mutated in place, so states can be shared freely across threads.  The one
+exception is ``protocol._record``: it scales an operator just built to unit
+trace, before anything else holds it.
 The literal gate layer (beamsplitter, cross-Kerr, displacement, click
 projection, partial trace) and the trace distance are test oracles and live
 in ``tests/oracles.py``.
@@ -201,6 +204,15 @@ def fidelity(rho: DensOp, psi: FockVector) -> float:
     if not isinstance(psi, FockVector):
         raise TypeError(f"expected FockVector, got {type(psi).__name__}")
     _check_same(rho, psi)
-    v = psi.amplitudes.ravel()
-    val = np.real(np.vdot(v, rho.matrix @ v)) / (rho.trace() * np.vdot(v, v).real)
-    return float(val)
+    return float(_fidelities(rho.matrix, psi.amplitudes.ravel()))
+
+
+def _fidelities(ms, vs):
+    """``fidelity`` <v|m|v>/(Tr m <v|v>) over stacks: operators ms (..., D, D)
+    against vectors vs (..., D), the two stacks broadcast against each other.
+    One matrix-vector product per pair and the inner products as
+    1 x D by D x 1 products, so a pair's float operations do not depend on
+    the stack it sits in."""
+    bras, kets = vs.conj()[..., None, :], vs[..., :, None]
+    num = (bras @ (ms @ kets))[..., 0, 0].real
+    return num / (np.trace(ms, axis1=-2, axis2=-1).real * (bras @ kets)[..., 0, 0].real)

@@ -19,6 +19,17 @@ cutoff 2 n_max.  Targets live in the same basis; ``lift_to_modes`` turns an
 s-vector back into (a, b) amplitudes.  No truncation anywhere except the
 (a, b) amplitude grid itself, and no operator on that grid is built.
 
+The 2^K kernels are slices of one (2^K, S, S) stack, S = 2 n_max + 1, and
+``_metric_rows`` computes the metrics ``simulate`` prints for all patterns
+at once on stacks over it: every heralded target from one phase matrix,
+both fidelities from one contraction, the dominant eigenvectors from one
+LAPACK call (ARPACK per operator from EIGSH_MIN_ROWS rows), and the
+Schmidt spectra from one lift and one SVD.  The single-state functions
+(``analytic_target_state``, ``lift_to_modes``, ``dominant_eigenstate``,
+``fock.fidelity``, ``entangle.schmidt_entropy``) are those stacked cores on
+a stack of one, and the pattern-by-pattern loop through them is the
+oracle of the stacked rows.
+
 Its test oracles are three routes in ``tests/oracles.py``, each on the
 (a, b) grid, compared through a dense view of the block records.  The
 monolithic one simulates every mode literally through a gate layer (small
@@ -39,14 +50,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import (
     DEFAULT_DELTA,
     DetectionScheme,
+    EliminationRoots,
     TargetCoefficients,
     build_scheme,
     probe_affine,
 )
+from .entangle import _schmidt_entropies
 from .errors import MemoryBudgetExceeded, ShapeMismatch
 from .fock import (
     HERMITIAN_TILE,
@@ -54,6 +68,7 @@ from .fock import (
     DensOp,
     FockVector,
     TruncationSpec,
+    _fidelities,
     _nonvanishing_norm2,
     coherent_amplitudes,
     coherent_tail,
@@ -64,11 +79,13 @@ from .fock import (
 # operators and the temporaries of their Hermiticity check) is the largest
 # preset run
 DENSE_BYTES_LIMIT = 2**30
-# dominant_eigenstate asks ARPACK for the top eigenpair from this many rows
-# on, LAPACK below; measured on a 2-vCPU VM with one OpenBLAS thread, they
-# cross between 100 and 144 rows (81: LAPACK 0.4 ms, ARPACK 0.6 ms; 225:
-# LAPACK 4.4 ms, ARPACK 1.4 ms)
-EIGSH_MIN_ROWS = 128
+# the top eigenpairs of heralded operators come from ARPACK, matrix by
+# matrix, from this many rows on, and below it from one LAPACK heevd call
+# (np.linalg.eigh) over the stack; measured on the two operators of K = 1
+# and the four of K = 2 on a 2-vCPU VM with one OpenBLAS thread, they cross
+# at about 79 rows (K = 1 there: heevd 1.39 ms, ARPACK 1.33 ms; 41 rows:
+# 0.59 and 1.91 ms; 127 rows: 6.3 and 1.9 ms; 185 rows: 14.5 and 1.8 ms)
+EIGSH_MIN_ROWS = 80
 
 
 @dataclass(frozen=True)
@@ -189,13 +206,25 @@ def analytic_target_state(
     records.  Raises DomainError when that sum vanishes
     (``fock._nonvanishing_norm2``).
     """
+    amp = _target_states(target.c[None], alpha, beta, chi, trunc)[0]
+    return FockVector(("s",), amp, _s_trunc(trunc))
+
+
+def _target_states(cs, alpha, beta, chi, trunc: TruncationSpec) -> np.ndarray:
+    """The s-vectors of ``analytic_target_state``, one per coefficient row of
+    cs (rows may end in zeros), from one phase matrix e^{i chi n s}; each
+    row's norm is checked by ``fock._nonvanishing_norm2``."""
     norms = _held_block(complex(alpha), complex(beta), trunc)[2]
     s = np.arange(len(norms))
-    p = np.exp(1j * chi * np.outer(s, np.arange(target.K + 1))) @ target.c
-    amp = np.sqrt(norms) * p
-    norm = np.linalg.norm(amp)
-    _nonvanishing_norm2(norm**2, target.c)
-    return FockVector(("s",), amp / norm, _s_trunc(trunc))
+    phase = np.exp(1j * chi * np.outer(s, np.arange(cs.shape[1])))
+    # per row the float operations of phase @ c and of np.linalg.norm on one
+    # vector, so that a target's s-vector does not depend on the stack
+    amp = np.sqrt(norms) * (phase @ cs[:, :, None])[:, :, 0]
+    re, im = amp.real[:, None, :], amp.imag[:, None, :]
+    norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    for n, c in zip(norm, cs):
+        _nonvanishing_norm2(n**2, c)
+    return amp / norm[:, None]
 
 
 def lift_to_modes(phi: FockVector, alpha, beta) -> FockVector:
@@ -205,11 +234,17 @@ def lift_to_modes(phi: FockVector, alpha, beta) -> FockVector:
     if phi.modes != ("s",):
         raise ShapeMismatch(f"need a vector over ('s',), got {phi.modes}")
     trunc = TruncationSpec(phi.trunc.n_max // 2, phi.trunc.tail_tol)
+    return FockVector(("a", "b"), _lifts(phi.amplitudes[None], alpha, beta, trunc)[0], trunc)
+
+
+def _lifts(phis, alpha, beta, trunc: TruncationSpec) -> np.ndarray:
+    """``lift_to_modes`` of each row of phis, as one (rows, n_max + 1, n_max + 1)
+    stack; ``trunc`` is the per-mode cutoff."""
     qa, qb, norms = _held_block(complex(alpha), complex(beta), trunc)
     root = np.sqrt(norms)
-    per_s = np.divide(phi.amplitudes, root, out=np.zeros(len(root), complex), where=root > 0)
-    s_of = np.add.outer(np.arange(trunc.dim), np.arange(trunc.dim))
-    return FockVector(("a", "b"), np.outer(qa, qb) * per_s[s_of], trunc)
+    per_s = np.divide(phis, root, out=np.zeros(phis.shape, complex), where=root > 0)
+    # per_s[:, n_a + n_b] as a view: windows of length n_max + 1 over s
+    return np.outer(qa, qb) * sliding_window_view(per_s, trunc.dim, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +261,23 @@ def _branch_labels(params: ProtocolParams):
     return arms, mu * z + nu
 
 
-def _overlaps(d):
-    """(gram, vac) over coherent labels d: entries [r, c] of the identity and
-    of the vacuum projector |0><0| between <d_c| and |d_r>, so gram is the
-    labels' Gram <d_c|d_r> and vac = exp(-(|d_c|^2 + |d_r|^2) / 2) is real.
-    One builder for the probe Gram and every arm, whose click factor
-    (1 - |0><0|) is gram - vac; besides its two outputs, it holds nothing of
-    their shape.  Each entry takes the operations of the one-pattern kernel
-    in their order, so every factor is that of a pattern built on its own
-    to the last bit."""
+def _overlaps(d, gram):
+    """Fills gram with the labels' Gram <d_c|d_r> over coherent labels d and
+    returns vac = exp(-(|d_c|^2 + |d_r|^2) / 2), the real vacuum projector
+    |0><0| between them (entries [r, c]).  One builder for the probe Gram and
+    every arm, whose click factor (1 - |0><0|) is gram - vac; besides gram
+    and vac, it holds nothing of their shape.  Each entry takes the
+    operations of the one-pattern kernel in their order, so every factor is
+    that of a pattern built on its own to the last bit."""
     bra, ket = d[None, :], d[:, None]
     vac = np.abs(bra) ** 2 + np.abs(ket) ** 2
     vac *= 0.5
-    gram = np.conj(bra) * ket
+    np.multiply(np.conj(bra), ket, out=gram)
     gram -= vac
     np.exp(gram, out=gram)
     np.negative(vac, out=vac)
     np.exp(vac, out=vac)
-    return gram, vac
+    return vac
 
 
 def _record(pattern, rho: DensOp) -> OutcomeRecord:
@@ -262,13 +296,15 @@ def _record(pattern, rho: DensOp) -> OutcomeRecord:
 
 def _dense_bytes(params: ProtocolParams, n: int) -> int:
     """Peak dense bytes of n = 2^K heralded block operators, each S x S with
-    S = 2 n_max + 1, as ``run_full_protocol`` builds them: the n kernels and
-    the larger of two later needs.  At the last level the real silent factor
-    (half a kernel) is alive, with numpy's buffers for casting it to complex,
-    at most two tiles; once it is freed, DensOp's Hermiticity check holds
-    three tile-sized temporaries.  No earlier step holds more: an arm's two
-    factors come on top of at most n/2 prefixes, and the probe's Gram and
-    silent factor, from the same overlap builder, on top of nothing."""
+    S = 2 n_max + 1, as ``run_full_protocol`` builds them: the n kernels, one
+    stack allocated first, and the larger of two later needs.  While an arm
+    is applied, its real silent factor (half a kernel) is alive, with numpy's
+    buffers for casting it to complex, at most two tiles; its click factor
+    sits in a kernel slot not yet taken, and the previous arm's silent
+    factor is gone.  Once the last one is freed, DensOp's Hermiticity check
+    holds three tile-sized temporaries.  ``_metric_rows`` reads the kernels
+    in place and fits its own arrays into what they leave of
+    DENSE_BYTES_LIMIT, at least this reserve."""
     S = _s_trunc(params.trunc).dim
     tile = min(HERMITIAN_TILE, S)
     return 16 * n * S**2 + max(8 * S**2 + 32 * tile**2, 48 * tile**2)
@@ -283,32 +319,39 @@ def run_full_protocol(params: ProtocolParams):
     click or the silent one, multiplied in arm order.  One overlap builder
     (``_overlaps``) gives the Gram and each arm's pair of factors, once per
     run; going breadth-first over the arms, each prefix product yields its
-    click child and then becomes its silent child in place, so the kernels
-    come out in pattern order."""
+    two children, so that the kernels end in pattern order as slices of one
+    (2^K, S, S) stack, which the records' operators are."""
     K = params.scheme.K
-    _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, 2**K))
+    n = 2**K
+    _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, n))
     arms, probe = _branch_labels(params)
-    kernels = [_overlaps(probe)[0]]
-    for d in arms:
-        click, vac = _overlaps(d)
+    S = len(probe)
+    kernels = np.empty((n, S, S), complex)
+    _overlaps(probe, kernels[-1])
+    for j, d in enumerate(arms):
+        # prefix r of this level sits in the slot of its first descendant,
+        # r * step, and the last prefix in the last slot; the arm's click
+        # factor is built in the slot that prefix's click child takes
+        step = n >> j
+        click = kernels[n - step]
+        vac = _overlaps(d, click)
         click -= vac
+        for r in range(0, n - step, step):
+            w = kernels[r]
+            np.multiply(w, vac, out=kernels[r + step // 2])
+            w *= click
         last = kernels[-1]
-        level = []
-        for w in kernels:
-            level.append(np.multiply(w, click, out=click if w is last else None))
-            w *= vac
-            level.append(w)
-        kernels = level
-    # the silent factor goes before DensOp's check tiles come (_dense_bytes)
-    del vac
+        np.multiply(last, click, out=click)
+        last *= vac
+        # the silent factor goes before the next arm's, or DensOp's check
+        # tiles, come (_dense_bytes)
+        del vac
     root = np.sqrt(_held_block(params.alpha, params.beta, params.trunc)[2])
+    kernels *= root[:, None]
+    kernels *= root
     trunc = _s_trunc(params.trunc)
-    out = []
-    for pattern, rho in zip(itertools.product((True, False), repeat=K), kernels):
-        rho *= root[:, None]
-        rho *= root
-        out.append(_record(pattern, DensOp(("s",), rho, trunc)))
-    return out
+    return [_record(pattern, DensOp(("s",), rho, trunc))
+            for pattern, rho in zip(itertools.product((True, False), repeat=K), kernels)]
 
 
 def all_click_record(records) -> OutcomeRecord:
@@ -320,19 +363,78 @@ def all_click_record(records) -> OutcomeRecord:
 
 def dominant_eigenstate(rho: DensOp):
     """Largest eigenvalue and its eigenvector as a FockVector over rho's modes."""
-    dim = rho.matrix.shape[0]
-    if dim < EIGSH_MIN_ROWS:
-        from scipy.linalg import eigh
-
-        w, v = eigh(rho.matrix, subset_by_index=[dim - 1, dim - 1])
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        # a fixed start vector: ARPACK's default one is drawn afresh on every
-        # call, which moves the last printed digits of a near-product
-        # state's entanglement from run to run
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-        w, v = eigsh(rho.matrix, k=1, which="LA", v0=v0)
-    lam, vec = float(w[0]), v[:, 0]
+    lam, vec = _top_eigenpairs(rho.matrix[None])
     shape = (rho.trunc.dim,) * len(rho.modes)
-    return lam / rho.trace(), FockVector(rho.modes, vec.reshape(shape), rho.trunc)
+    return float(lam[0]) / rho.trace(), FockVector(rho.modes, vec[0].reshape(shape), rho.trunc)
+
+
+def _top_eigenpairs(ms):
+    """(lam, vecs): the largest eigenvalue of each Hermitian matrix of the
+    stack ms and its eigenvector, one row per matrix; one LAPACK call for the
+    whole stack below EIGSH_MIN_ROWS, ARPACK matrix by matrix from there."""
+    dim = ms.shape[-1]
+    if dim < EIGSH_MIN_ROWS:
+        w, v = np.linalg.eigh(ms)
+        return w[:, -1], v[:, :, -1].copy()
+    from scipy.sparse.linalg import eigsh
+
+    # a fixed start vector: ARPACK's default one is drawn afresh on every
+    # call, which moves the last printed digits of a near-product state's
+    # entanglement from run to run
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+    pairs = [eigsh(m, k=1, which="LA", v0=v0) for m in ms]
+    return np.array([w[0] for w, _ in pairs]), np.array([v[:, 0] for _, v in pairs])
+
+
+def _heralded_coeffs(roots: EliminationRoots) -> np.ndarray:
+    """Coefficient rows, in pattern order, of the targets the click patterns
+    herald: a pattern's row is ``design.semi_success_coeffs`` of its silent
+    detectors, the monic polynomial over the clicked detectors' roots,
+    padded with zeros to K + 1 entries."""
+    x = roots.expanded() / roots.gamma
+    clicked = np.array(list(itertools.product((True, False), repeat=len(x))))
+    c = np.zeros((len(clicked), len(x) + 1), complex)
+    c[:, 0] = 1.0
+    for z, kept in zip(x, clicked.T):
+        # times (x - z): c_n -> c_{n-1} - z c_n
+        c[kept, 1:] = c[kept, :-1] - z * c[kept, 1:]
+        c[kept, 0] *= -z
+    return c
+
+
+def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
+    """(probability, fidelity against tgt, entanglement, oracle residual) of
+    each record of ``run_full_protocol(params)``, in its order.
+
+    The entanglement is the Schmidt entropy of the dominant eigenvector,
+    lifted to (a, b); the oracle residual is 1 - the fidelity against the
+    target the pattern heralds (``_heralded_coeffs``).  A record of
+    negligible probability gets 0 for all three; for every other one they
+    come from stacks: one build of the heralded targets, then per chunk of
+    records one fidelity contraction of both targets over the kernels, one
+    eigensolve (``_top_eigenpairs``), one lift and one SVD.  The records'
+    operators are slices of one kernel stack, read in place; a chunk holds
+    as many records as fit in what the kernels leave of DENSE_BYTES_LIMIT,
+    at two operators' bytes each (the eigenvectors of ``np.linalg.eigh``,
+    and a gathered copy when the chunk skips a record), so all records but
+    those of a run near the limit are one chunk.
+    """
+    kernels = records[0].state.matrix.base
+    probs = [r.probability for r in records]
+    live = np.flatnonzero(np.array(probs) > P_NEGLIGIBLE)
+    own = _target_states(_heralded_coeffs(params.scheme.roots)[live],
+                         params.alpha, params.beta, params.chi, params.trunc)
+    n, S = kernels.shape[:2]
+    chunk = max(1, (DENSE_BYTES_LIMIT - 16 * n * S**2) // (32 * S**2))
+    metrics = np.zeros((n, 3))
+    for i in range(0, len(live), chunk):
+        idx = live[i : i + chunk]
+        whole = idx[-1] - idx[0] == len(idx) - 1
+        ms = kernels[idx[0] : idx[-1] + 1] if whole else kernels[idx]
+        vs = np.stack(np.broadcast_arrays(tgt.amplitudes, own[i : i + chunk]), axis=1)
+        fid = _fidelities(ms[:, None], vs)
+        # the lifts go once their spectra are taken, before the next chunk's
+        ent = _schmidt_entropies(
+            _lifts(_top_eigenpairs(ms)[1], params.alpha, params.beta, params.trunc))
+        metrics[idx] = np.column_stack((fid[:, 0], ent, 1.0 - fid[:, 1]))
+    return [(p, *m) for p, m in zip(probs, metrics.tolist())]

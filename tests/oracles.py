@@ -42,6 +42,9 @@ it, and nothing in ``src/`` imports it:
   np.outer, np.real on the eigenvalues and a descending re-sort) and the
   root expansion by np.poly (``poly_by_numpy``), which the lean forms in
   ``entangle`` must match bit for bit;
+* the rows of ``kerrlink simulate`` computed pattern by pattern through the
+  single-state metrics (``simulate_rows_per_pattern``), which
+  ``protocol._metric_rows`` computes as stacks over all patterns at once;
 * the trace distance between two density operators.
 """
 
@@ -69,6 +72,7 @@ from kerrlink.entangle import (
     _gram_root,
     _rot_gram,
     pair_gram,
+    schmidt_entropy,
 )
 from kerrlink.errors import DomainError, KerrlinkError, UnknownMode
 from kerrlink.fock import (
@@ -89,6 +93,8 @@ from kerrlink.protocol import (
     _check_budget,
     all_click_record,
     analytic_target_state,
+    dominant_eigenstate,
+    lift_to_modes,
     make_protocol,
     run_full_protocol,
 )
@@ -470,6 +476,35 @@ def equivalence_report(params: ProtocolParams, target: TargetCoefficients):
                          target, delta=params.scheme.delta)
     _, r2 = all_click(dataclasses.replace(half, trunc=params.trunc))
     return trace_distance(dense_view(params, net), op), r1, float(np.log2(r1 / r2))
+
+
+def simulate_rows_per_pattern(prot: ProtocolParams, target: TargetCoefficients):
+    """The rows of ``kerrlink simulate`` (pattern, probability,
+    fidelity_vs_target, entanglement, oracle_residual) as its loop first
+    computed them, pattern by pattern through the single-state metrics and
+    ``design.semi_success_coeffs``; the oracle of the stacked
+    ``protocol._metric_rows``."""
+    alpha, beta, chi = prot.alpha, prot.beta, prot.chi
+    tgt = analytic_target_state(target, alpha, beta, chi, prot.trunc)
+    rows = []
+    # records come all-click first, in itertools.product order: the row order
+    for rec in run_full_protocol(prot):
+        pat = "".join("1" if b else "0" for b in rec.pattern)
+        if rec.probability <= P_NEGLIGIBLE:
+            rows.append((pat, rec.probability, 0.0, 0.0, 0.0))
+            continue
+        f_target = fidelity(rec.state, tgt)
+        _, vec = dominant_eigenstate(rec.state)
+        ent = schmidt_entropy(lift_to_modes(vec, alpha, beta))
+        missing = {j for j, b in enumerate(rec.pattern, start=1) if not b}
+        own = analytic_target_state(
+            semi_success_coeffs(prot.scheme.roots, missing),
+            alpha, beta, chi, prot.trunc,
+        )
+        rows.append(
+            (pat, rec.probability, f_target, ent, 1.0 - fidelity(rec.state, own))
+        )
+    return rows
 
 
 def build_target_by_elimination(params: ProtocolParams) -> FockVector:

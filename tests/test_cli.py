@@ -339,6 +339,23 @@ class TestLibraryWithoutTests:
         self.run_src_only(["-c", code], tmp_path)
 
 
+    def test_simulate_below_eigsh_rows_loads_no_scipy_solver(self, tmp_path):
+        """Below EIGSH_MIN_ROWS the metric pass needs numpy alone: simulate
+        loads scipy.special (the Poisson tails and coherent amplitudes), and
+        neither scipy.linalg nor scipy.sparse."""
+        code = (
+            "import sys, kerrlink.cli\n"
+            "argv = ['simulate', '--preset', 'photon-correlated:2,2', '--out', 'a.csv']\n"
+            "assert kerrlink.cli.main(argv) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'linalg'], ['scipy', 'sparse']))\n"
+            "assert not loaded, loaded\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        self.run_src_only(["-c", code], tmp_path)
+        rows = (tmp_path / "a.csv").read_text().splitlines()[-4:]
+        assert [row.split(",")[0] for row in rows] == ["11", "10", "01", "00"]
+
 class TestMemoryBudgetExit:
     def test_over_budget_simulation_exits_6(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", 1000)

@@ -39,6 +39,8 @@ from kerrlink.protocol import (
     _branch_labels,
     _dense_bytes,
     _held_block,
+    _metric_rows,
+    _target_states,
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
@@ -62,6 +64,7 @@ from oracles import (
     probe_cascade,
     product_state,
     project_click,
+    simulate_rows_per_pattern,
     trace_distance,
 )
 
@@ -331,12 +334,26 @@ def bell_k1_beta0():
     return make_protocol(p.alpha, 0.0, p.gamma, p.chi, p.target, delta=p.delta)
 
 
+# the target of k1_wide, at |alpha|^2 = 40 and chi = sqrt(1 / 40)
+K1_WIDE_TARGET = TargetCoefficients(
+    np.array([1.0, -np.exp(-2j * 40.0 * np.sin(np.sqrt(1 / 40)))]))
+
+
 def k1_wide():
     """K = 1 at |alpha|^2 = 40 and x = 1: n_max 92, so the block operators
     have 185 rows and dominant_eigenstate takes ARPACK."""
-    a2, chi = 40.0, np.sqrt(1 / 40)
-    t = TargetCoefficients(np.array([1.0, -np.exp(-2j * a2 * np.sin(chi))]))
-    return make_protocol(np.sqrt(a2), np.sqrt(a2), 0.1, chi, t)
+    return make_protocol(np.sqrt(40.0), np.sqrt(40.0), 0.1, np.sqrt(1 / 40), K1_WIDE_TARGET)
+
+
+# the target of faint_probe_k3
+FAINT_PROBE_TARGET = coeffs_from_photon_target(1, 3, 0.9)
+
+
+def faint_probe_k3():
+    """K = 3 at gamma = 1e-8: every pattern with two or three clicks has
+    probability <= P_NEGLIGIBLE, so the live patterns (100, 010, 001, 000)
+    are not contiguous in pattern order."""
+    return make_protocol(0.5, 0.4, 1e-8, 0.9, FAINT_PROBE_TARGET, delta=0.25)
 
 
 def k4_wide():
@@ -445,6 +462,68 @@ class TestBlockRoute:
         assert params.truncated_mass >= 0
 
 
+SIM_PRESETS = ("bell-k1", "maxent-k2-low", "photon-correlated:2,2",
+               "photon-correlated:1,3", "photon-correlated:2,4")
+# (protocol, its target) of each case whose simulate rows are checked
+ROW_CASES = {
+    **{name: (lambda name=name: (preset_protocol(name), get_preset(name).target))
+       for name in SIM_PRESETS},
+    "small_k1": lambda: (small_k1(), SMALL_K1_TARGET),
+    "small_k2": lambda: (small_k2(), SMALL_K2_TARGET),
+    "k1_wide": lambda: (k1_wide(), K1_WIDE_TARGET),
+    "faint_probe_k3": lambda: (faint_probe_k3(), FAINT_PROBE_TARGET),
+}
+
+
+def stacked_rows(prot, target):
+    tgt = analytic_target_state(target, prot.alpha, prot.beta, prot.chi, prot.trunc)
+    return _metric_rows(prot, tgt, run_full_protocol(prot))
+
+
+class TestStackedRows:
+    """The simulate rows as stacks (protocol._metric_rows) against the loop
+    that computed them pattern by pattern (oracles.simulate_rows_per_pattern).
+    The probability is the record's own.  The other columns may differ in
+    the order of float operations: the stacks expand the heralded targets'
+    coefficients together and pad them with zeros, and sum zero-padded
+    Schmidt weights; hence these absolute tolerances."""
+
+    FIDELITY_TOL = 1e-14  # fidelity_vs_target and oracle_residual
+    ENTANGLEMENT_TOL = 1e-12
+
+    @pytest.mark.parametrize("name", list(ROW_CASES))
+    def test_rows_match_the_per_pattern_loop(self, name):
+        prot, target = ROW_CASES[name]()
+        got = stacked_rows(prot, target)
+        want = simulate_rows_per_pattern(prot, target)
+        assert len(got) == len(want) == 2**prot.scheme.K
+        for (p, f, e, r), (pat, p0, f0, e0, r0) in zip(got, want):
+            assert p == p0, pat
+            assert abs(f - f0) <= self.FIDELITY_TOL, (pat, f, f0)
+            assert abs(e - e0) <= self.ENTANGLEMENT_TOL, (pat, e, e0)
+            assert abs(r - r0) <= self.FIDELITY_TOL, (pat, r, r0)
+
+    def test_cases_cover_both_solvers_and_skipped_patterns(self):
+        assert 2 * k1_wide().trunc.n_max + 1 >= EIGSH_MIN_ROWS
+        assert 2 * preset_protocol("bell-k1").trunc.n_max + 1 < EIGSH_MIN_ROWS
+        live = [p > P_NEGLIGIBLE for p, *_ in stacked_rows(faint_probe_k3(), FAINT_PROBE_TARGET)]
+        assert live == [False, False, False, True, False, True, True, True]
+
+    def test_negligible_patterns_get_zero_metrics(self):
+        for p, *metrics in stacked_rows(faint_probe_k3(), FAINT_PROBE_TARGET):
+            if p <= P_NEGLIGIBLE:
+                assert metrics == [0.0, 0.0, 0.0]
+
+    def test_each_heralded_target_is_checked(self):
+        # at alpha = beta = 0 only s = 0 is held, where a target is sum_n c_n:
+        # the second row's state vanishes, whatever the rows around it
+        cs = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [2.0, 0.0, 0.0]], complex)
+        with pytest.raises(DomainError, match="squared norm"):
+            _target_states(cs, 0.0, 0.0, 0.5, TruncationSpec(3))
+        amps = _target_states(cs[[0, 2]], 0.0, 0.0, 0.5, TruncationSpec(3))
+        assert np.allclose(amps[:, 0], 1.0) and not amps[:, 1:].any()
+
+
 class TestMemoryBudget:
     """The dense-size estimate: nothing here allocates an oversized route."""
 
@@ -500,6 +579,33 @@ class TestMemoryBudget:
         assert 2 * prot.trunc.n_max + 1 == 515
         peak, need = self.traced_peak(prot), _dense_bytes(prot, 4)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
+
+    @pytest.mark.parametrize("a2, rows", [(None, 79), (160, 515)],
+                             ids=["bell-k1-lapack", "k2-arpack"])
+    def test_metric_pass_fits_the_tightest_limit(self, monkeypatch, a2, rows):
+        """At the smallest DENSE_BYTES_LIMIT a run passes its check at, the
+        metric pass takes the records one at a time: with the kernels, it
+        stays under the limit, and it gives the rows of the one-chunk pass
+        bit for bit."""
+        p = get_preset("bell-k1" if a2 is None else "maxent-k2-low")
+        alpha = p.alpha if a2 is None else np.sqrt(a2)
+        prot = make_protocol(alpha, alpha, p.gamma, p.chi, p.target, delta=p.delta)
+        assert 2 * prot.trunc.n_max + 1 == rows
+        target = p.target
+        tgt = analytic_target_state(target, prot.alpha, prot.beta, prot.chi, prot.trunc)
+        want = _metric_rows(prot, tgt, run_full_protocol(prot))  # imports the solvers
+        limit = _dense_bytes(prot, 2**prot.scheme.K)
+        monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", limit)
+        tracemalloc.start()
+        try:
+            records = run_full_protocol(prot)
+            tracemalloc.reset_peak()  # the kernels' own peak: the tests above
+            got = _metric_rows(prot, tgt, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= limit, f"traced peak {peak} B, limit {limit} B"
 
     def test_estimate_stays_within_the_one_pattern_budget(self):
         # the budget of the route that built one pattern's kernel at a time:
