@@ -3,8 +3,8 @@ linear-optics elimination measurements: scheme synthesis, truncated-Fock
 simulation, entanglement scans, and noise/feasibility budgets.
 
 Importing the package loads numpy only: each scipy submodule is imported
-inside the function that calls it, so `design` and `feasibility` run without
-scipy and the other commands load only what they call."""
+inside the function that calls it, so `design`, `feasibility` and
+`entangle-scan` run without scipy and `simulate` loads only what it calls."""
 
 from .design import (
     DetectionScheme,

@@ -11,13 +11,17 @@ optimizer run or a noise budget that revisits a key builds nothing.
 An entropy evaluation, and the optimizer's expansion of roots into
 coefficients, keep a fixed order of float operations (the references in
 ``tests/oracles.py`` pin it bit for bit), so that scan artifacts are
-reproducible byte for byte.
+reproducible byte for byte.  The optimizer's Nelder-Mead search is
+kerrlink's own (``minimize``), with scipy's as its test oracle, so this
+module loads no scipy and scan artifacts do not depend on the installed
+scipy's optimizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -132,12 +136,87 @@ def _poly(roots) -> np.ndarray:
     return a
 
 
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on the first search rather than with
-    this module, so that commands which never optimize never load it."""
-    import scipy.optimize
+class _MaxFev(Exception):
+    """The evaluation budget of a ``minimize`` search is spent."""
 
-    return scipy.optimize.minimize(fun, x0, **options)
+
+def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev):
+    """Nelder-Mead search for a minimum of fun from x0: kerrlink's own port
+    of scipy's non-adaptive, unbounded ``minimize(method="Nelder-Mead")``,
+    its test oracle, which it matches bit for bit in x, fun, nfev and success
+    at the same options.  The simplex is kept as lists of floats, ordered by
+    ``np.argsort`` of its values as in scipy (ties and NaNs included), and fun
+    sees each vertex as a new 1-d array.  A search stops at maxfev at once,
+    inside an iteration or a shrink; it succeeds unless maxfev or maxiter was
+    reached.  Returns an object with ``x``, ``fun`` (the least value of the
+    final simplex), ``nfev`` and ``success``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nfev = 0
+
+    def f(v):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return float(fun(np.array(v)))
+
+    def ray(t):
+        # (1 + t) xbar - t worst: reflection, expansion, outside and
+        # inside contraction at t = rho, rho chi, psi rho and -psi
+        return [(1 + t) * b - t * w for b, w in zip(xbar, sim[-1])]
+
+    def ordered():
+        order = np.argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    x0 = [float(v) for v in x0]
+    N = len(x0)
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [np.inf] * (N + 1)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    sim, fsim = ordered()
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0]))
+                    and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
+                break
+            xbar = [0.0] * N
+            for v in sim[:-1]:
+                xbar = [s + a for s, a in zip(xbar, v)]
+            xbar = [s / N for s in xbar]
+            xr = ray(rho)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = ray(rho * chi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = ray(psi * rho if outside else -psi)
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = [a + sigma * (b - a) for a, b in zip(sim[0], sim[j])]
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFev:
+            pass
+        sim, fsim = ordered()
+
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev,
+                           success=not (nfev >= maxfev or iterations >= maxiter))
 
 
 def optimize_coefficients(
@@ -198,7 +277,7 @@ def optimize_coefficients(
     best_x, best_f, converged = None, np.inf, False
     for roots in starts:
         x0 = np.concatenate((np.abs(roots), np.angle(roots)))
-        res = minimize(neg_entropy, x0, method="Nelder-Mead", options=opts)
+        res = minimize(neg_entropy, x0, **opts)
         converged = converged or bool(res.success)
         # a start or its search result takes over only by a margin
         for x, f in ((x0, neg_entropy(x0)), (res.x, res.fun)):

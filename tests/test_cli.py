@@ -324,11 +324,13 @@ class TestLibraryWithoutTests:
         "assert kerrlink.cli.main(['feasibility', '--detector', 'low-dark', "
         "'--f-target', '0.9']) == 0",
         "assert kerrlink.cli.main(['design', '--coeffs', '1,-1.2,0.4', '--gamma', '0.1']) == 0",
-    ], ids=["start", "feasibility", "design"])
+        "assert kerrlink.cli.main(['entangle-scan', '--x-grid', '1', '--K', '1']) == 0",
+    ], ids=["start", "feasibility", "design", "entangle-scan"])
     def test_starts_without_scipy(self, tmp_path, run):
-        """Start-up, design and feasibility load no scipy module; the optimizer
-        still reaches scipy through entangle.minimize, which tests and the
-        benchmark tracer replace by name."""
+        """Start-up, design, feasibility and entangle-scan load no scipy
+        module: the optimizer's Nelder-Mead is kerrlink's own
+        entangle.minimize, which tests and the benchmark tracer replace by
+        name."""
         code = (
             "import sys, kerrlink, kerrlink.cli\n"
             f"{run}\n"
@@ -644,6 +646,29 @@ class TestArtifactConventions:
         assert first.read_bytes() == last.read_bytes() == fresh.read_bytes()
         assert not (tmp_path / "x.csv").exists()
         assert cli.build_parser() is not cli.build_parser()
+
+    # written with scipy's Nelder-Mead, before the search became
+    # entangle.minimize: the port must not move a scan artifact
+    SCAN_ARTIFACT = """\
+# subcommand = entangle-scan
+# x_grid = 1,100
+# K_list = 1,2
+# seed = 0
+# alpha_rule = alpha^2 = max(10, x), chi = sqrt(x)/alpha
+x,K,pattern,E,flag
+1,1,full,1,0
+1,2,full,1.54660901864,0
+1,2,miss1,0.72807571379,0
+1,2,miss2,0.754171303678,0
+100,1,full,1,0
+100,2,full,1.58496250072,0
+100,2,miss1,1,0
+100,2,miss2,1,0
+"""
+
+    def test_scan_artifact_is_pinned(self, capsys):
+        assert cli.main(["entangle-scan", "--x-grid", "1,100", "--K", "1,2", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == self.SCAN_ARTIFACT
 
     def test_scan_byte_identical(self, tmp_path):
         argv = ["entangle-scan", "--x-grid", "1", "--K", "1,2", "--seed", "3"]

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from kerrlink import entangle
 from kerrlink.design import (
@@ -383,6 +384,82 @@ class TestSingleStageSearch:
         for (x0, nfev), (ref_x0, ref_nfev) in zip(searches, ref_searches):
             assert np.array_equal(x0, ref_x0)
             assert nfev == ref_nfev
+
+
+def scan_searches(monkeypatch, K, x, restarts):
+    """(objective, start, options) of the first ``restarts`` searches that
+    optimize_coefficients sets up at scan point x, without running them."""
+    searches = []
+
+    def record(fun, x0, **options):
+        searches.append((fun, x0, options))
+        return SimpleNamespace(x=x0, fun=0.0, success=True, nfev=0)
+
+    alpha = math.sqrt(max(10.0, x))
+    with monkeypatch.context() as m:
+        m.setattr(entangle, "minimize", record)
+        optimize_coefficients(K, alpha, alpha, math.sqrt(x) / alpha, restarts=restarts)
+    return searches
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+class TestNelderMeadOracle:
+    """entangle.minimize against its oracle, scipy's Nelder-Mead: the same x
+    to the last bit, fun, nfev and success at the same options."""
+
+    OPTIONS = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 6000, "maxfev": 9000}
+
+    def assert_same_search(self, fun, x0, **options):
+        got = entangle.minimize(fun, x0, **options)
+        want = scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options=options)
+        assert got.x.tobytes() == want.x.tobytes(), (got.x, want.x)
+        assert got.fun == want.fun or np.isnan(got.fun) and np.isnan(want.fun)
+        assert got.nfev == want.nfev
+        assert got.success == want.success
+
+    @pytest.mark.parametrize("K,x", [(1, 1.0), (2, 1e-2), (3, 100.0)])
+    def test_scan_objective(self, monkeypatch, K, x):
+        searches = scan_searches(monkeypatch, K, x, restarts=2)
+        fun, _, options = searches[0]
+        assert options == self.OPTIONS
+        rng = np.random.default_rng(K)
+        roots = rng.normal(size=K) + 1j * rng.normal(size=K)
+        starts = [x0 for _, x0, _ in searches]
+        starts.append(np.concatenate((np.abs(roots), np.angle(roots))))
+        # a zero coordinate: the first simplex puts 0.00025 there
+        starts.append(np.concatenate((np.ones(K), np.zeros(K))))
+        for x0 in starts:
+            self.assert_same_search(fun, x0, **options)
+
+    def test_stop_inside_a_shrink(self, monkeypatch):
+        # this search's first shrink evaluates its 4 points as evaluations
+        # 35-38, so maxfev 36 stops it after two of them
+        fun, x0, options = scan_searches(monkeypatch, 2, 1e-2, restarts=1)[0]
+        for maxfev in (35, 36, 37, 38, 39):
+            self.assert_same_search(fun, x0, **{**options, "maxfev": maxfev})
+
+    def test_flat_objective_ties(self):
+        # every value ties, so each iteration ends in a shrink; maxfev 9
+        # stops the first after two of its four points
+        for maxfev in (9, 200):
+            self.assert_same_search(lambda x: 0.0, np.array([1.0, 0.0, -2.0, 3.0]),
+                                    **{**self.OPTIONS, "maxfev": maxfev})
+
+    @pytest.mark.parametrize("fun", [
+        rosenbrock,
+        lambda x: float(np.round(np.sum(x**2), 1)),  # plateaus: ties
+        lambda x: np.nan if x[0] > -1.0 else rosenbrock(x),  # NaNs order last
+        # NaN off the start's x[0]: the simplex shrinks onto it and keeps a
+        # NaN vertex, so the search never converges and fun is NaN
+        lambda x: 0.0 if x[0] == -1.2 else np.nan,
+    ], ids=["rosenbrock", "plateaus", "nan-region", "nan-off-start"])
+    def test_rosenbrock_ties_and_nans(self, fun):
+        x0 = np.array([-1.2, 1.0, 0.5])
+        self.assert_same_search(fun, x0, **self.OPTIONS)
+        self.assert_same_search(fun, x0, **{**self.OPTIONS, "maxiter": 40})
 
 
 class TestSemiSuccess:
