@@ -2,9 +2,10 @@
 linear-optics elimination measurements: scheme synthesis, truncated-Fock
 simulation, entanglement scans, and noise/feasibility budgets.
 
-Importing the package loads numpy only: each scipy submodule is imported
-inside the function that calls it, so `design`, `feasibility` and
-`entangle-scan` run without scipy and `simulate` loads only what it calls."""
+Importing the package loads numpy only.  The one scipy submodule the library
+calls, ARPACK's `scipy.sparse.linalg`, is imported inside the function that
+calls it, so `design`, `feasibility` and `entangle-scan` run without scipy,
+and so does `simulate` below `protocol.EIGSH_MIN_ROWS` (80) rows."""
 
 from .design import (
     DetectionScheme,

@@ -3,7 +3,9 @@
 States are dense complex arrays indexed by per-mode photon numbers, all modes
 sharing one cutoff ``n_max``: pure states (``FockVector``), density operators
 (``DensOp``), coherent amplitudes with their Poisson tail, and the fidelity
-against a pure state that the protocol reports.  A "mode" here may also be
+against a pure state that the protocol reports.  The Poisson tail and log n!
+are computed here from ``math`` (scipy's ``pdtrc`` and ``gammaln`` are their
+test oracles), so this module loads no scipy.  A "mode" here may also be
 a conserved total photon number: ``protocol`` keeps its heralded states over
 the single mode "s" = n_a + n_b with cutoff 2 n_max, so the same operators
 and fidelity serve a (2 n_max + 1)-row block.  ``fidelity`` is its stacked
@@ -21,6 +23,7 @@ in ``tests/oracles.py``.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,20 @@ HERMITIAN_TILE = 128
 # sum |c_n|^2 (c sums to zero at alpha = beta = 0, say, or coefficients that
 # label one coherent pair cancel at chi = pi).
 P_NEGLIGIBLE = 1e-30
+# coherent_tail sums the Poisson series below this mean photon number |z|^2
+# and takes Temme's expansion from it on: the series' prefactor carries
+# ~|z|^2 log|z|^2 ulps of rounding and the expansion's truncation error falls
+# like |z|^-10; they cross at ~5e3, where both are ~1e-11 of the tail.
+TEMME_MIN_MEAN = 1e4
+# Taylor coefficients in eta of Temme's c_0, c_1, c_2 (DLMF 8.12.9-8.12.11)
+_TEMME_C = (
+    (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515,
+     -571 / 261273600, -281 / 151559100, 163879 / 197522841600),
+    (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860, -1 / 2488320,
+     -2743 / 151559100, 41969 / 5486745600),
+    (25 / 6048, -139 / 51840, 1 / 1296, 1 / 497664, -6199 / 57736800,
+     5531 / 104509440),
+)
 
 
 def _nonvanishing_norm2(norm2: float, c, name: str = "target state") -> float:
@@ -47,10 +64,71 @@ def _nonvanishing_norm2(norm2: float, c, name: str = "target state") -> float:
 
 
 def coherent_tail(z, n_max) -> float:
-    """Probability mass of |z> beyond photon number n_max (Poisson tail)."""
-    from scipy.special import pdtrc
+    """Probability mass of |z> beyond photon number n_max: the Poisson tail
+    P(N > n_max) of mean lam = |z|^2.
 
-    return float(pdtrc(n_max, abs(z) ** 2))
+    Below TEMME_MIN_MEAN it sums the Poisson series outward from the side of
+    n_max away from lam, in float term ratios, until a term falls below 1e-17
+    of the sum: P(N > n) = p(n + 1) (1 + lam/(n + 2) + ...) when n + 1 > lam,
+    else 1 - p(n) (1 + n/lam + n (n - 1)/lam^2 + ...), with the Poisson
+    probability p(k) from math.lgamma.  Such a series runs up to ~9 sqrt(lam)
+    terms, so from TEMME_MIN_MEAN on the tail is Temme's uniform expansion
+    instead.  Both agree with scipy.special.pdtrc to ~1e-11 relative down to
+    tails of 1e-290 up to lam = 1e4, and the expansion with mpmath to ~1e-11
+    at the 1e-12 point of lam = 1e7 to 1e12, where pdtrc reads low (0.77 of
+    the tail at lam = 1e8).
+    """
+    lam = abs(z) ** 2
+    if lam >= TEMME_MIN_MEAN:
+        return _temme_lower_gamma(n_max + 1, lam)
+    if lam == 0:
+        return 0.0
+    k = n_max + 1
+    term = total = 1.0
+    if k > lam:
+        j = k
+        while term > 1e-17 * total:
+            j += 1
+            term *= lam / j
+            total += term
+        return _poisson_pmf(k, lam) * total
+    j = k  # the terms end at n!/lam^n, then one zero
+    while term > 1e-17 * total:
+        j -= 1
+        term *= j / lam
+        total += term
+    return 1.0 - _poisson_pmf(n_max, lam) * total
+
+
+def _poisson_pmf(k, lam) -> float:
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def _temme_lower_gamma(a, x) -> float:
+    """The regularized lower incomplete gamma P(a, x) for large a, by Temme's
+    uniform expansion (DLMF 8.12.4, 8.12.8): 1/2 erfc(-eta sqrt(a/2)) minus
+    exp(-a eta^2/2)/sqrt(2 pi a) sum_k c_k(eta) a^-k, where
+    eta^2/2 = mu - log(1 + mu) for mu = x/a - 1, and eta has mu's sign.
+    Wherever P is neither 0 nor 1 in floats, |eta| < 0.32 for x >= 1e4, so
+    the c_k are Taylor polynomials."""
+    a = float(a)
+    mu = (x - a) / a
+    if abs(mu) > 0.25:
+        half_eta2 = mu - math.log1p(mu)
+    else:  # the same as sum_{k>=2} (-mu)^k/k, without log1p's cancellation
+        half_eta2, power, k = 0.0, mu * mu, 2
+        while abs(power) > 1e-17 * k * half_eta2:
+            half_eta2 += power / k
+            power, k = -power * mu, k + 1
+    eta = math.copysign(math.sqrt(2 * half_eta2), mu)
+    series = 0.0
+    for order, coeffs in enumerate(_TEMME_C):
+        c = 0.0
+        for coeff in reversed(coeffs):
+            c = c * eta + coeff
+        series += c / a**order
+    return (0.5 * math.erfc(-eta * math.sqrt(a / 2))
+            - math.exp(-a * half_eta2) / math.sqrt(2 * math.pi * a) * series)
 
 
 def min_cutoff(amplitudes, tail_tol=DEFAULT_TAIL_TOL) -> int:
@@ -169,7 +247,8 @@ def _hermitian_gap(m):
 
 
 def coherent_amplitudes(z, n_max, tail_tol=DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Fock amplitudes (Q_0(z), ..., Q_{n_max}(z)) of the coherent state |z>.
+    """Fock amplitudes (Q_0(z), ..., Q_{n_max}(z)) of the coherent state |z>,
+    exp(n log z - log(n!)/2 - |z|^2/2) with log n! from math.lgamma.
 
     Raises TailTooHeavy when the truncated mass beyond n_max exceeds tail_tol.
     """
@@ -182,10 +261,9 @@ def coherent_amplitudes(z, n_max, tail_tol=DEFAULT_TAIL_TOL) -> np.ndarray:
         out = np.zeros(n_max + 1, dtype=complex)
         out[0] = 1.0
         return out
-    from scipy.special import gammaln
-
     # evaluated in log form; z^n / sqrt(n!) overflows long before it matters
-    return np.exp(n * np.log(complex(z)) - 0.5 * gammaln(n + 1) - 0.5 * abs(z) ** 2)
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    return np.exp(n * np.log(complex(z)) - 0.5 * log_factorials - 0.5 * abs(z) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -342,21 +342,56 @@ class TestLibraryWithoutTests:
 
 
     def test_simulate_below_eigsh_rows_loads_no_scipy_solver(self, tmp_path):
-        """Below EIGSH_MIN_ROWS the metric pass needs numpy alone: simulate
-        loads scipy.special (the Poisson tails and coherent amplitudes), and
-        neither scipy.linalg nor scipy.sparse."""
+        """Below EIGSH_MIN_ROWS simulate needs numpy alone: the Poisson tails
+        and coherent amplitudes are kerrlink's own, and the metric pass takes
+        numpy's stacked eigh, so no scipy module is loaded."""
         code = (
             "import sys, kerrlink.cli\n"
             "argv = ['simulate', '--preset', 'photon-correlated:2,2', '--out', 'a.csv']\n"
             "assert kerrlink.cli.main(argv) == 0\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'linalg'], ['scipy', 'sparse']))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
-            "assert 'scipy.special' in sys.modules\n"
         )
         self.run_src_only(["-c", code], tmp_path)
         rows = (tmp_path / "a.csv").read_text().splitlines()[-4:]
         assert [row.split(",")[0] for row in rows] == ["11", "10", "01", "00"]
+
+    def test_simulate_from_eigsh_rows_loads_arpack_alone(self, tmp_path):
+        """From EIGSH_MIN_ROWS (here n_max 59, 119 rows) simulate loads
+        ARPACK's scipy.sparse.linalg, and still not scipy.special."""
+        code = (
+            "import sys, kerrlink.cli\n"
+            "argv = ['simulate', '--coeffs', '1,-1', '--alpha', '4.5', '--gamma', '0.1',\n"
+            "        '--chi', '0.2', '--out', 'w.csv']\n"
+            "assert kerrlink.cli.main(argv) == 0\n"
+            "assert 'scipy.sparse.linalg' in sys.modules\n"
+            "assert 'scipy.special' not in sys.modules\n"
+        )
+        self.run_src_only(["-c", code], tmp_path)
+        text = (tmp_path / "w.csv").read_text()
+        n_max = int(text.split("# n_max = ")[1].split()[0])
+        assert 2 * n_max + 1 >= protocol.EIGSH_MIN_ROWS
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        """With scipy unimportable, design, feasibility, a one-point scan and
+        simulate on every preset that fits the memory budget still exit 0."""
+        argvs = [
+            ["design", "--coeffs", "1,-1.2,0.4", "--gamma", "0.1"],
+            ["feasibility"],
+            ["entangle-scan", "--x-grid", "1", "--K", "1"],
+        ] + [["simulate", "--preset", name] for name in (
+            "bell-k1", "maxent-k2-low", "photon-correlated:2,2", "photon-correlated:1,3",
+            "photon-correlated:2,4")]
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import kerrlink.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = kerrlink.cli.main(argv)\n"
+            "    assert rc == 0, (argv, rc)\n"
+        )
+        self.run_src_only(["-c", code], tmp_path)
 
 class TestMemoryBudgetExit:
     def test_over_budget_simulation_exits_6(self, monkeypatch, tmp_path, capsys):
@@ -370,8 +405,8 @@ class TestMemoryBudgetExit:
     def test_maxent_k2_high_exits_6_before_allocating(self, tmp_path, capsys):
         # n_max 10711: the target over s and the amplitudes are vectors of
         # ~2e4 entries, and the budget check stops the run before any
-        # 21423-row operator (7.3 GB) exists; the bound leaves room for a
-        # first import of scipy inside the call
+        # 21423-row operator (7.3 GB) exists; the bound leaves room for the
+        # argparse parser built on a first call (no scipy is imported)
         out = tmp_path / "artifact.csv"
         tracemalloc.start()
         try:
@@ -388,8 +423,9 @@ class TestMemoryBudgetExit:
     def test_large_amplitude_exits_6_before_allocating(self, alpha, tmp_path, capsys):
         # n_max ~ alpha^2: one (2 n_max + 1)-row operator is past the budget,
         # so the run stops before the held modes' O(n_max) amplitudes and
-        # their O(n_max^2) norms are built; the bound leaves room for a first
-        # import of scipy inside the call
+        # their O(n_max^2) norms are built; the cutoff search takes no
+        # scipy, and the bound leaves room for the argparse parser built on
+        # the first call
         out = tmp_path / "artifact.csv"
         argv = ["simulate", "--coeffs", "1,-1", "--alpha", alpha, "--gamma", "0.1",
                 "--chi", "0.1", "--out", str(out)]

@@ -1,9 +1,12 @@
 """Core Fock-space layer: closed-form oracles and error contracts."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln, pdtrc
 
 from kerrlink import fock
 from kerrlink.design import build_scheme
@@ -75,6 +78,64 @@ class TestCoherentAmplitudes:
         with pytest.raises(TailTooHeavy):
             coherent_amplitudes(3.0, 4, tail_tol=1e-12)
 
+    @pytest.mark.parametrize("z", [0.01, 0.5 + 0.3j, 1.0, -2.5j, 7.3, 20 * np.exp(0.4j),
+                                   -45.0, 60.0, 60j])
+    def test_matches_the_gammaln_form(self, z):
+        # math.lgamma and scipy's gammaln differ by up to 3 ulps at about half
+        # of all n, so each amplitude may differ by 1.5 ulps of log n!
+        # (5e-12 relative at |z| = 60) on top of rounding
+        n_max = min_cutoff([z])
+        n = np.arange(n_max + 1)
+        want = np.exp(n * np.log(complex(z)) - 0.5 * gammaln(n + 1) - 0.5 * abs(z) ** 2)
+        got = coherent_amplitudes(z, n_max)
+        bound = (1e-13 + 2 * np.spacing(gammaln(n + 1))) * np.abs(want)
+        assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / np.abs(want))
+
+
+def pdtrc_tail(z, n):
+    return float(pdtrc(n, abs(z) ** 2))
+
+
+def mpmath_tail(lam, n):
+    """P(N > n) for a Poisson N of mean lam, at 50 digits."""
+    with mpmath.workdps(50):
+        return 1 - mpmath.gammainc(n + 1, lam, mpmath.inf, regularized=True)
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("lam, tol", [
+        *((lam, 1e-12) for lam in (1e-4, 0.01, 0.3, 1.0, 2.5, 10.0, 37.3, 100.0)),
+        (1e3, 1e-11),  # the series' prefactor rounds by ~lam log lam ulps
+        (1e4, 3e-12),  # Temme's expansion: 7e-12 without its c_2 term
+    ])
+    def test_matches_pdtrc(self, lam, tol):
+        # every n from lam - 10 sqrt(lam) to where the tail falls below 1e-290,
+        # through the series on either side of lam and, at 1e4, Temme's expansion
+        n = max(0, math.ceil(lam - 10 * math.sqrt(lam)))
+        worst = 0.0
+        while (want := pdtrc_tail(math.sqrt(lam), n)) >= 1e-290:
+            worst = max(worst, abs(coherent_tail(math.sqrt(lam), n) / want - 1))
+            n += 1
+        assert worst <= tol, worst
+
+    def test_vacuum_has_no_tail(self):
+        assert coherent_tail(0.0, 0) == 0.0 == pdtrc_tail(0.0, 0)
+
+    @pytest.mark.parametrize("lam", [1e7, 1e8, 1e10])
+    def test_large_mean_matches_mpmath(self, lam):
+        # at the 1e-12 point, where scipy's pdtrc reads 0.99, 0.77 and 0.13
+        # of the tail; the expansion is good to ~1e-14 there (1e-11 with eta
+        # taken from log1p alone, which cancels)
+        z = math.sqrt(lam)
+        n = int(lam + 7.03 * z + 8)
+        want = mpmath_tail(z * z, n)  # z^2 is lam up to an ulp, 4e-12 of the tail at 1e7
+        assert abs(coherent_tail(z, n) / want - 1) <= 1e-12
+
+    def test_cutoff_of_a_large_amplitude_is_exact(self):
+        # pdtrc put it at 10000674304, where the tail is 7.8 tail_tol
+        n = min_cutoff([1e5])
+        assert mpmath_tail(1e10, n) <= fock.DEFAULT_TAIL_TOL < mpmath_tail(1e10, n - 1)
+
 
 class TestTruncation:
     def test_min_cutoff_is_minimal(self):
@@ -84,25 +145,33 @@ class TestTruncation:
             assert n == 1 or coherent_tail(z, n - 1) > tol, f"n={n} not minimal for z={z}"
 
     @staticmethod
-    def stepped_cutoff(z, tol):
+    def stepped_cutoff(z, tol, tail=coherent_tail):
         """The cutoff by the rule of stepping n up by one from |z|^2."""
         n = max(1, int(abs(z) ** 2))
-        while coherent_tail(z, n) > tol:
+        while tail(z, n) > tol:
             n += 1
         return n
 
-    def test_min_cutoff_is_the_stepped_cutoff(self):
-        # 0, a grid up to |z| = 60 and every beam of the presets (held modes,
-        # probe, references and master beam; maxent-k2-high's are 100)
+    @staticmethod
+    def cutoff_grid():
+        """(beam, tol): 0, a grid up to |z| = 60 and every beam of the presets
+        (held modes, probe, references and master beam; maxent-k2-high's are
+        100), each at three tolerances."""
         beams = [0.0, *np.geomspace(1e-3, 60.0, 150)]
         for name in ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated:2,2",
                      "photon-correlated:1,3", "photon-correlated:2,4"):
             p = get_preset(name)
             scheme = build_scheme(p.target, p.gamma, delta=p.delta)
             beams += [p.alpha, p.beta, p.gamma, scheme.ref_net.master, *scheme.gtilde]
-        for tol in (1e-12, 1e-9, 1e-3):
-            for z in beams:
-                assert min_cutoff([z], tol) == self.stepped_cutoff(z, tol), (z, tol)
+        return [(z, tol) for tol in (1e-12, 1e-9, 1e-3) for z in beams]
+
+    def test_min_cutoff_is_the_stepped_cutoff(self):
+        for z, tol in self.cutoff_grid():
+            assert min_cutoff([z], tol) == self.stepped_cutoff(z, tol), (z, tol)
+
+    def test_min_cutoff_is_the_pdtrc_cutoff(self):
+        for z, tol in self.cutoff_grid():
+            assert min_cutoff([z], tol) == self.stepped_cutoff(z, tol, pdtrc_tail), (z, tol)
 
     def test_min_cutoff_takes_logarithmically_many_tail_calls(self, monkeypatch):
         calls = []

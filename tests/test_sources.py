@@ -133,47 +133,64 @@ def root_solves(source):
     return sorted(out)
 
 
-def _is_scipy_optimize(module):
-    return module == "scipy.optimize" or module.startswith("scipy.optimize.")
+def scipy_uses(source, sub):
+    """Lines that import ``scipy.<sub>`` or a submodule of it, in any form,
+    or reach it as ``scipy.<sub>``."""
+    def is_sub(module):
+        return module == f"scipy.{sub}" or module.startswith(f"scipy.{sub}.")
 
-
-def scipy_optimize_uses(source):
-    """Lines that import ``scipy.optimize`` or a submodule of it, in any
-    form, or reach it as ``scipy.optimize``."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            hit = any(_is_scipy_optimize(a.name) for a in node.names)
+            hit = any(is_sub(a.name) for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = node.level == 0 and (_is_scipy_optimize(node.module) or (
-                node.module == "scipy" and any(a.name == "optimize" for a in node.names)))
+            hit = node.level == 0 and (is_sub(node.module) or (
+                node.module == "scipy" and any(a.name == sub for a in node.names)))
         else:
-            hit = (isinstance(node, ast.Attribute) and node.attr == "optimize"
+            hit = (isinstance(node, ast.Attribute) and node.attr == sub
                    and isinstance(node.value, ast.Name) and node.value.id == "scipy")
         if hit:
             out.append(node.lineno)
     return sorted(out)
 
 
+def library_scipy_uses(sub):
+    return {path.name: scipy_uses(path.read_text(), sub) for path in sorted(SRC.glob("*.py"))}
+
+
+SCIPY_USES_SNIPPET = (
+    "import scipy\n"
+    "import scipy.optimize\n"
+    "from scipy import optimize, special\n"
+    "from scipy.optimize import minimize\n"
+    "def f(x):\n"
+    "    import scipy.optimize._optimize as nm\n"
+    "    return scipy.optimize.minimize\n"
+    "from scipy.special import gammaln\n"
+    "from .optimize import x\n"
+    "tail = scipy.special.pdtrc\n"
+)
+
+
 class TestOwnOptimizer:
     def test_library_never_imports_scipy_optimize(self):
-        found = {path.name: scipy_optimize_uses(path.read_text())
-                 for path in sorted(SRC.glob("*.py"))}
+        found = library_scipy_uses("optimize")
         assert found and not any(found.values()), found
 
     def test_rule_flags_each_import(self):
-        source = (
-            "import scipy\n"
-            "import scipy.optimize\n"
-            "from scipy import optimize, special\n"
-            "from scipy.optimize import minimize\n"
-            "def f(x):\n"
-            "    import scipy.optimize._optimize as nm\n"
-            "    return scipy.optimize.minimize\n"
-            "from scipy.special import gammaln\n"
-            "from .optimize import x\n"
-        )
-        assert scipy_optimize_uses(source) == [2, 3, 4, 6, 7]
+        assert scipy_uses(SCIPY_USES_SNIPPET, "optimize") == [2, 3, 4, 6, 7]
+
+
+class TestOwnPoissonTail:
+    """The Poisson tail and log n! are kerrlink's own (fock), with scipy's
+    pdtrc and gammaln as their test oracles."""
+
+    def test_library_never_imports_scipy_special(self):
+        found = library_scipy_uses("special")
+        assert found and not any(found.values()), found
+
+    def test_rule_flags_each_import(self):
+        assert scipy_uses(SCIPY_USES_SNIPPET, "special") == [3, 8, 10]
 
 
 class TestOneRootSolve:
