@@ -99,10 +99,13 @@ def _fmt_complex(z) -> str:
 
 
 def _list_of(kind, positional=False):
-    """argparse type: a comma list of kind values.  Empty tokens are skipped,
-    unless each token's position is its meaning (a coefficient index)."""
+    """argparse type: a comma list of one or more kind values.  Empty tokens
+    are skipped, unless each token's position is its meaning (a coefficient index)."""
     def parse(text):
-        return [kind(tok) for tok in text.split(",") if positional or tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if positional or tok.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
 
     parse.__name__ = f"{kind.__name__} list"
     return parse

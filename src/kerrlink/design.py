@@ -46,10 +46,10 @@ class TargetCoefficients:
 
     @classmethod
     def from_roots(cls, zs) -> TargetCoefficients:
-        """The monic target prod_j (x - z_j) (c by np.poly) with roots z_j,
+        """The monic target prod_j (x - z_j) (c by ``_poly``) with roots z_j,
         equal values making one root of their count as its multiplicity."""
         zs = np.asarray(zs, dtype=complex)
-        target = cls(np.atleast_1d(np.poly(zs))[::-1])
+        target = cls(_poly(zs)[::-1])
         object.__setattr__(target, "roots", tuple(Counter(zs.tolist()).items()))
         return target
 
@@ -81,6 +81,18 @@ class TargetCoefficients:
                     head[near[i]] = i
         return tuple((complex(np.mean(vals[head == i])), int(np.sum(head == i)))
                      for i in range(len(vals)) if head[i] == i)
+
+
+def _poly(roots) -> np.ndarray:
+    """np.poly(roots) for a 1-d complex array, without its input checks: the
+    same convolutions in the same order, hence the same floats, and real when
+    the roots are closed under conjugation."""
+    a = np.ones(1, dtype=complex)
+    for z in roots:
+        a = np.convolve(a, [1, -z])
+    if (np.sort(roots) == np.sort(roots.conjugate())).all():
+        return a.real.copy()
+    return a
 
 
 def _is_m_fold(p, x, m) -> bool:
@@ -274,6 +286,27 @@ def semi_success_coeffs(roots: EliminationRoots, missing) -> TargetCoefficients:
     gam = roots.expanded()
     kept = [gam[j - 1] / roots.gamma for j in range(1, K + 1) if j not in missing]
     return TargetCoefficients.from_roots(kept)
+
+
+def _heralded_coeffs(roots: EliminationRoots) -> np.ndarray:
+    """Rows of ``semi_success_coeffs`` of each click pattern's silent detectors,
+    byte for byte, zero-padded to K + 1, in ``run_full_protocol``'s record
+    order.  Going breadth-first over the detectors, each prefix polynomial is
+    multiplied by (x - x_j) for its click child and kept for its silent one:
+    ``_poly``'s convolutions in its order, and its real rule on each row."""
+    x = roots.expanded() / roots.gamma
+    rows = [np.ones(1, dtype=complex)]
+    for z in x:
+        rows = [r for p in rows for r in (np.convolve(p, [1, -z]), p)]
+    c = np.zeros((len(rows), len(x) + 1), dtype=complex)
+    for row, p in zip(c, rows):
+        row[: len(p)] = p[::-1]
+    # a row's roots are closed under conjugation when every value occurs
+    # among them as often as its conjugate does
+    clicked = 1 - (np.arange(len(rows))[:, None] >> np.arange(len(x))[::-1] & 1)
+    excess = (x[:, None] == x).astype(int) - (x[:, None] == x.conj())
+    c.imag[~(clicked @ excess).any(1)] = 0.0
+    return c
 
 
 def build_scheme(

@@ -8,13 +8,13 @@ as its oracle.  Each per-mode Gram, and its square root when an entropy asks
 for one, is built once per (K, |z|^2, chi) and shared read-only, so an
 optimizer run or a noise budget that revisits a key builds nothing.
 
-An entropy evaluation, and the optimizer's expansion of roots into
-coefficients, keep a fixed order of float operations (the references in
-``tests/oracles.py`` pin it bit for bit), so that scan artifacts are
-reproducible byte for byte.  The optimizer's Nelder-Mead search is
-kerrlink's own (``minimize``), with scipy's as its test oracle, so this
-module loads no scipy and scan artifacts do not depend on the installed
-scipy's optimizer.
+An entropy evaluation keeps a fixed order of float operations, and the
+optimizer expands roots into coefficients with ``design._poly``, np.poly's
+convolutions in np.poly's order (the references in ``tests/oracles.py`` pin
+both bit for bit), so that scan artifacts are reproducible byte for byte.
+The optimizer's Nelder-Mead search is kerrlink's own (``minimize``), with
+scipy's as its test oracle, so this module loads no scipy and scan artifacts
+do not depend on the installed scipy's optimizer.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .design import _poly
 from .errors import DomainError, NonConvergence, ShapeMismatch
 from .fock import _nonvanishing_norm2
 
@@ -122,18 +123,6 @@ def _schmidt_entropies(amps) -> np.ndarray:
     lam = np.where(lam > EIG_FLOOR, lam, 1.0)
     # _bits row by row; _bits itself stays the optimizer's lean 1-d form
     return 0.0 - (lam * np.log2(lam)).sum(-1)
-
-
-def _poly(roots) -> np.ndarray:
-    """np.poly(roots) for a 1-d complex array, without its input checks: the
-    same convolutions in the same order, hence the same floats, and real when
-    the roots are closed under conjugation."""
-    a = np.ones(1, dtype=complex)
-    for z in roots:
-        a = np.convolve(a, [1, -z])
-    if (np.sort(roots) == np.sort(roots.conjugate())).all():
-        return a.real.copy()
-    return a
 
 
 class _MaxFev(Exception):

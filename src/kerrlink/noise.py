@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import TargetCoefficients, semi_success_coeffs, solve_roots
+from .design import TargetCoefficients, _heralded_coeffs, solve_roots
 from .entangle import _rot_gram, pair_gram
 from .errors import DomainError
 from .fock import _nonvanishing_norm2
@@ -178,13 +178,11 @@ def _poisson_weights(s: float):
 
 @lru_cache(maxsize=256)
 def _silent_rows(target_roots: tuple, gamma: complex) -> np.ndarray:
-    """Read-only (K, K+1) array whose row j-1 holds the coefficients heralded
-    when only detector j stays silent, zero-padded; memoized per gamma and
-    target roots, the target's (x_m, l_m) pairs."""
+    """Read-only (K, K+1) array whose row j-1 is the ``_heralded_coeffs`` row
+    of the pattern where only detector j stays silent, at index 2^(K-j);
+    memoized per gamma and target roots, the target's (x_m, l_m) pairs."""
     roots = solve_roots(target_roots, gamma)
-    rows = np.zeros((roots.K, roots.K + 1), dtype=complex)
-    for j in range(1, roots.K + 1):
-        rows[j - 1, :-1] = semi_success_coeffs(roots, {j}).c
+    rows = _heralded_coeffs(roots)[2 ** np.arange(roots.K - 1, -1, -1)]
     rows.flags.writeable = False
     return rows
 

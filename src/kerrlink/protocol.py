@@ -55,8 +55,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .design import (
     DEFAULT_DELTA,
     DetectionScheme,
-    EliminationRoots,
     TargetCoefficients,
+    _heralded_coeffs,
     build_scheme,
     probe_affine,
 )
@@ -386,29 +386,13 @@ def _top_eigenpairs(ms):
     return np.array([w[0] for w, _ in pairs]), np.array([v[:, 0] for _, v in pairs])
 
 
-def _heralded_coeffs(roots: EliminationRoots) -> np.ndarray:
-    """Coefficient rows, in pattern order, of the targets the click patterns
-    herald: a pattern's row is ``design.semi_success_coeffs`` of its silent
-    detectors, the monic polynomial over the clicked detectors' roots,
-    padded with zeros to K + 1 entries."""
-    x = roots.expanded() / roots.gamma
-    clicked = np.array(list(itertools.product((True, False), repeat=len(x))))
-    c = np.zeros((len(clicked), len(x) + 1), complex)
-    c[:, 0] = 1.0
-    for z, kept in zip(x, clicked.T):
-        # times (x - z): c_n -> c_{n-1} - z c_n
-        c[kept, 1:] = c[kept, :-1] - z * c[kept, 1:]
-        c[kept, 0] *= -z
-    return c
-
-
 def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
     """(probability, fidelity against tgt, entanglement, oracle residual) of
     each record of ``run_full_protocol(params)``, in its order.
 
     The entanglement is the Schmidt entropy of the dominant eigenvector,
     lifted to (a, b); the oracle residual is 1 - the fidelity against the
-    target the pattern heralds (``_heralded_coeffs``).  A record of
+    target the pattern heralds (``design._heralded_coeffs``).  A record of
     negligible probability gets 0 for all three; for every other one they
     come from stacks: one build of the heralded targets, then per chunk of
     records one fidelity contraction of both targets over the kernels, one

@@ -40,8 +40,8 @@ it, and nothing in ``src/`` imports it:
   (``dense_target_state``);
 * the entanglement objective as first written (``entropy_outer_sorted``:
   np.outer, np.real on the eigenvalues and a descending re-sort) and the
-  root expansion by np.poly (``poly_by_numpy``), which the lean forms in
-  ``entangle`` must match bit for bit;
+  root expansion by np.poly (``poly_by_numpy``), which the lean objective in
+  ``entangle`` and the expansion ``design._poly`` must match bit for bit;
 * the rows of ``kerrlink simulate`` computed pattern by pattern through the
   single-state metrics (``simulate_rows_per_pattern``), which
   ``protocol._metric_rows`` computes as stacks over all patterns at once;
@@ -672,7 +672,7 @@ def entropy_outer_sorted(c, alpha, beta, chi) -> EntanglementReport:
 
 def poly_by_numpy(roots) -> np.ndarray:
     """Coefficients of prod_m (z - roots[m]), highest power first: np.poly,
-    which the optimizer expanded its roots with before entangle._poly."""
+    which roots were expanded with before ``design._poly``."""
     return np.poly(roots)
 
 

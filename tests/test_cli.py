@@ -139,6 +139,14 @@ INVALID_CONFIG_ARGV = [
 ]
 
 
+EMPTY_LIST_ARGV = [
+    (["entangle-scan", "--x-grid", ",", "--K", "1"], "--x-grid", "float"),
+    (["entangle-scan", "--x-grid", "1", "--K", ","], "--K", "int"),
+    (["feasibility", "--db-grid", ","], "--db-grid", "float"),
+    (["feasibility", "--fixed-db", ","], "--fixed-db", "float"),
+]
+
+
 class TestInvalidConfiguration:
     @pytest.mark.parametrize("argv,message", INVALID_CONFIG_ARGV,
                              ids=[" ".join(a) for a, _ in INVALID_CONFIG_ARGV])
@@ -189,6 +197,17 @@ class TestNonFiniteInput:
             cli.main(["entangle-scan", "--x-grid", "1,abc", "--K", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert "argument --x-grid: invalid float list value: '1,abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,kind", EMPTY_LIST_ARGV,
+                             ids=[" ".join(a) for a, _, _ in EMPTY_LIST_ARGV])
+    def test_empty_list_is_a_usage_error(self, argv, flag, kind, tmp_path, capsys):
+        # not the flag's default: ',' has no values, as '1,abc' has a bad one
+        out = tmp_path / "artifact"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} list value: ','" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Network synthesis: root finding, splitter chain, reference cascade."""
 
 import dataclasses
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from kerrlink.design import (
     DetectionScheme,
     EliminationRoots,
     TargetCoefficients,
+    _heralded_coeffs,
     build_scheme,
     coeffs_from_photon_target,
     probe_affine,
@@ -22,6 +25,7 @@ from kerrlink.design import (
 )
 from kerrlink.errors import DegenerateLeadingCoefficient, NoSolution
 from kerrlink.fock import TruncationSpec, coherent_amplitudes
+from kerrlink.presets import get_preset
 from oracles import apply_beamsplitter, inner, probe_cascade, product_state, refnet_angles
 
 
@@ -369,6 +373,66 @@ class TestSemiSuccess:
         out = semi_success_coeffs(r, {slot})
         assert out.roots == ((complex(r.expanded()[0] / r.gamma), 2),)
         assert abs(out.roots[0][0] - 1) < 1e-8
+
+
+SIX_PRESETS = ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated:2,2",
+               "photon-correlated:1,3", "photon-correlated:2,4")
+
+
+def heralded_per_pattern(roots):
+    """``semi_success_coeffs`` of each click pattern's silent detectors, in
+    pattern order, zero-padded to K + 1 entries."""
+    K = roots.K
+    rows = np.zeros((2**K, K + 1), dtype=complex)
+    for row, clicked in zip(rows, itertools.product((True, False), repeat=K)):
+        c = semi_success_coeffs(roots, {j + 1 for j in range(K) if not clicked[j]}).c
+        row[: len(c)] = c
+    return rows
+
+
+def random_root_sets(n, seed):
+    """n root sets, K = 1-7: every third closed under conjugation (conjugate
+    pairs, and a real root at odd K), every fifth all real, every seventh
+    with a repeated root; gamma = 0.1 e^{i phi}, with phi = 0 on every second
+    set, so that its conjugate pairs and real roots stay exact once divided
+    by gamma."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        K = int(rng.integers(1, 8))
+        xs = rng.normal(size=K) + 1j * rng.normal(size=K)
+        if i % 3 == 0:
+            xs[K // 2 : 2 * (K // 2)] = xs[: K // 2].conjugate()
+            if K % 2:
+                xs[-1] = xs[-1].real
+        if i % 5 == 0:
+            xs = xs.real.astype(complex)
+        if i % 7 == 0 and K > 1:
+            xs[-1] = xs[0]
+        phi = 0.0 if i % 2 else rng.uniform(0.0, 2 * np.pi)
+        yield solve_roots(tuple(Counter(xs.tolist()).items()), 0.1 * np.exp(1j * phi))
+
+
+class TestHeraldedCoeffs:
+    """The all-patterns build is semi_success_coeffs, bit for bit: the same
+    convolutions in the same order, and np.poly's real rule on each row."""
+
+    @pytest.mark.parametrize("name", SIX_PRESETS)
+    def test_presets_match_semi_success_coeffs_bytewise(self, name):
+        p = get_preset(name)
+        roots = solve_roots(p.target, p.gamma)
+        assert _heralded_coeffs(roots).tobytes() == heralded_per_pattern(roots).tobytes()
+
+    def test_random_roots_match_semi_success_coeffs_bytewise(self):
+        self_conjugate = 0
+        for roots in random_root_sets(2100, seed=25):
+            assert _heralded_coeffs(roots).tobytes() == heralded_per_pattern(roots).tobytes(), \
+                roots
+            x = roots.expanded() / roots.gamma
+            self_conjugate += roots.K > 2 and np.array_equal(np.sort(x), np.sort(x.conj())) \
+                and (x.imag != 0).any()
+        # np.poly's real rule is met on products of several conjugate pairs
+        # and real roots, where the convolutions leave round-off imaginary parts
+        assert self_conjugate > 100
 
 
 def same_network(s, T, q, gtilde, ref_net):

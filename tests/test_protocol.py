@@ -483,10 +483,13 @@ def stacked_rows(prot, target):
 class TestStackedRows:
     """The simulate rows as stacks (protocol._metric_rows) against the loop
     that computed them pattern by pattern (oracles.simulate_rows_per_pattern).
-    The probability is the record's own.  The other columns may differ in
-    the order of float operations: the stacks expand the heralded targets'
-    coefficients together and pad them with zeros, and sum zero-padded
-    Schmidt weights; hence these absolute tolerances."""
+    The probability is the record's own, and the heralded targets'
+    coefficients are the loop's byte for byte (``design._heralded_coeffs``).
+    The other columns may still differ in the order of float operations:
+    the stacks build the targets from zero-padded coefficient rows
+    (``_target_states``), which moves the oracle residual by 2.2e-16 on 4 of
+    these 50 rows, and sum zero-padded Schmidt weights; hence these absolute
+    tolerances."""
 
     FIDELITY_TOL = 1e-14  # fidelity_vs_target and oracle_residual
     ENTANGLEMENT_TOL = 1e-12

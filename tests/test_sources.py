@@ -108,12 +108,12 @@ def unfrozen_memo_returns(source):
     return out
 
 
-def _is_np_roots(node):
-    """Whether node names numpy's root solver: ``np.roots``, ``numpy.roots``,
-    or an import of ``roots`` from numpy."""
+def _names_numpy(node, name):
+    """Whether node names numpy's function ``name``: ``np.<name>``,
+    ``numpy.<name>``, or an import of ``name`` from numpy."""
     if isinstance(node, ast.ImportFrom):
-        return node.module == "numpy" and any(a.name == "roots" for a in node.names)
-    return (isinstance(node, ast.Attribute) and node.attr == "roots"
+        return node.module == "numpy" and any(a.name == name for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == name
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
 
@@ -125,12 +125,17 @@ def root_solves(source):
     methods = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for fn in cls.body
                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    out = [(n.lineno, "") for n in _own_nodes(tree) if _is_np_roots(n)]
+    out = [(n.lineno, "") for n in _own_nodes(tree) if _names_numpy(n, "roots")]
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out += [(n.lineno, methods.get(fn, fn.name)) for n in _own_nodes(fn)
-                    if _is_np_roots(n)]
+                    if _names_numpy(n, "roots")]
     return sorted(out)
+
+
+def poly_expansions(source):
+    """Lines that name numpy's root expansion ``np.poly``, in any form."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if _names_numpy(n, "poly"))
 
 
 def scipy_uses(source, sub):
@@ -212,6 +217,28 @@ class TestOneRootSolve:
             "    return target.roots, g\n"
         )
         assert root_solves(source) == [(2, ""), (5, "T.roots"), (8, "g")]
+
+
+class TestOneRootExpansion:
+    """Roots become coefficients through ``design._poly`` alone: np.poly's
+    convolutions in its order, held to np.poly bit for bit by the tests."""
+
+    def test_library_never_calls_np_poly(self):
+        found = {path.name: poly_expansions(path.read_text())
+                 for path in sorted(SRC.glob("*.py"))}
+        assert found and not any(found.values()), found
+
+    def test_rule_flags_each_form(self):
+        source = (
+            "import numpy as np\n"
+            "from numpy import poly as expand\n"
+            "from numpy import polyval, polyder\n"
+            "def f(z, c):\n"
+            "    return np.poly(z), numpy.poly(z)\n"
+            "p = np.polyval(c, 1), np.polyder(c), c.poly(z)\n"
+            "expand = np.poly\n"
+        )
+        assert poly_expansions(source) == [2, 5, 5, 7]
 
 
 class TestNoTestImports:
