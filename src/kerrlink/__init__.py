@@ -2,10 +2,10 @@
 linear-optics elimination measurements: scheme synthesis, truncated-Fock
 simulation, entanglement scans, and noise/feasibility budgets.
 
-Importing the package loads numpy only.  The one scipy submodule the library
-calls, ARPACK's `scipy.sparse.linalg`, is imported inside the function that
-calls it, so `design`, `feasibility` and `entangle-scan` run without scipy,
-and so does `simulate` below `protocol.EIGSH_MIN_ROWS` (80) rows."""
+Importing the package loads numpy only, and no command loads scipy: the
+optimizer's Nelder-Mead, the Poisson tail and the top eigenpairs of the
+heralded operators are numpy code of the package's own, with scipy's routines
+as their test oracles."""
 
 from .design import (
     DetectionScheme,

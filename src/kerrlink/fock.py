@@ -226,20 +226,24 @@ def _hermitian_gap(m):
 
     Entry (c, r) of m - m^H is minus the conjugate of entry (r, c), so both
     have the same modulus and the maxima are those of the whole matrices,
-    without a temporary of m's size.  A NaN entry gives NaN, as it would there,
-    and so does an inf one (inf - inf), without numpy's invalid-value warning.
+    without a temporary of m's size.  Each tile's moduli come before its
+    difference: a NaN or inf entry makes the scale non-finite, and the gap
+    is then NaN at once, as it would be over the whole matrix (inf - inf),
+    so a finite difference is all that is ever taken and raises no
+    invalid-value warning.
     """
     n, t = m.shape[0], HERMITIAN_TILE
-    gaps, scales = [], []
-    with np.errstate(invalid="ignore"):
-        for i in range(0, n, t):
-            for j in range(i, n, t):
-                upper, lower = m[i : i + t, j : j + t], m[j : j + t, i : i + t]
-                gaps.append(np.max(np.abs(upper - lower.conj().T)))
-                scales.append(np.max(np.abs(upper)))
-                if j != i:
-                    scales.append(np.max(np.abs(lower)))
-    return float(np.max(gaps)), float(np.max(scales))
+    gap = scale = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = m[i : i + t, j : j + t], m[j : j + t, i : i + t]
+            scale = np.maximum(scale, np.abs(upper).max())
+            if j != i:
+                scale = np.maximum(scale, np.abs(lower).max())
+            if not np.isfinite(scale):
+                return math.nan, float(scale)
+            gap = np.maximum(gap, np.abs(upper - lower.conj().T).max())
+    return float(gap), float(scale)
 
 
 # ---------------------------------------------------------------------------

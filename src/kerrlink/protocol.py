@@ -23,9 +23,9 @@ The 2^K kernels are slices of one (2^K, S, S) stack, S = 2 n_max + 1, and
 ``_metric_rows`` computes the metrics ``simulate`` prints for all patterns
 at once on stacks over it: every heralded target from one phase matrix,
 both fidelities from one contraction, the dominant eigenvectors from one
-LAPACK call (ARPACK per operator from EIGSH_MIN_ROWS rows), and the
-Schmidt spectra from one lift and one SVD.  The single-state functions
-(``analytic_target_state``, ``lift_to_modes``, ``dominant_eigenstate``,
+LAPACK call (block subspace iteration over the stack from SUBSPACE_MIN_ROWS
+rows), and the Schmidt spectra from one lift and one SVD.  The single-state
+functions (``analytic_target_state``, ``lift_to_modes``, ``dominant_eigenstate``,
 ``fock.fidelity``, ``entangle.schmidt_entropy``) are those stacked cores on
 a stack of one, and the pattern-by-pattern loop through them is the
 oracle of the stacked rows.
@@ -79,13 +79,29 @@ from .fock import (
 # operators and the temporaries of their Hermiticity check) is the largest
 # preset run
 DENSE_BYTES_LIMIT = 2**30
-# the top eigenpairs of heralded operators come from ARPACK, matrix by
-# matrix, from this many rows on, and below it from one LAPACK heevd call
-# (np.linalg.eigh) over the stack; measured on the two operators of K = 1
-# and the four of K = 2 on a 2-vCPU VM with one OpenBLAS thread, they cross
-# at about 79 rows (K = 1 there: heevd 1.39 ms, ARPACK 1.33 ms; 41 rows:
-# 0.59 and 1.91 ms; 127 rows: 6.3 and 1.9 ms; 185 rows: 14.5 and 1.8 ms)
-EIGSH_MIN_ROWS = 80
+# the top eigenpairs of heralded operators come from one LAPACK heevd call
+# (np.linalg.eigh) over the stack below this many rows, and from block
+# subspace iteration (``_top_eigenpairs``) from it on.  Measured on
+# (2^K, S, S) stacks of heralded operators on a 2-vCPU VM with one OpenBLAS
+# thread (heevd / subspace): K = 2 at 29 rows 0.278 / 0.283 ms, 33 rows
+# 0.40 / 0.29 ms, 41 rows 0.68 / 0.31 ms, 79 rows 3.0 / 0.46 ms; K = 1
+# crosses lower (21 rows: 0.115 / 0.085 ms; 79 rows: 1.54 / 0.17 ms;
+# 185 rows: 15.9 / 0.47 ms)
+SUBSPACE_MIN_ROWS = 32
+# columns of the subspace block: heralded operators of 79 rows or more have
+# numerical rank (at 1e-14) 3 to 7, so 8 columns hold them and most converge
+# in one step; at 4, 6, 8 and 12 columns bell-k1 took 0.19, 0.14, 0.16 and
+# 0.23 ms, K = 2 at 515 rows 5.7, 5.8, 5.3 and 7.2 ms, and K = 1 at 837 rows
+# 9.0, 8.3, 7.5 and 9.6 ms
+SUBSPACE_COLS = 8
+# a Ritz pair (lam, v) is taken once |M v - lam v| <= SUBSPACE_TOL |lam|:
+# heevd's own top eigenpairs sit at 0.4e-15 to 2.1e-15 of lam on heralded
+# operators of 29 to 837 rows
+SUBSPACE_TOL = 1e-13
+# a matrix not converged after this many steps takes heevd on its own; the
+# heralded operators took 1 or 2 steps on every case measured (114 operators
+# of K = 1 to 3 at random targets, |gamma| up to 0.7, 29 to 837 rows)
+SUBSPACE_MAX_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -370,20 +386,45 @@ def dominant_eigenstate(rho: DensOp):
 
 def _top_eigenpairs(ms):
     """(lam, vecs): the largest eigenvalue of each Hermitian matrix of the
-    stack ms and its eigenvector, one row per matrix; one LAPACK call for the
-    whole stack below EIGSH_MIN_ROWS, ARPACK matrix by matrix from there."""
+    stack ms and its eigenvector, one row per matrix; one LAPACK heevd call
+    for the whole stack below SUBSPACE_MIN_ROWS, and from there block
+    subspace iteration with Rayleigh-Ritz, which assumes the top eigenvalue
+    is also the largest in modulus (ms positive semidefinite).
+
+    Each step takes Q = qr(Z) and Z = M Q, and the top eigenpair (lam, u) of
+    B = Q^H Z (k x k) gives v = Q u, with residual Z u - lam v.  The start
+    block is a closed form, so that no random generator is drawn (importing
+    numpy.random alone costs a process ~6 MB).  Each matrix keeps the pair
+    of the first step it converges at, and the stack's float operations are
+    those of each matrix on its own, so a matrix's bits do not depend on the
+    stack it sits in.  A matrix still open after SUBSPACE_MAX_STEPS takes
+    heevd on its own, one at a time.
+    """
     dim = ms.shape[-1]
-    if dim < EIGSH_MIN_ROWS:
+    if dim < SUBSPACE_MIN_ROWS:
         w, v = np.linalg.eigh(ms)
         return w[:, -1], v[:, :, -1].copy()
-    from scipy.sparse.linalg import eigsh
-
-    # a fixed start vector: ARPACK's default one is drawn afresh on every
-    # call, which moves the last printed digits of a near-product state's
-    # entanglement from run to run
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-    pairs = [eigsh(m, k=1, which="LA", v0=v0) for m in ms]
-    return np.array([w[0] for w, _ in pairs]), np.array([v[:, 0] for _, v in pairs])
+    # the start block: frac(n g) - 1/2 for n = 1, 2, ... row by row, the
+    # golden-ratio Weyl sequence
+    n = np.arange(1, dim * SUBSPACE_COLS + 1).reshape(dim, SUBSPACE_COLS)
+    z = ms @ (n * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0 - 0.5)
+    lam = np.full(len(ms), np.nan)
+    vecs = np.empty(ms.shape[:2], complex)
+    for _ in range(SUBSPACE_MAX_STEPS):
+        q = np.linalg.qr(z)[0]
+        z = ms @ q
+        w, u = np.linalg.eigh(np.conj(q.transpose(0, 2, 1)) @ z)
+        top, u = w[:, -1], u[:, :, -1:]
+        v = (q @ u)[:, :, 0]
+        res = np.linalg.norm((z @ u)[:, :, 0] - top[:, None] * v, axis=1)
+        new = np.isnan(lam) & (res <= SUBSPACE_TOL * np.abs(top))
+        lam[new], vecs[new] = top[new], v[new]
+        if not np.isnan(lam).any():
+            return lam, vecs
+    for i in np.flatnonzero(np.isnan(lam)):
+        w, v = np.linalg.eigh(ms[i])
+        lam[i], vecs[i] = w[-1], v[:, -1]
+    return lam, vecs
 
 
 def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
@@ -400,8 +441,9 @@ def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
     operators are slices of one kernel stack, read in place; a chunk holds
     as many records as fit in what the kernels leave of DENSE_BYTES_LIMIT,
     at two operators' bytes each (the eigenvectors of ``np.linalg.eigh``,
-    and a gathered copy when the chunk skips a record), so all records but
-    those of a run near the limit are one chunk.
+    which the subspace side needs only for a matrix it hands to heevd, one
+    at a time, and a gathered copy when the chunk skips a record), so all
+    records but those of a run near the limit are one chunk.
     """
     kernels = records[0].state.matrix.base
     probs = [r.probability for r in records]

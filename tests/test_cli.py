@@ -361,9 +361,9 @@ class TestLibraryWithoutTests:
 
 
     def test_simulate_below_eigsh_rows_loads_no_scipy_solver(self, tmp_path):
-        """Below EIGSH_MIN_ROWS simulate needs numpy alone: the Poisson tails
-        and coherent amplitudes are kerrlink's own, and the metric pass takes
-        numpy's stacked eigh, so no scipy module is loaded."""
+        """Below SUBSPACE_MIN_ROWS simulate needs numpy alone: the Poisson
+        tails and coherent amplitudes are kerrlink's own, and the metric pass
+        takes numpy's stacked eigh, so no scipy module is loaded."""
         code = (
             "import sys, kerrlink.cli\n"
             "argv = ['simulate', '--preset', 'photon-correlated:2,2', '--out', 'a.csv']\n"
@@ -375,32 +375,36 @@ class TestLibraryWithoutTests:
         rows = (tmp_path / "a.csv").read_text().splitlines()[-4:]
         assert [row.split(",")[0] for row in rows] == ["11", "10", "01", "00"]
 
-    def test_simulate_from_eigsh_rows_loads_arpack_alone(self, tmp_path):
-        """From EIGSH_MIN_ROWS (here n_max 59, 119 rows) simulate loads
-        ARPACK's scipy.sparse.linalg, and still not scipy.special."""
+    def test_simulate_from_subspace_rows_loads_no_scipy_nor_numpy_random(self, tmp_path):
+        """From SUBSPACE_MIN_ROWS (here n_max 59, 119 rows) the top
+        eigenpairs come from numpy's subspace iteration, whose start block is
+        a closed form: no scipy module and no numpy.random is loaded."""
         code = (
             "import sys, kerrlink.cli\n"
             "argv = ['simulate', '--coeffs', '1,-1', '--alpha', '4.5', '--gamma', '0.1',\n"
             "        '--chi', '0.2', '--out', 'w.csv']\n"
             "assert kerrlink.cli.main(argv) == 0\n"
-            "assert 'scipy.sparse.linalg' in sys.modules\n"
-            "assert 'scipy.special' not in sys.modules\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                or m.startswith('numpy.random'))\n"
+            "assert not loaded, loaded\n"
         )
         self.run_src_only(["-c", code], tmp_path)
         text = (tmp_path / "w.csv").read_text()
         n_max = int(text.split("# n_max = ")[1].split()[0])
-        assert 2 * n_max + 1 >= protocol.EIGSH_MIN_ROWS
+        assert 2 * n_max + 1 == 119 >= protocol.SUBSPACE_MIN_ROWS
 
     def test_runs_with_scipy_blocked(self, tmp_path):
         """With scipy unimportable, design, feasibility, a one-point scan and
-        simulate on every preset that fits the memory budget still exit 0."""
+        simulate on every preset that fits the memory budget, and on 119
+        rows, still exit 0."""
         argvs = [
             ["design", "--coeffs", "1,-1.2,0.4", "--gamma", "0.1"],
             ["feasibility"],
             ["entangle-scan", "--x-grid", "1", "--K", "1"],
         ] + [["simulate", "--preset", name] for name in (
             "bell-k1", "maxent-k2-low", "photon-correlated:2,2", "photon-correlated:1,3",
-            "photon-correlated:2,4")]
+            "photon-correlated:2,4")] + [
+            ["simulate", "--coeffs", "1,-1", "--alpha", "4.5", "--gamma", "0.1", "--chi", "0.2"]]
         code = (
             "import contextlib, io, sys\n"
             "sys.modules['scipy'] = None\n"

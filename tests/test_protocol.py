@@ -35,12 +35,15 @@ from kerrlink.noise import success_probability
 from kerrlink.presets import get_preset
 from kerrlink.protocol import (
     DENSE_BYTES_LIMIT,
-    EIGSH_MIN_ROWS,
+    SUBSPACE_COLS,
+    SUBSPACE_MAX_STEPS,
+    SUBSPACE_MIN_ROWS,
     _branch_labels,
     _dense_bytes,
     _held_block,
     _metric_rows,
     _target_states,
+    _top_eigenpairs,
     all_click_record,
     analytic_target_state,
     dominant_eigenstate,
@@ -341,12 +344,19 @@ K1_WIDE_TARGET = TargetCoefficients(
 
 def k1_wide():
     """K = 1 at |alpha|^2 = 40 and x = 1: n_max 92, so the block operators
-    have 185 rows and dominant_eigenstate takes ARPACK."""
+    have 185 rows and dominant_eigenstate takes the subspace iteration."""
     return make_protocol(np.sqrt(40.0), np.sqrt(40.0), 0.1, np.sqrt(1 / 40), K1_WIDE_TARGET)
 
 
 # the target of faint_probe_k3
 FAINT_PROBE_TARGET = coeffs_from_photon_target(1, 3, 0.9)
+
+
+def k2_wide():
+    """maxent-k2-low at |alpha|^2 = 160: n_max 257, so the four block
+    operators have 515 rows."""
+    p = get_preset("maxent-k2-low")
+    return make_protocol(np.sqrt(160), np.sqrt(160), p.gamma, p.chi, p.target, delta=p.delta)
 
 
 def faint_probe_k3():
@@ -507,8 +517,9 @@ class TestStackedRows:
             assert abs(r - r0) <= self.FIDELITY_TOL, (pat, r, r0)
 
     def test_cases_cover_both_solvers_and_skipped_patterns(self):
-        assert 2 * k1_wide().trunc.n_max + 1 >= EIGSH_MIN_ROWS
-        assert 2 * preset_protocol("bell-k1").trunc.n_max + 1 < EIGSH_MIN_ROWS
+        assert 2 * k1_wide().trunc.n_max + 1 >= SUBSPACE_MIN_ROWS
+        assert 2 * preset_protocol("bell-k1").trunc.n_max + 1 >= SUBSPACE_MIN_ROWS
+        assert 2 * preset_protocol("maxent-k2-low").trunc.n_max + 1 < SUBSPACE_MIN_ROWS
         live = [p > P_NEGLIGIBLE for p, *_ in stacked_rows(faint_probe_k3(), FAINT_PROBE_TARGET)]
         assert live == [False, False, False, True, False, True, True, True]
 
@@ -574,15 +585,15 @@ class TestMemoryBudget:
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
     def test_estimate_covers_the_traced_peak_at_k2(self):
-        # K = 2 at |alpha|^2 = 160: 515 block rows, so the four operators
-        # and the silent factor dwarf everything else
-        p = get_preset("maxent-k2-low")
-        prot = make_protocol(np.sqrt(160), np.sqrt(160), p.gamma, p.chi, p.target,
-                             delta=p.delta)
+        # K = 2 at 515 block rows: the four operators and the silent factor
+        # dwarf everything else
+        prot = k2_wide()
         assert 2 * prot.trunc.n_max + 1 == 515
         peak, need = self.traced_peak(prot), _dense_bytes(prot, 4)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
+    # both cases run the subspace side of _top_eigenpairs (79 and 515
+    # rows); the ids are fixed labels, not the solver each case takes
     @pytest.mark.parametrize("a2, rows", [(None, 79), (160, 515)],
                              ids=["bell-k1-lapack", "k2-arpack"])
     def test_metric_pass_fits_the_tightest_limit(self, monkeypatch, a2, rows):
@@ -596,7 +607,7 @@ class TestMemoryBudget:
         assert 2 * prot.trunc.n_max + 1 == rows
         target = p.target
         tgt = analytic_target_state(target, prot.alpha, prot.beta, prot.chi, prot.trunc)
-        want = _metric_rows(prot, tgt, run_full_protocol(prot))  # imports the solvers
+        want = _metric_rows(prot, tgt, run_full_protocol(prot))
         limit = _dense_bytes(prot, 2**prot.scheme.K)
         monkeypatch.setattr(protocol, "DENSE_BYTES_LIMIT", limit)
         tracemalloc.start()
@@ -781,12 +792,12 @@ class TestDominantEigenstate:
                                             ("maxent-k2-low", 225)])
     def test_both_solvers_agree_with_dense_eigh(self, name, rows):
         # rows of the dense (a, b) view; the block operators have 17 and 29
-        # rows, below the LAPACK/ARPACK crossover
+        # rows, below the heevd/subspace crossover
         params = preset_protocol(name)
         for rec in run_full_protocol(params):
             m = dense_view(params, rec.state).matrix
             assert m.shape == (rows, rows)
-            assert rec.state.matrix.shape[0] == 2 * params.trunc.n_max + 1 < EIGSH_MIN_ROWS
+            assert rec.state.matrix.shape[0] == 2 * params.trunc.n_max + 1 < SUBSPACE_MIN_ROWS
             lam, vec = dominant_eigenstate(rec.state)
             w, v = np.linalg.eigh(m)
             assert abs(lam - w[-1] / np.trace(m).real) < 1e-12, rec.pattern
@@ -794,22 +805,87 @@ class TestDominantEigenstate:
             ov = abs(np.vdot(v[:, -1], lifted))
             assert abs(ov - 1.0) < 1e-10, rec.pattern
 
-    def test_arpack_branch_agrees_with_dense_eigh(self):
+    def test_subspace_branch_agrees_with_dense_eigh(self):
         params = k1_wide()
         for rec in run_full_protocol(params):
             m = rec.state.matrix
-            assert m.shape[0] == 185 >= EIGSH_MIN_ROWS
+            assert m.shape[0] == 185 >= SUBSPACE_MIN_ROWS
             lam, vec = dominant_eigenstate(rec.state)
             w, v = np.linalg.eigh(m)
             assert abs(lam - w[-1]) < 1e-12, rec.pattern
             ov = abs(np.vdot(v[:, -1], vec.amplitudes))
             assert abs(ov - 1.0) < 1e-10, rec.pattern
 
-    def test_arpack_route_repeats_bit_for_bit(self):
+    def test_subspace_route_repeats_bit_for_bit(self):
         # a near-product row: its printed entanglement follows the
         # eigenvector's rounding
         rec = {r.pattern: r for r in run_full_protocol(k1_wide())}[(False,)]
-        assert rec.state.matrix.shape[0] >= EIGSH_MIN_ROWS
+        assert rec.state.matrix.shape[0] >= SUBSPACE_MIN_ROWS
         (lam1, vec1), (lam2, vec2) = (dominant_eigenstate(rec.state) for _ in range(2))
         assert lam1 == lam2
         assert np.array_equal(vec1.amplitudes, vec2.amplitudes)
+
+
+def flat_spectrum(dim, seed=0):
+    """A positive semidefinite matrix of full rank whose eigenvalues fall by
+    0.5% each (lam_2 / lam_1 = 0.995): past the subspace block, far from any
+    one-step convergence."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    m = (u * 0.995 ** np.arange(dim)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestSubspaceSolver:
+    """The top eigenpairs from SUBSPACE_MIN_ROWS rows on, by block subspace
+    iteration, against ARPACK (the solver it replaced) and LAPACK."""
+
+    @pytest.mark.parametrize("case, rows", [(k1_wide, 185), (k2_wide, 515)],
+                             ids=["k1_wide", "k2-515"])
+    def test_agrees_with_eigsh(self, case, rows):
+        from scipy.sparse.linalg import eigsh
+
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, rows)
+        for rec in run_full_protocol(case()):
+            m = rec.state.matrix
+            assert m.shape[0] == rows
+            (lam,), (vec,) = _top_eigenpairs(m[None])
+            w, v = eigsh(m, k=1, which="LA", v0=v0)
+            assert abs(lam - w[0]) <= 1e-12, rec.pattern
+            assert abs(abs(np.vdot(v[:, 0], vec)) - 1.0) <= 1e-10, rec.pattern
+
+    @staticmethod
+    def mixed_stack():
+        """maxent-k2-low's four operators at n_max 20 (41 rows), of which two
+        converge in one step and two in two, and a flat-spectrum matrix that
+        takes the dense branch."""
+        prot = dataclasses.replace(preset_protocol("maxent-k2-low"), trunc=TruncationSpec(20))
+        ms = [r.state.matrix for r in run_full_protocol(prot)]
+        return np.stack(ms + [flat_spectrum(41)])
+
+    @pytest.mark.parametrize("cap", [1, 2, SUBSPACE_MAX_STEPS])
+    def test_each_matrix_gets_its_own_bits_in_a_stack(self, monkeypatch, cap):
+        monkeypatch.setattr(protocol, "SUBSPACE_MAX_STEPS", cap)
+        ms = self.mixed_stack()
+        assert ms.shape[-1] >= SUBSPACE_MIN_ROWS
+        alone = [_top_eigenpairs(m[None]) for m in ms]
+        for order in (np.arange(len(ms)), np.arange(len(ms))[::-1]):
+            lam, vecs = _top_eigenpairs(ms[order])
+            for i, l, v in zip(order, lam, vecs):
+                assert l == alone[i][0][0]
+                assert np.array_equal(v, alone[i][1][0])
+        if cap == 1:
+            # the matrices need different step counts: at a one-step cap,
+            # some give heevd's bits and some their own
+            dense = [np.linalg.eigh(m)[1][:, -1] for m in ms]
+            same = [np.array_equal(d, a[1][0]) for d, a in zip(dense, alone)]
+            assert any(same) and not all(same)
+
+    @pytest.mark.parametrize("dim", [SUBSPACE_MIN_ROWS, 79])
+    def test_flat_spectrum_agrees_with_eigh(self, dim):
+        m = flat_spectrum(dim, seed=dim)
+        w, v = np.linalg.eigh(m)
+        assert w[-2] / w[-1] >= 0.99 and np.linalg.matrix_rank(m) > SUBSPACE_COLS
+        (lam,), (vec,) = _top_eigenpairs(m[None])
+        assert abs(lam - w[-1]) <= 1e-12
+        assert abs(abs(np.vdot(v[:, -1], vec)) - 1.0) <= 1e-10

@@ -138,10 +138,13 @@ def poly_expansions(source):
     return sorted(n.lineno for n in ast.walk(ast.parse(source)) if _names_numpy(n, "poly"))
 
 
-def scipy_uses(source, sub):
+def scipy_uses(source, sub=None):
     """Lines that import ``scipy.<sub>`` or a submodule of it, in any form,
-    or reach it as ``scipy.<sub>``."""
+    or reach it as ``scipy.<sub>``; without sub, any scipy module, also by
+    name through ``__import__`` or ``importlib.import_module``."""
     def is_sub(module):
+        if sub is None:
+            return module == "scipy" or module.startswith("scipy.")
         return module == f"scipy.{sub}" or module.startswith(f"scipy.{sub}.")
 
     out = []
@@ -151,15 +154,20 @@ def scipy_uses(source, sub):
         elif isinstance(node, ast.ImportFrom):
             hit = node.level == 0 and (is_sub(node.module) or (
                 node.module == "scipy" and any(a.name == sub for a in node.names)))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            hit = (sub is None and name in ("__import__", "import_module") and node.args
+                   and isinstance(node.args[0], ast.Constant)
+                   and isinstance(node.args[0].value, str) and is_sub(node.args[0].value))
         else:
-            hit = (isinstance(node, ast.Attribute) and node.attr == sub
+            hit = (isinstance(node, ast.Attribute) and node.attr == (sub or node.attr)
                    and isinstance(node.value, ast.Name) and node.value.id == "scipy")
         if hit:
             out.append(node.lineno)
     return sorted(out)
 
 
-def library_scipy_uses(sub):
+def library_scipy_uses(sub=None):
     return {path.name: scipy_uses(path.read_text(), sub) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -174,7 +182,26 @@ SCIPY_USES_SNIPPET = (
     "from scipy.special import gammaln\n"
     "from .optimize import x\n"
     "tail = scipy.special.pdtrc\n"
+    "import numpy, scipy.sparse.linalg as spla\n"
+    "from scipy.sparse.linalg import eigsh\n"
+    "la = importlib.import_module('scipy.linalg')\n"
+    "sp = __import__('scipy')\n"
+    "np = importlib.import_module('numpy'), __import__('scipyx')\n"
+    "from . import scipy\n"
 )
+
+
+class TestNoScipy:
+    """src/ loads no scipy module on any path: its numerics are numpy's and
+    its own, and scipy's routines (Nelder-Mead, pdtrc, gammaln, eigsh) are
+    the tests' oracles."""
+
+    def test_library_never_imports_scipy(self):
+        found = library_scipy_uses()
+        assert found and not any(found.values()), found
+
+    def test_rule_flags_each_import(self):
+        assert scipy_uses(SCIPY_USES_SNIPPET) == [1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14]
 
 
 class TestOwnOptimizer:
