@@ -18,10 +18,18 @@ Kerr-stage loss, probe intensity and nonlinearity errors.
 Every channel is evaluated in the coherent-pair span through Gram overlaps.
 The exact budget sums its Poisson series as one contraction: one rotated
 mode-a Gram per term, stacked, then every term's overlap vector from one
-matmul and every quadratic form from one broadcast product and sum.  The
-leading-order dark-count term reads the silent-detector coefficient rows,
-which depend only on the target's roots and gamma, from a read-only memo,
-so a budget call solves no roots beyond the target's own single solve.
+matmul and every quadratic form from one broadcast product and sum.
+
+What depends only on the operating point is built once into a bounded memo
+of read-only records that both budgets read (``_nominal``): the pair Gram G,
+the target's squared norm N with its vanishing check, v = c/sqrt(N) and
+D = 2<Psi1|P_perp|Psi1>, keyed by c's bytes and strides, |alpha|^2, |beta|^2
+and chi.  Strides are in the key because a reversed view and a contiguous
+copy of one c round differently in the Gram products.  The dark-count
+factors |c_K|^2/N and 1 - |<target|silent_j>|^2 are recorded under that key
+plus the target's roots and gamma (``_dark_factors``), so a budget call
+solves no roots beyond the target's own single solve.  Each call then does
+only the work its NoiseParams change, in the same float operations.
 The dense Fock forms of the discrete-phase channel and the dark-count
 mixture, which the tests compare against, live in ``tests/oracles.py``.
 
@@ -34,9 +42,9 @@ eps_ac/eps_bc the relative errors of the two nonlinearity strengths.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,13 +154,21 @@ def eta_params(noise: NoiseParams, alpha, beta, chi_ac, chi_bc):
     return float(eta1), float(eta2)
 
 
+def _check_poisson_mean(s: float) -> None:
+    """DomainError unless the Poisson mean s = Lambda |gamma|^2 is finite and >= 0."""
+    if not 0 <= s < math.inf:
+        raise DomainError(f"Poisson parameter Lambda |gamma|^2 = {s:g} must be finite and >= 0")
+
+
 def _poisson_weights(s: float):
     """Normalized truncated Poisson weights s^k/k!.
 
     The terms rise up to the mode k ~ s, so the series is cut only past it, at
     the first term below SERIES_TOL of the full sum e^s.  Raises DomainError
-    when e^s is beyond float range (s > ~709.78).
+    unless 0 <= s < inf (``_check_poisson_mean``), and when e^s is beyond
+    float range (s > ~709.78).
     """
+    _check_poisson_mean(s)
     ws = [1.0]
     if s > 0:
         try:
@@ -176,15 +192,60 @@ def _poisson_weights(s: float):
 # leading-order infidelity terms
 
 
-@lru_cache(maxsize=256)
-def _silent_rows(target_roots: tuple, gamma: complex) -> np.ndarray:
-    """Read-only (K, K+1) array whose row j-1 is the ``_heralded_coeffs`` row
-    of the pattern where only detector j stays silent, at index 2^(K-j);
-    memoized per gamma and target roots, the target's (x_m, l_m) pairs."""
-    roots = solve_roots(target_roots, gamma)
-    rows = _heralded_coeffs(roots)[2 ** np.arange(roots.K - 1, -1, -1)]
-    rows.flags.writeable = False
-    return rows
+# the operating-point memo: key -> read-only record, oldest dropped past _MEMO_SIZE
+_MEMO_SIZE = 256
+_MEMO: dict = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(key, build):
+    """The record of key in _MEMO, made by build() on the first call; a build
+    that raises keeps nothing, so a failure is raised again on every call."""
+    rec = _MEMO.get(key)
+    if rec is None:
+        rec = build()
+        with _MEMO_LOCK:  # another thread may have recorded key since the get
+            if key not in _MEMO:
+                if len(_MEMO) >= _MEMO_SIZE:
+                    del _MEMO[next(iter(_MEMO))]
+                _MEMO[key] = rec
+    return rec
+
+
+def _nominal(c, K, alpha, beta, chi):
+    """(key, G, N, v, D) of the target c at (alpha, beta, chi): the pair Gram,
+    c^H G c (``fock._nonvanishing_norm2``), c / sqrt(N) and
+    D = 2<Psi1|P_perp|Psi1>, recorded by value; pair_gram is asked once per call."""
+    G_a, G_b = pair_gram(K, alpha, beta, chi)
+    key = (c.tobytes(), c.strides, float(abs(alpha) ** 2), float(abs(beta) ** 2), float(chi))
+
+    def build():
+        G = G_a * G_b
+        N = _nonvanishing_norm2(float(np.real(np.conj(c) @ G @ c)), c)
+        v = c / math.sqrt(N)
+        G.flags.writeable = v.flags.writeable = False
+        return G, N, v, 2.0 * _label_variance(v, G, G)
+
+    return (key, *_memoized(key, build))
+
+
+def _dark_factors(key, c, G, N, target_roots: tuple, gamma: complex):
+    """(|c_K|^2 / N, miss), miss[j-1] = 1 - |<target|silent_j>|^2 over the
+    state where only detector j stays silent, the ``_heralded_coeffs`` row at
+    index 2^(K-j); recorded under the nominal key plus the target's (x_m, l_m)
+    roots and gamma."""
+
+    def build():
+        roots = solve_roots(target_roots, gamma)
+        ct = _heralded_coeffs(roots)[2 ** np.arange(roots.K - 1, -1, -1)]
+        # every detector j at once: nt_j = ct_j^H G ct_j, ov_j = c^H G ct_j
+        nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
+        ov = np.sum(ct * (np.conj(c) @ G), axis=1)
+        miss = 1.0 - np.real(ov * np.conj(ov)) / (N * nt)
+        miss.flags.writeable = False
+        return abs(c[-1]) ** 2 / N, miss
+
+    return _memoized(key + (target_roots, gamma), build)
 
 
 def _label_variance(v, M2, M1) -> float:
@@ -217,6 +278,7 @@ def _chi_error_term(v, G, a2, b2, chi, eps_ac, eps_bc) -> float:
 
 def _discrete_phase_term(x: float, s: float) -> float:
     """Probe-decoherence infidelity; closed forms in the two x = |a|^2 chi^2 regimes."""
+    _check_poisson_mean(s)
     if s == 0:
         return 0.0
     low, high = x * (s + s * s), s
@@ -243,17 +305,16 @@ def fidelity_leading_order(
     removing one noise source zeroes exactly its term.  The probe-photon
     phase drift eta1 is taken as compensated by redesigned roots and does
     not appear.  Raises DomainError when the target state vanishes
-    (``fock._nonvanishing_norm2``), and when dark counts (zeta > 0) meet a
-    gamma with |gamma|^2 = 0, where their term zeta/(lambda_det |gamma|^2)
-    has no value.  Only the dark-count term reads the target's roots.
+    (``fock._nonvanishing_norm2``), when Lambda |gamma|^2 is not finite and
+    >= 0, and when dark counts (zeta > 0) meet a gamma with |gamma|^2 = 0,
+    where their term zeta/(lambda_det |gamma|^2) has no value.  Only the
+    dark-count term reads the target's roots.
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    G_a, G_b = pair_gram(target.K, alpha, beta, chi)
-    G = G_a * G_b
-    N = _nonvanishing_norm2(float(np.real(np.conj(c) @ G @ c)), c)
-    v = c / math.sqrt(N)
-    D = 2.0 * _label_variance(v, G, G)  # 2 <Psi1|P_perp|Psi1>
+    key, G, N, v, D = _nominal(c, target.K, alpha, beta, chi)
+    # ahead of the dark-count term, so a non-finite gamma reaches no root
+    t_phase = _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2)
 
     t_dark = 0.0
     if noise.zeta > 0:
@@ -263,14 +324,9 @@ def fidelity_leading_order(
                 f"gamma = {gamma} leaves the dark-count term zeta/(lambda_det "
                 "|gamma|^2) undefined; dark counts (zeta > 0) need a nonzero gamma"
             )
-        ck2 = abs(c[-1]) ** 2 / N
+        ck2, miss = _dark_factors(key, c, G, N, target.roots, complex(gamma))
         w1 = noise.zeta / (noise.lambda_det * g2)
-        ct = _silent_rows(target.roots, complex(gamma))
-        # every detector j at once: nt_j = ct_j^H G ct_j, ov_j = c^H G ct_j
-        nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
-        ov = np.sum(ct * (np.conj(c) @ G), axis=1)
-        ov2 = np.real(ov * np.conj(ov)) / (N * nt)
-        t_dark = float(np.sum(w1 * ck2 * (1.0 - ov2)))
+        t_dark = float(np.sum(w1 * ck2 * miss))
 
     terms = {
         "dephase": noise.dphi2 * D,
@@ -278,7 +334,7 @@ def fidelity_leading_order(
         "storage": 0.5 * a2 * chi**2 * noise.Lambda2 * D,
         "chi_err": _chi_error_term(v, G, a2, b2, chi, noise.eps_ac, noise.eps_bc),
         "darkcount": t_dark,
-        "discrete_phase": _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2),
+        "discrete_phase": t_phase,
     }
     for name, t in terms.items():
         if t > 0.2:
@@ -304,10 +360,10 @@ def superop_pipeline_fidelity(
     The detectors do not enter: lambda_det and zeta are not read, so F is the
     same for every detector efficiency and dark-count probability (the
     leading-order budget carries the dark-count term alone).
-    Raises DomainError when Lambda |gamma|^2 is too large for that series
-    (see _poisson_weights), and when the target, the compensated reference or
-    the noisy state (whose pairs sit on the actual-coupling labels) vanishes
-    (``fock._nonvanishing_norm2``).
+    Raises DomainError unless 0 <= Lambda |gamma|^2 < inf, when it is too
+    large for that series (see _poisson_weights), and when the target, the
+    compensated reference or the noisy state (whose pairs sit on the
+    actual-coupling labels) vanishes (``fock._nonvanishing_norm2``).
     """
     c = np.asarray(target.c, dtype=complex)
     K = target.K
@@ -321,9 +377,7 @@ def superop_pipeline_fidelity(
     rho = np.outer(c, np.conj(c)) * np.exp(1j * eta1 * d - eta2 * d * d)
 
     cb = c * np.exp(1j * eta1 * n)  # compensated reference, nominal labels
-    G_a, G_b = pair_gram(K, alpha, beta, chi)
-    G_nom = G_a * G_b
-    _nonvanishing_norm2(float(np.real(np.conj(c) @ G_nom @ c)), c)
+    G_nom = _nominal(c, K, alpha, beta, chi)[1]
     norm_bra = _nonvanishing_norm2(
         float(np.real(np.conj(cb) @ G_nom @ cb)), c, "compensated reference"
     )

@@ -360,7 +360,7 @@ class TestLibraryWithoutTests:
         self.run_src_only(["-c", code], tmp_path)
 
 
-    def test_simulate_below_eigsh_rows_loads_no_scipy_solver(self, tmp_path):
+    def test_simulate_below_subspace_rows_loads_no_scipy(self, tmp_path):
         """Below SUBSPACE_MIN_ROWS simulate needs numpy alone: the Poisson
         tails and coherent amplitudes are kerrlink's own, and the metric pass
         takes numpy's stacked eigh, so no scipy module is loaded."""

@@ -4,7 +4,9 @@ reconstruction of the same pipeline."""
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,6 +212,21 @@ class TestDiscretePhaseChannel:
     def test_poisson_weights_beyond_float_range(self):
         with pytest.raises(DomainError):
             _poisson_weights(1000.0)
+
+    @pytest.mark.parametrize("s", [math.nan, -1.0, math.inf])
+    def test_poisson_weights_outside_their_domain(self, s):
+        # NaN and -1 once gave [1.], and inf never left the series loop
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            _poisson_weights(s)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    @pytest.mark.parametrize("budget", [fidelity_leading_order, superop_pipeline_fidelity])
+    def test_budgets_reject_a_non_finite_poisson_mean(self, budget, gamma):
+        # at gamma = 0.1 the exact F is 0.4379; gamma = NaN once gave 1.0
+        # there and F = NaN from the leading order, gamma = inf a hang
+        p = get_preset("bell-k1")
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            budget(p.target, NoiseParams(Lambda=99), p.alpha, p.beta, gamma, p.chi)
 
 
 def chi_err(t, alpha, beta, chi, eps_ac, eps_bc):
@@ -541,15 +558,6 @@ class TestSingleContraction:
             assert abs(exact - want) <= 1e-11 * abs(want), (db, mix, exact, want)
             assert 0.0 <= exact <= 1.0, (db, mix, exact)
 
-    def test_silent_rows_are_read_only_semi_success_coeffs(self):
-        t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
-        rows = noise_module._silent_rows(t.roots, 0.3 + 0j)
-        assert not rows.flags.writeable
-        roots = solve_roots(t, 0.3)
-        for j in range(1, t.K + 1):
-            cj = semi_success_coeffs(roots, {j}).c
-            assert np.array_equal(rows[j - 1], np.pad(cj, (0, t.K + 1 - len(cj))))
-
     def test_second_call_solves_no_roots(self, monkeypatch):
         calls = []
         np_roots = np.roots
@@ -559,13 +567,103 @@ class TestSingleContraction:
             return np_roots(p)
 
         monkeypatch.setattr(np, "roots", counted)
-        noise_module._silent_rows.cache_clear()
+        noise_module._MEMO.clear()
         t = TargetCoefficients(np.array([1, -0.3 + 0.1j, 0.2j, 0.5]))
         noise = NoiseParams(lambda_det=0.5, zeta=1e-6)
         first, second = (fidelity_leading_order(t, noise, 1.0, 1.0, 0.3, 0.2) for _ in range(2))
         # the target solves its roots once; the rows come from them
         assert len(calls) == 1
         assert first == second
+
+
+class TestOperatingPointMemo:
+    """What depends only on the operating point is recorded once per key, and
+    a warm call reads back the cold call's values bit for bit."""
+
+    NOISE = NoiseParams(Lambda=0.1, Lambda1=1e-3, Lambda2=1e-3, dphi2=1e-5,
+                        lambda_det=0.5, zeta=1e-6, eps_ac=0.01, eps_bc=0.02)
+    ARGS = (0.5, 0.5, 0.3, 0.1)  # alpha, beta, gamma, chi
+
+    def budgets(self, t):
+        lead = fidelity_leading_order(t, self.NOISE, *self.ARGS)
+        return repr((lead.terms, superop_pipeline_fidelity(t, self.NOISE, *self.ARGS)))
+
+    def cold(self, t):
+        noise_module._MEMO.clear()
+        return self.budgets(t)
+
+    def test_warm_calls_equal_cold_calls(self):
+        t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
+        cold = self.cold(t)
+        assert len(noise_module._MEMO) == 2  # the nominal and the dark-count record
+        assert self.budgets(t) == self.budgets(t) == cold
+
+    @pytest.mark.parametrize("view_first", [True, False])
+    def test_layouts_of_one_c_get_their_own_records(self, view_first):
+        # the same values as a reversed view and as a contiguous copy: their
+        # Gram products round differently on common BLAS builds
+        c = np.array([0.7j, 0.4 - 0.2j, 1.0])[::-1]
+        view, copy = TargetCoefficients(c), TargetCoefficients(c.copy())
+        assert view.c.strides == (-16,) and copy.c.strides == (16,)
+        cold = [(t, self.cold(t)) for t in (view, copy)]
+        noise_module._MEMO.clear()
+        order = cold if view_first else cold[::-1]
+        for t, want in order + order:
+            assert self.budgets(t) == want
+        assert len(noise_module._MEMO) == 4
+
+    def test_a_vanishing_target_raises_on_every_call(self):
+        t = TargetCoefficients(np.array([1.0, -1.0]))
+        noise_module._MEMO.clear()
+        for budget in (fidelity_leading_order, superop_pipeline_fidelity) * 2:
+            with pytest.raises(DomainError, match="squared norm 0"):
+                budget(t, NoiseParams(), 0.0, 0.0, 0.1, 0.5)
+        assert not noise_module._MEMO
+
+    def test_records_are_read_only(self):
+        self.cold(TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j])))
+        arrays = [x for rec in noise_module._MEMO.values() for x in rec
+                  if isinstance(x, np.ndarray)]
+        assert len(arrays) == 3  # G and v; the dark-count misses
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_dark_factors_are_read_only_and_read_semi_success_coeffs(self):
+        t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
+        c = t.c
+        noise_module._MEMO.clear()
+        key, G, N, _, _ = noise_module._nominal(c, t.K, 1.0, 1.0, 0.2)
+        ck2, miss = noise_module._dark_factors(key, c, G, N, t.roots, 0.3 + 0j)
+        assert not miss.flags.writeable
+        roots = solve_roots(t, 0.3)
+        rows = [semi_success_coeffs(roots, {j}).c for j in range(1, t.K + 1)]
+        ct = np.array([np.pad(cj, (0, t.K + 1 - len(cj))) for cj in rows])
+        nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
+        ov = np.sum(ct * (np.conj(c) @ G), axis=1)
+        assert np.array_equal(miss, 1.0 - np.real(ov * np.conj(ov)) / (N * nt))
+        assert ck2 == abs(c[-1]) ** 2 / N
+
+    def test_threads_share_the_memo(self):
+        # more workers than cores, each evicting records past the memo's bound
+        t = TargetCoefficients(np.array([1, 0.5 - 0.5j]))
+        noise = NoiseParams(dphi2=1e-5, lambda_det=0.5, zeta=1e-6)
+        chis = np.linspace(0.1, 0.2, noise_module._MEMO_SIZE + 40)
+
+        def sweep():
+            return [repr(fidelity_leading_order(t, noise, 1.0, 1.0, 0.3, chi).terms)
+                    for chi in chis]
+
+        noise_module._MEMO.clear()
+        want = sweep()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(sweep) for _ in range(8)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+        assert len(noise_module._MEMO) == noise_module._MEMO_SIZE
 
 
 class TestPipeline:

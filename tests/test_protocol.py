@@ -592,10 +592,9 @@ class TestMemoryBudget:
         peak, need = self.traced_peak(prot), _dense_bytes(prot, 4)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
-    # both cases run the subspace side of _top_eigenpairs (79 and 515
-    # rows); the ids are fixed labels, not the solver each case takes
+    # both cases run the subspace side of _top_eigenpairs (79 and 515 rows)
     @pytest.mark.parametrize("a2, rows", [(None, 79), (160, 515)],
-                             ids=["bell-k1-lapack", "k2-arpack"])
+                             ids=["bell-k1-subspace", "k2-subspace"])
     def test_metric_pass_fits_the_tightest_limit(self, monkeypatch, a2, rows):
         """At the smallest DENSE_BYTES_LIMIT a run passes its check at, the
         metric pass takes the records one at a time: with the kernels, it

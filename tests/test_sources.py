@@ -138,37 +138,33 @@ def poly_expansions(source):
     return sorted(n.lineno for n in ast.walk(ast.parse(source)) if _names_numpy(n, "poly"))
 
 
-def scipy_uses(source, sub=None):
-    """Lines that import ``scipy.<sub>`` or a submodule of it, in any form,
-    or reach it as ``scipy.<sub>``; without sub, any scipy module, also by
-    name through ``__import__`` or ``importlib.import_module``."""
-    def is_sub(module):
-        if sub is None:
-            return module == "scipy" or module.startswith("scipy.")
-        return module == f"scipy.{sub}" or module.startswith(f"scipy.{sub}.")
+def scipy_uses(source):
+    """Lines that import a scipy module in any form, also by name through
+    ``__import__`` or ``importlib.import_module``, or reach it as ``scipy.<x>``."""
+    def is_scipy(module):
+        return module == "scipy" or module.startswith("scipy.")
 
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            hit = any(is_sub(a.name) for a in node.names)
+            hit = any(is_scipy(a.name) for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = node.level == 0 and (is_sub(node.module) or (
-                node.module == "scipy" and any(a.name == sub for a in node.names)))
+            hit = node.level == 0 and is_scipy(node.module)
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            hit = (sub is None and name in ("__import__", "import_module") and node.args
+            hit = (name in ("__import__", "import_module") and node.args
                    and isinstance(node.args[0], ast.Constant)
-                   and isinstance(node.args[0].value, str) and is_sub(node.args[0].value))
+                   and isinstance(node.args[0].value, str) and is_scipy(node.args[0].value))
         else:
-            hit = (isinstance(node, ast.Attribute) and node.attr == (sub or node.attr)
+            hit = (isinstance(node, ast.Attribute)
                    and isinstance(node.value, ast.Name) and node.value.id == "scipy")
         if hit:
             out.append(node.lineno)
     return sorted(out)
 
 
-def library_scipy_uses(sub=None):
-    return {path.name: scipy_uses(path.read_text(), sub) for path in sorted(SRC.glob("*.py"))}
+def library_scipy_uses():
+    return {path.name: scipy_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 SCIPY_USES_SNIPPET = (
@@ -202,27 +198,6 @@ class TestNoScipy:
 
     def test_rule_flags_each_import(self):
         assert scipy_uses(SCIPY_USES_SNIPPET) == [1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14]
-
-
-class TestOwnOptimizer:
-    def test_library_never_imports_scipy_optimize(self):
-        found = library_scipy_uses("optimize")
-        assert found and not any(found.values()), found
-
-    def test_rule_flags_each_import(self):
-        assert scipy_uses(SCIPY_USES_SNIPPET, "optimize") == [2, 3, 4, 6, 7]
-
-
-class TestOwnPoissonTail:
-    """The Poisson tail and log n! are kerrlink's own (fock), with scipy's
-    pdtrc and gammaln as their test oracles."""
-
-    def test_library_never_imports_scipy_special(self):
-        found = library_scipy_uses("special")
-        assert found and not any(found.values()), found
-
-    def test_rule_flags_each_import(self):
-        assert scipy_uses(SCIPY_USES_SNIPPET, "special") == [3, 8, 10]
 
 
 class TestOneRootSolve:
