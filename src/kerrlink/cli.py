@@ -18,9 +18,11 @@ byte-identical output.  Channel loss Lambda is the relative intensity loss
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
 malformed or nan or inf number among the flags, --dphi2 <= 0, --alpha 0,
 --f-target outside (0, 1), an --x-grid value <= 0, a repeated --K value or
-one below 1, a negative attenuation or one beyond float range, or a simulate
-target whose state vanishes, as coefficients summing to zero at alpha = beta
-= 0 do; no artifact is written), 3 scheme synthesis failure, 4
+one below 1, a negative attenuation or one beyond float range, a finite flag
+whose square, |alpha|^2 chi^2, dphi2/eps or 2 max(10, x) is beyond float
+range (``_check_in_range``, naming the flag), or a simulate target whose
+state vanishes, as coefficients summing to zero at alpha = beta = 0 do; no
+artifact is written), 3 scheme synthesis failure, 4
 truncation overflow (a coherent amplitude that does not fit the Fock
 cutoff), 5 optimizer non-convergence (entangle-scan returns it itself once
 every row is written, the unconverged ones flagged in the flag column), 6
@@ -118,6 +120,13 @@ def _check_finite(args):
             raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {val}")
 
 
+def _check_in_range(flag, value, what, result):
+    """ValueError naming flag unless result, the value of `what` that the
+    flag's value makes, is finite (NaN fails too)."""
+    if not result < math.inf:
+        raise ValueError(f"{flag} {_fmt(value)} puts {what} beyond float range")
+
+
 def _k_list(args):
     """The --K list (default 1,2): distinct detector counts, each >= 1."""
     Ks = args.K or [1, 2]
@@ -201,6 +210,8 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     target, delta, alpha, beta, gamma, chi = _resolve(args, "alpha", "beta", "gamma", "chi")
+    for flag, z in (("--alpha", alpha), ("--beta", beta), ("--gamma", gamma)):
+        _check_in_range(flag, z, f"|{flag[2:]}|^2", abs(z) * abs(z))
     prot = make_protocol(alpha, beta, gamma, chi, target, delta=delta)
     # the target's budget and vanishing checks come before any kernel exists
     tgt = analytic_target_state(target, alpha, beta, chi, prot.trunc)
@@ -226,9 +237,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_entangle_scan(args) -> int:
     xs = args.x_grid or [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
-    bad = [x for x in xs if x <= 0]
+    bad = [x for x in xs if not x > 0]
     if bad:
         raise ValueError(f"--x-grid values must be > 0, got {_fmt(bad[0])}")
+    for x in xs:
+        _check_in_range("--x-grid", x, "|alpha|^2 + |beta|^2 = 2 max(10, x)", 2 * max(10.0, x))
     Ks = _k_list(args)
     rows = []
     flagged = False
@@ -275,6 +288,7 @@ def cmd_feasibility(args) -> int:
         raise ValueError(f"--f-target must lie in (0, 1), got {_fmt(f_target)}")
     eps = (1.0 - f_target) / 6.0
     alpha = args.alpha if args.alpha is not None else math.sqrt(10.0)
+    _check_in_range("--alpha", alpha, "|alpha|^2", abs(alpha) * abs(alpha))
     a2 = abs(alpha) ** 2
     Ks = _k_list(args)
     dphi2 = args.dphi2
@@ -282,6 +296,17 @@ def cmd_feasibility(args) -> int:
         raise ValueError(f"--dphi2 must be > 0, got {dphi2}")
     if a2 == 0:
         raise ValueError("--alpha must be nonzero")
+    if args.gamma is not None:
+        _check_in_range("--gamma", args.gamma, "|gamma|^2", abs(args.gamma) * abs(args.gamma))
+    if args.chi is not None:
+        _check_in_range("--chi", args.chi, "|alpha|^2 chi^2", a2 * args.chi * args.chi)
+    _check_in_range("--eps-ac", args.eps_ac, "eps_ac^2", args.eps_ac * args.eps_ac)
+    _check_in_range("--eps-bc", args.eps_bc, "eps_bc^2", args.eps_bc * args.eps_bc)
+    f_grid = list(np.linspace(0.5, 0.99, 50))
+    # the p_K(F) sweep reaches eps = (1 - 0.99)/6, below the report's own
+    eps_low = min(eps, (1.0 - float(f_grid[-1])) / 6.0)
+    _check_in_range("--dphi2", dphi2, "the smallest |alpha|^2 chi^2 the budget allows",
+                    min_distinguishability(max(Ks), eps_low, dphi2))
 
     noise = NoiseParams(
         Lambda=args.Lambda, Lambda1=args.Lambda1, Lambda2=args.Lambda2,
@@ -289,7 +314,6 @@ def cmd_feasibility(args) -> int:
         eps_ac=args.eps_ac, eps_bc=args.eps_bc,
     )
     db_grid = args.db_grid or list(np.linspace(0.0, 30.0, 61))
-    f_grid = list(np.linspace(0.5, 0.99, 50))
     report = [f"feasibility: eps = {_fmt(eps)}  F_target = {_fmt(f_target)}  "
               f"zeta = {_fmt(zeta)}  lambda_det = {_fmt(lam_det)}  |alpha|^2 = {_fmt(a2)}"]
     rows, walls, cuts = [], [], []

@@ -226,14 +226,21 @@ def reference_network(gtilde) -> RefNet:
     Beam j picks up one reflection, j-1 transmissions, and a phase shifter:
     gtilde_j = i cos(th'_1)...cos(th'_{j-1}) sin(th'_j) e^{i phi_j} master.
     Solved in closed form from the energy ladder R_j = sum_{m>=j} |gtilde_m|^2;
-    arms with zero amplitude get phi_j = 0 by convention.
+    arms with zero amplitude get phi_j = 0 by convention.  NoSolution when
+    every gtilde vanishes or R_1 is beyond float range.
     """
     gt = np.asarray(gtilde, dtype=complex)
     K = len(gt)
-    mag2 = np.abs(gt) ** 2
-    R = np.cumsum(mag2[::-1])[::-1]
+    with np.errstate(over="ignore"):  # a power past float range is raised below
+        mag2 = np.abs(gt) ** 2
+        R = np.cumsum(mag2[::-1])[::-1]
     if R[0] == 0:
         raise NoSolution("all reference amplitudes vanish; no master beam exists")
+    if not R[0] < np.inf:
+        raise NoSolution(
+            "the reference beams' total power sum |gtilde_j|^2 is beyond float range; "
+            "no master beam exists"
+        )
     nz = np.nonzero(np.abs(gt))[0]
     ref = gt[nz[-1]]
 

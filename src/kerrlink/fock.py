@@ -22,8 +22,8 @@ in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +126,9 @@ def _temme_lower_gamma(a, x) -> float:
         c = 0.0
         for coeff in reversed(coeffs):
             c = c * eta + coeff
-        series += c / a**order
+        power = a**order  # an int, exact
+        # past float range (a^2 for a > ~1.3e154) c / a^order vanishes next to c_0
+        series += c / power if power <= sys.float_info.max else 0.0
     return (0.5 * math.erfc(-eta * math.sqrt(a / 2))
             - math.exp(-a * half_eta2) / math.sqrt(2 * math.pi * a) * series)
 
@@ -134,14 +136,29 @@ def _temme_lower_gamma(a, x) -> float:
 def min_cutoff(amplitudes, tail_tol=DEFAULT_TAIL_TOL) -> int:
     """Smallest n_max >= max(1, |z|^2) such that every coherent amplitude z
     fits within tail_tol.  The tail falls monotonically in n, so a doubling
-    bracket and a bisection find it in O(log |z|) tail evaluations."""
+    bracket and a bisection find it in O(log |z|) tail evaluations.  Raises
+    DomainError when the largest |z|^2 is beyond float range."""
     biggest = max((abs(z) for z in amplitudes), default=0.0)
-    lo = hi = max(1, int(biggest**2))
+    try:
+        lam = float(biggest) ** 2
+    except OverflowError:
+        lam = math.inf
+    if not lam < math.inf:  # NaN fails it too
+        raise DomainError(
+            f"a coherent amplitude of modulus {biggest:.3g} has |z|^2 beyond float range"
+        )
+    lo = hi = max(1, int(lam))
     step = 1
     while coherent_tail(biggest, hi) > tail_tol:  # every n <= hi falls short
         lo, hi, step = hi + 1, hi + step, 2 * step
-    return lo + bisect.bisect_left(
-        range(lo, hi), True, key=lambda n: coherent_tail(biggest, n) <= tail_tol)
+    # bisected by hand: a range(lo, hi) wider than sys.maxsize has no len()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if coherent_tail(biggest, mid) <= tail_tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,16 @@ matmul and every quadratic form from one broadcast product and sum.
 
 What depends only on the operating point is built once into a bounded memo
 of read-only records that both budgets read (``_nominal``): the pair Gram G,
-the target's squared norm N with its vanishing check, v = c/sqrt(N) and
-D = 2<Psi1|P_perp|Psi1>, keyed by c's bytes and strides, |alpha|^2, |beta|^2
-and chi.  Strides are in the key because a reversed view and a contiguous
-copy of one c round differently in the Gram products.  The dark-count
-factors |c_K|^2/N and 1 - |<target|silent_j>|^2 are recorded under that key
-plus the target's roots and gamma (``_dark_factors``), so a budget call
-solves no roots beyond the target's own single solve.  Each call then does
-only the work its NoiseParams change, in the same float operations.
+the target's squared norm N with its vanishing check, D = 2<Psi1|P_perp|Psi1>
+and the two nonlinearity-error weights A and C, keyed by c's bytes and
+strides, |alpha|^2, |beta|^2 and chi.  Strides are in the key because a
+reversed view and a contiguous copy of one c round differently in the Gram
+products.  The dark-count sum |c_K|^2/N sum_j (1 - |<target|silent_j>|^2) is
+recorded under that key plus the target's roots and gamma
+(``_dark_factors``), so a budget call solves no roots beyond the target's own
+single solve.  Each leading-order term is a closed-form weight of the
+NoiseParams times recorded constants, so each call does only the work its
+NoiseParams change, and a warm call returns the cold call's values bit for bit.
 The dense Fock forms of the discrete-phase channel and the dark-count
 mixture, which the tests compare against, live in ``tests/oracles.py``.
 
@@ -213,9 +215,13 @@ def _memoized(key, build):
 
 
 def _nominal(c, K, alpha, beta, chi):
-    """(key, G, N, v, D) of the target c at (alpha, beta, chi): the pair Gram,
-    c^H G c (``fock._nonvanishing_norm2``), c / sqrt(N) and
-    D = 2<Psi1|P_perp|Psi1>, recorded by value; pair_gram is asked once per call."""
+    """(key, G, N, D, A, C) of the target c at (alpha, beta, chi), recorded by
+    value; pair_gram is asked once per call.  G is the pair Gram, N = c^H G c
+    (``fock._nonvanishing_norm2``), D = 2<Psi1|P_perp|Psi1>.  With v = c/sqrt(N),
+    w = n v and P = e^{i chi (n-m)} G, A = _label_variance(v, e^{i chi (n-m)} P, P)
+    and C = Re w^H P w: the label variance of g = chi (eps_ac n_a + eps_bc n_b)
+    is s1^2 A + s2 C for s1 = chi (eps_ac |alpha|^2 + eps_bc |beta|^2) and
+    s2 = chi^2 (eps_ac^2 |alpha|^2 + eps_bc^2 |beta|^2)."""
     G_a, G_b = pair_gram(K, alpha, beta, chi)
     key = (c.tobytes(), c.strides, float(abs(alpha) ** 2), float(abs(beta) ** 2), float(chi))
 
@@ -223,14 +229,18 @@ def _nominal(c, K, alpha, beta, chi):
         G = G_a * G_b
         N = _nonvanishing_norm2(float(np.real(np.conj(c) @ G @ c)), c)
         v = c / math.sqrt(N)
-        G.flags.writeable = v.flags.writeable = False
-        return G, N, v, 2.0 * _label_variance(v, G, G)
+        n = np.arange(len(c), dtype=float)
+        ph = np.exp(1j * chi * (n[None, :] - n[:, None]))
+        P, w = ph * G, n * v
+        G.flags.writeable = False
+        return (G, N, 2.0 * _label_variance(v, G, G), _label_variance(v, ph * P, P),
+                float(np.real(np.conj(w) @ P @ w)))
 
     return (key, *_memoized(key, build))
 
 
-def _dark_factors(key, c, G, N, target_roots: tuple, gamma: complex):
-    """(|c_K|^2 / N, miss), miss[j-1] = 1 - |<target|silent_j>|^2 over the
+def _dark_factors(key, c, G, N, target_roots: tuple, gamma: complex) -> float:
+    """|c_K|^2/N sum_j miss_j, miss_j = 1 - |<target|silent_j>|^2 over the
     state where only detector j stays silent, the ``_heralded_coeffs`` row at
     index 2^(K-j); recorded under the nominal key plus the target's (x_m, l_m)
     roots and gamma."""
@@ -242,8 +252,7 @@ def _dark_factors(key, c, G, N, target_roots: tuple, gamma: complex):
         nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
         ov = np.sum(ct * (np.conj(c) @ G), axis=1)
         miss = 1.0 - np.real(ov * np.conj(ov)) / (N * nt)
-        miss.flags.writeable = False
-        return abs(c[-1]) ** 2 / N, miss
+        return float(abs(c[-1]) ** 2 / N * np.sum(miss))
 
     return _memoized(key + (target_roots, gamma), build)
 
@@ -256,24 +265,6 @@ def _label_variance(v, M2, M1) -> float:
     quad = float(np.real(np.conj(w) @ M2 @ w))
     lin = complex(np.conj(w) @ M1 @ v)
     return quad - abs(lin) ** 2
-
-
-def _chi_error_term(v, G, a2, b2, chi, eps_ac, eps_bc) -> float:
-    """Infidelity from nonlinearity-strength errors Delta chi = eps * chi.
-
-    The label variance of g = Dchi_ac n_a + Dchi_bc n_b over the normalized
-    target v of pair Gram G.  Coherent matrix elements of n and n^2 reduce
-    to Gram entries times powers of z1* z2.
-    """
-    n = np.arange(len(v), dtype=float)
-    d = n[None, :] - n[:, None]  # n - m
-    ph = np.exp(1j * chi * d)
-    Am = a2 * ph  # <pair_m|n_a|pair_n> / G[m,n]
-    Bm = b2 * ph
-    da, db = eps_ac * chi, eps_bc * chi
-    M1 = (da * Am + db * Bm) * G
-    M2 = (da**2 * (Am**2 + Am) + 2 * da * db * Am * Bm + db**2 * (Bm**2 + Bm)) * G
-    return _label_variance(v, M2, M1)
 
 
 def _discrete_phase_term(x: float, s: float) -> float:
@@ -312,7 +303,7 @@ def fidelity_leading_order(
     """
     c = np.asarray(target.c, dtype=complex)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    key, G, N, v, D = _nominal(c, target.K, alpha, beta, chi)
+    key, G, N, D, A, C = _nominal(c, target.K, alpha, beta, chi)
     # ahead of the dark-count term, so a non-finite gamma reaches no root
     t_phase = _discrete_phase_term(a2 * chi**2, noise.Lambda * abs(gamma) ** 2)
 
@@ -324,15 +315,17 @@ def fidelity_leading_order(
                 f"gamma = {gamma} leaves the dark-count term zeta/(lambda_det "
                 "|gamma|^2) undefined; dark counts (zeta > 0) need a nonzero gamma"
             )
-        ck2, miss = _dark_factors(key, c, G, N, target.roots, complex(gamma))
-        w1 = noise.zeta / (noise.lambda_det * g2)
-        t_dark = float(np.sum(w1 * ck2 * miss))
+        t_dark = noise.zeta / (noise.lambda_det * g2) * _dark_factors(
+            key, c, G, N, target.roots, complex(gamma)
+        )
 
+    s1 = chi * (noise.eps_ac * a2 + noise.eps_bc * b2)
+    s2 = chi**2 * (noise.eps_ac**2 * a2 + noise.eps_bc**2 * b2)
     terms = {
         "dephase": noise.dphi2 * D,
         "kerr_loss": (noise.Lambda1 / 3.0) * (a2 + b2) * chi**2 * D,
         "storage": 0.5 * a2 * chi**2 * noise.Lambda2 * D,
-        "chi_err": _chi_error_term(v, G, a2, b2, chi, noise.eps_ac, noise.eps_bc),
+        "chi_err": s1**2 * A + s2 * C,
         "darkcount": t_dark,
         "discrete_phase": t_phase,
     }
@@ -423,15 +416,18 @@ def success_probability(
 
 
 def attenuation_db(Lambda: float) -> float:
-    """Channel attenuation in dB for relative loss Lambda = (I0 - I)/I."""
+    """Channel attenuation in dB for relative loss Lambda = (I0 - I)/I;
+    DomainError for a negative Lambda (a gain, not a loss) and for NaN."""
+    if not Lambda >= 0:
+        raise DomainError(f"relative loss Lambda = {Lambda:g} is not >= 0")
     return 10.0 * math.log10(Lambda + 1.0)
 
 
 def db_to_loss(db: float) -> float:
     """Inverse of attenuation_db; DomainError for a negative attenuation (a
-    gain, not a loss) and past float range (~3083 dB)."""
-    if db < 0:
-        raise DomainError(f"attenuation {db:g} dB is negative")
+    gain, not a loss), for NaN and past float range (~3083 dB)."""
+    if not db >= 0:
+        raise DomainError(f"attenuation {db:g} dB is {'negative' if db < 0 else 'not a number'}")
     try:
         return 10.0 ** (db / 10.0) - 1.0
     except OverflowError as err:
@@ -452,12 +448,15 @@ def _tightening(K: int) -> float:
 
 
 def _probe_bound(eps: float, x: float, Lambda: float) -> float:
-    """Probe-intensity bound eps/(x Lambda) on |gamma|^2; inf where x Lambda is 0.
+    """Probe-intensity bound eps/(x Lambda) on |gamma|^2; inf where x Lambda is
+    0, and 0 where it is beyond float range.
 
     The inequality |gamma|^2 Lambda <= eps/x is symmetric, so passing a
     |gamma|^2 as Lambda gives the largest loss that probe intensity allows.
     """
-    return math.inf if x * Lambda <= 0 else eps / (x * Lambda)
+    with np.errstate(over="ignore"):  # a numpy product past float range is inf
+        xl = x * Lambda
+    return math.inf if xl <= 0 else eps / xl
 
 
 def feasibility_check(

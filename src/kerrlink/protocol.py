@@ -45,6 +45,7 @@ three check their dense size against DENSE_BYTES_LIMIT through
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -188,6 +189,10 @@ def _s_trunc(trunc: TruncationSpec) -> TruncationSpec:
 
 def _check_budget(n_max: int, route: str, need: int) -> None:
     if need > DENSE_BYTES_LIMIT:
+        if need > sys.float_info.max:  # an int with no float :g form
+            from decimal import Decimal  # imported here alone: ~0.5 MB resident
+
+            need = Decimal(need)
         raise MemoryBudgetExceeded(
             f"{route} needs {need:.3g} B of dense arrays (n_max "
             f"{n_max}), over the {DENSE_BYTES_LIMIT:.3g} B budget"

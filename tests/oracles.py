@@ -18,7 +18,9 @@ it, and nothing in ``src/`` imports it:
   budgets' loops that ``noise`` writes as single contractions: the exact
   budget's Poisson series term by term (``pipeline_fidelity_per_term``)
   and the leading-order dark-count term detector by detector
-  (``darkcount_term_per_detector``);
+  (``darkcount_term_per_detector``), and the leading-order chi-error term
+  from its per-call moment matrices (``_chi_error_term``), which ``noise``
+  evaluates as two recorded weights of the operating point;
 * a bare probe through the synthesized splitter chain in truncated Fock
   space (``probe_cascade``), and the full (theta', phi) arrays of the
   reference cascade, which the tests drive through the beamsplitter gate;
@@ -86,7 +88,7 @@ from kerrlink.fock import (
     fidelity,
     min_cutoff,
 )
-from kerrlink.noise import _poisson_weights, eta_params
+from kerrlink.noise import _label_variance, _poisson_weights, eta_params
 from kerrlink.protocol import (
     OutcomeRecord,
     ProtocolParams,
@@ -649,6 +651,24 @@ def darkcount_term_per_detector(target, noise, alpha, beta, gamma, chi) -> float
         ov2 = abs(np.conj(c) @ G @ ct) ** 2 / (N * nt)
         t_dark += w1 * ck2 * (1.0 - ov2)
     return t_dark
+
+
+def _chi_error_term(v, G, a2, b2, chi, eps_ac, eps_bc) -> float:
+    """Infidelity from nonlinearity-strength errors Delta chi = eps * chi.
+
+    The label variance of g = Dchi_ac n_a + Dchi_bc n_b over the normalized
+    target v of pair Gram G.  Coherent matrix elements of n and n^2 reduce
+    to Gram entries times powers of z1* z2.
+    """
+    n = np.arange(len(v), dtype=float)
+    d = n[None, :] - n[:, None]  # n - m
+    ph = np.exp(1j * chi * d)
+    Am = a2 * ph  # <pair_m|n_a|pair_n> / G[m,n]
+    Bm = b2 * ph
+    da, db = eps_ac * chi, eps_bc * chi
+    M1 = (da * Am + db * Bm) * G
+    M2 = (da**2 * (Am**2 + Am) + 2 * da * db * Am * Bm + db**2 * (Bm**2 + Bm)) * G
+    return _label_variance(v, M2, M1)
 
 
 # ---------------------------------------------------------------------------

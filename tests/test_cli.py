@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -139,6 +140,37 @@ INVALID_CONFIG_ARGV = [
 ]
 
 
+# finite flags whose squares, sums or cutoffs lie past float range: a cutoff
+# that exists is over the memory budget (6); a |z|^2, an x = |alpha|^2 chi^2,
+# an eps^2 or a sum of intensities that overflows is no configuration (2); a
+# probe whose reference beams' total power overflows has no scheme (3)
+PAST_FLOAT_RANGE_ARGV = [
+    (["simulate", "--coeffs", "1,-1", "--alpha", "1e100", "--gamma", "0.1", "--chi", "0.1"],
+     6, "over the memory budget: one heralded block operator needs 6.40e+401 B"),
+    (["simulate", "--coeffs", "1,-1", "--alpha", "1e200", "--gamma", "0.1", "--chi", "0.1"],
+     2, "invalid configuration: --alpha 1e+200 puts |alpha|^2 beyond float range"),
+    (["simulate", "--coeffs", "1,-1", "--alpha", "1", "--beta", "1e200", "--gamma", "0.1",
+      "--chi", "0.1"],
+     2, "invalid configuration: --beta 1e+200 puts |beta|^2 beyond float range"),
+    (["simulate", "--coeffs", "1,-1", "--alpha", "1", "--gamma", "1e200", "--chi", "0.1"],
+     2, "invalid configuration: --gamma 1e+200 puts |gamma|^2 beyond float range"),
+    (["design", "--coeffs", "1,-1", "--gamma", "1e200"],
+     3, "scheme synthesis failed: the reference beams' total power"),
+    (["feasibility", "--K", "1", "--alpha", "1e200"],
+     2, "invalid configuration: --alpha 1e+200 puts |alpha|^2 beyond float range"),
+    (["feasibility", "--K", "1", "--gamma", "1e200"],
+     2, "invalid configuration: --gamma 1e+200 puts |gamma|^2 beyond float range"),
+    (["feasibility", "--K", "1", "--chi", "1e200"],
+     2, "invalid configuration: --chi 1e+200 puts |alpha|^2 chi^2 beyond float range"),
+    (["feasibility", "--K", "1", "--eps-ac", "1e200"],
+     2, "invalid configuration: --eps-ac 1e+200 puts eps_ac^2 beyond float range"),
+    (["feasibility", "--K", "1", "--dphi2", "1e308"],
+     2, "invalid configuration: --dphi2 1e+308 puts the smallest |alpha|^2 chi^2"),
+    (["entangle-scan", "--K", "1", "--x-grid", "1e308"],
+     2, "invalid configuration: --x-grid 1e+308 puts |alpha|^2 + |beta|^2"),
+]
+
+
 EMPTY_LIST_ARGV = [
     (["entangle-scan", "--x-grid", ",", "--K", "1"], "--x-grid", "float"),
     (["entangle-scan", "--x-grid", "1", "--K", ","], "--K", "int"),
@@ -179,6 +211,20 @@ class TestInvalidConfiguration:
         argv = ["simulate", "--coeffs", "1,-1", "--alpha", "0", "--gamma", "0.1",
                 "--chi", "0.5", "--out", str(tmp_path / "artifact")]
         assert cli.main(argv) == 2
+
+
+class TestPastFloatRange:
+    @pytest.mark.parametrize("argv,code,message", PAST_FLOAT_RANGE_ARGV,
+                             ids=[" ".join(a) for a, _, _ in PAST_FLOAT_RANGE_ARGV])
+    def test_exits_with_one_line_and_no_artifact(self, argv, code, message, tmp_path,
+                                                 capsys):
+        out = tmp_path / "artifact"
+        assert cli.main(argv + ["--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message), captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestNonFiniteInput:
@@ -297,11 +343,28 @@ class TestFlagSets:
 
 class TestReadmeSession:
     def test_python_block_runs(self, capsys):
+        # each print's '# ...' comment opens with what it prints: a True or
+        # False as printed, then a number that, ending in '...', the printed
+        # one starts with, and otherwise the printed one rounds to
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = readme.split("```python\n")[1:]
         assert len(blocks) == 1, f"{len(blocks)} python blocks in README"
-        exec(blocks[0].split("```")[0], {})
-        assert capsys.readouterr().out.strip(), "the session printed nothing"
+        session = blocks[0].split("```")[0]
+        exec(session, {})
+        printed = capsys.readouterr().out.splitlines()
+        comments = [line.split("# ", 1)[1] for line in session.splitlines()
+                    if line.startswith("print(")]
+        assert len(printed) == len(comments) == 4, (printed, comments)
+        for out, comment in zip(printed, comments):
+            flag, number, decimals, prefix = re.match(
+                r"((?:True|False) )?(\d+\.(\d+))(\.\.\.)?", comment).groups()
+            got = out.split()
+            if flag:
+                assert got.pop(0) == flag.strip(), (out, comment)
+            if prefix:
+                assert got[0].startswith(number), (out, comment)
+            else:
+                assert round(float(got[0]), len(decimals)) == float(number), (out, comment)
 
 
 class TestLibraryWithoutTests:

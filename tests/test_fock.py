@@ -10,7 +10,7 @@ from scipy.special import gammaln, pdtrc
 
 from kerrlink import fock
 from kerrlink.design import build_scheme
-from kerrlink.errors import ShapeMismatch, TailTooHeavy, UnknownMode
+from kerrlink.errors import DomainError, ShapeMismatch, TailTooHeavy, UnknownMode
 from kerrlink.fock import (
     HERMITIAN_TILE,
     DensOp,
@@ -135,6 +135,16 @@ class TestPoissonTail:
         # pdtrc put it at 10000674304, where the tail is 7.8 tail_tol
         n = min_cutoff([1e5])
         assert mpmath_tail(1e10, n) <= fock.DEFAULT_TAIL_TOL < mpmath_tail(1e10, n - 1)
+
+
+    def test_cutoff_past_float_resolution(self):
+        # at |z|^2 = 1e200 the float spacing (~1e184) dwarfs sqrt(|z|^2): the
+        # search brackets and bisects ranges wider than sys.maxsize, and the
+        # expansion's c_2 / a^2 has no float; past float range |z|^2 has none
+        n = min_cutoff([1e100])
+        assert coherent_tail(1e100, n) <= fock.DEFAULT_TAIL_TOL < coherent_tail(1e100, n - 1)
+        with pytest.raises(DomainError, match="beyond float range"):
+            min_cutoff([1e200])
 
 
 class TestTruncation:

@@ -4,6 +4,7 @@ reconstruction of the same pipeline."""
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,7 @@ from kerrlink.noise import (
 )
 from kerrlink.presets import get_preset
 from oracles import (
+    _chi_error_term,
     apply_discrete_phase_channel,
     dark_count_mixture,
     darkcount_term_per_detector,
@@ -235,6 +237,11 @@ def chi_err(t, alpha, beta, chi, eps_ac, eps_bc):
     return fidelity_leading_order(t, noise, alpha, beta, 0.3, chi).terms["chi_err"]
 
 
+ALL_PRESETS = ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated:2,2",
+               "photon-correlated:1,3", "photon-correlated:2,4")
+CHI_ERR_EPS = ((1e-3, -5e-4), (0.03, -0.02), (0.01, 0.02), (-0.04, 0.02), (1e-6, 5e-7))
+
+
 class TestChiError:
     def test_matches_dense_variance(self):
         # same second moment evaluated with explicit Fock operators
@@ -274,6 +281,33 @@ class TestChiError:
         t = bell_target(10.0, 10.0, 0.3)
         got = chi_err(t, math.sqrt(10), math.sqrt(10), 0.3, 0.0, 0.0)
         assert abs(got) < 1e-14
+
+    # the larger errors push chi_err past the budget's validity range
+    @pytest.mark.filterwarnings("ignore:loss term chi_err")
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_recorded_weights_match_the_moment_matrices(self, preset):
+        # s1^2 A + s2 C from the operating point's record against the per-call
+        # moment matrices it replaced; measured worst 8.4e-12 relative
+        # (maxent-k2-low, x = 1e-4)
+        p = get_preset(preset)
+        c = np.asarray(p.target.c, dtype=complex)
+        _, G, N, *_ = noise_module._nominal(c, p.K, p.alpha, p.beta, p.chi)
+        v = c / math.sqrt(N)
+        a2, b2 = abs(p.alpha) ** 2, abs(p.beta) ** 2
+        for eps_ac, eps_bc in CHI_ERR_EPS:
+            got = chi_err(p.target, p.alpha, p.beta, p.chi, eps_ac, eps_bc)
+            want = _chi_error_term(v, G, a2, b2, p.chi, eps_ac, eps_bc)
+            assert abs(got - want) <= 1e-11 * want, (eps_ac, eps_bc, got, want)
+
+    @pytest.mark.filterwarnings("ignore:loss term chi_err")
+    @pytest.mark.parametrize("preset", ALL_PRESETS)
+    def test_quadratic_in_the_errors(self, preset):
+        # chi_err(t eps) = t^2 chi_err(eps); measured worst 1.2e-15 relative
+        p = get_preset(preset)
+        for eps_ac, eps_bc in CHI_ERR_EPS:
+            once = chi_err(p.target, p.alpha, p.beta, p.chi, eps_ac, eps_bc)
+            thrice = chi_err(p.target, p.alpha, p.beta, p.chi, 3 * eps_ac, 3 * eps_bc)
+            assert abs(thrice - 9 * once) <= 1e-14 * 9 * once, (eps_ac, eps_bc, thrice, once)
 
 
 class TestDarkCounts:
@@ -622,25 +656,26 @@ class TestOperatingPointMemo:
 
     def test_records_are_read_only(self):
         self.cold(TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j])))
-        arrays = [x for rec in noise_module._MEMO.values() for x in rec
-                  if isinstance(x, np.ndarray)]
-        assert len(arrays) == 3  # G and v; the dark-count misses
+        nominal, dark = noise_module._MEMO.values()
+        arrays = [x for x in nominal if isinstance(x, np.ndarray)]
+        assert len(arrays) == 1  # G; the rest are scalars
         assert not any(a.flags.writeable for a in arrays)
+        assert type(dark) is float  # the dark-count sum
 
     def test_dark_factors_are_read_only_and_read_semi_success_coeffs(self):
         t = TargetCoefficients(np.array([1, 0.4 - 0.2j, 0.7j]))
         c = t.c
         noise_module._MEMO.clear()
-        key, G, N, _, _ = noise_module._nominal(c, t.K, 1.0, 1.0, 0.2)
-        ck2, miss = noise_module._dark_factors(key, c, G, N, t.roots, 0.3 + 0j)
-        assert not miss.flags.writeable
+        key, G, N, *_ = noise_module._nominal(c, t.K, 1.0, 1.0, 0.2)
+        S = noise_module._dark_factors(key, c, G, N, t.roots, 0.3 + 0j)
+        assert type(S) is float  # immutable
         roots = solve_roots(t, 0.3)
         rows = [semi_success_coeffs(roots, {j}).c for j in range(1, t.K + 1)]
         ct = np.array([np.pad(cj, (0, t.K + 1 - len(cj))) for cj in rows])
         nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
         ov = np.sum(ct * (np.conj(c) @ G), axis=1)
-        assert np.array_equal(miss, 1.0 - np.real(ov * np.conj(ov)) / (N * nt))
-        assert ck2 == abs(c[-1]) ** 2 / N
+        miss = 1.0 - np.real(ov * np.conj(ov)) / (N * nt)
+        assert S == float(abs(c[-1]) ** 2 / N * np.sum(miss))
 
     def test_threads_share_the_memo(self):
         # more workers than cores, each evicting records past the memo's bound
@@ -945,6 +980,22 @@ class TestBudgetSweeps:
         assert db_to_loss(3000.0) > 0
         with pytest.raises(DomainError):
             db_to_loss(4000.0)
+
+    @pytest.mark.parametrize("helper,value,message", [
+        (db_to_loss, math.nan, "attenuation nan dB is not a number"),
+        (db_to_loss, -1.0, "attenuation -1 dB is negative"),
+        (attenuation_db, math.nan, "relative loss Lambda = nan is not >= 0"),
+        (attenuation_db, -1.0, "relative loss Lambda = -1 is not >= 0"),
+        (attenuation_db, -0.5, "relative loss Lambda = -0.5 is not >= 0"),
+    ])
+    def test_db_helpers_raise_domain_error(self, helper, value, message):
+        # a gain is no loss, and NaN is neither
+        with pytest.raises(DomainError, match=re.escape(message)):
+            helper(value)
+
+    def test_probe_bound_past_float_range_is_zero(self):
+        # x Lambda past float range is inf, without numpy's overflow warning
+        assert noise_module._probe_bound(0.01, np.float64(1e300), np.float64(1e10)) == 0.0
 
     def test_min_distinguishability_scales_with_k(self):
         assert abs(min_distinguishability(1, 0.01, 1e-5) - 1e-3) < 1e-15
