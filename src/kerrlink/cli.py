@@ -12,8 +12,11 @@ eps = (1 - F)/6 of the --f-target F, and writes its inequality report to
 stderr, never into the artifact.  CSV output is comma-separated with a
 '.' decimal point, one header row, and '#'-prefixed parameter echo lines in
 front, so each artifact is self-describing.  The same flags always produce
-byte-identical output.  Channel loss Lambda is the relative intensity loss
-(I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
+byte-identical output from one numpy build on one CPU; entangle-scan's
+optimizer orders its simplex by np.argsort, which numpy may run as an
+unstable SIMD sort, so its rows at tied simplex values can differ across
+builds and CPUs (``entangle.minimize``).  Channel loss Lambda is the
+relative intensity loss (I0 - I)/I and attenuation_dB = 10 log10(Lambda + 1).
 
 Exit codes: 2 invalid configuration (a flag the subcommand does not take, a
 malformed or nan or inf number among the flags, --dphi2 <= 0, --alpha 0,

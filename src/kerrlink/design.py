@@ -10,6 +10,7 @@ derives every reference beam from one master coherent source.
 
 from __future__ import annotations
 
+import cmath
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -86,13 +87,35 @@ class TargetCoefficients:
 def _poly(roots) -> np.ndarray:
     """np.poly(roots) for a 1-d complex array, without its input checks: the
     same convolutions in the same order, hence the same floats, and real when
-    the roots are closed under conjugation."""
-    a = np.ones(1, dtype=complex)
-    for z in roots:
+    the roots are closed under conjugation (``_conjugate_closed``).  The
+    convolutions stay np.convolve's: its dot products may fuse multiply-adds,
+    so scalar arithmetic would not round as np.poly does."""
+    zs = roots.tolist()
+    # np.convolve makes this np.poly's writeable [1+0j] start (a read-only
+    # array would be copied there and reach another dot loop, which rounds
+    # inf roots apart); asarray gives [1+0j] for no roots
+    a = [1 + 0j]
+    for z in zs:
         a = np.convolve(a, [1, -z])
-    if (np.sort(roots) == np.sort(roots.conjugate())).all():
+    a = np.asarray(a)
+    if _conjugate_closed(zs):
         return a.real.copy()
     return a
+
+
+def _conjugate_closed(zs) -> bool:
+    """Whether the complex values zs, as a multiset, equal their conjugates
+    under IEEE ==: np.poly's test, which compares both sorted (±0 equal, and
+    any NaN fails), decided by matching each value to an unmatched conjugate."""
+    rest = [z.conjugate() for z in zs]
+    for z in zs:
+        for i, w in enumerate(rest):
+            if w == z:
+                del rest[i]
+                break
+        else:
+            return False
+    return True
 
 
 def _is_m_fold(p, x, m) -> bool:
@@ -208,15 +231,24 @@ def reference_amplitudes(roots: EliminationRoots, T, q) -> np.ndarray:
     Each splitter j mixes the through-going probe with a fresh reference
     gtilde_j so that a probe entering at gamma_x leaves arm j carrying exactly
     i q (gamma_x - gamma_j); the recurrence tracks the reference part riding
-    along the probe line.
+    along the probe line.  NoSolution at the first amplitude beyond float
+    range.
     """
     gam = roots.expanded()
     theta = np.arccos(np.sqrt(np.asarray(T, dtype=float)))
     gt = np.empty(len(gam), dtype=complex)
     carried = 0j
-    for j in range(len(gam)):
-        gt[j] = (-1j * q * gam[j] - 1j * carried * np.sin(theta[j])) / np.cos(theta[j])
-        carried = carried * np.cos(theta[j]) + 1j * gt[j] * np.sin(theta[j])
+    # an overflow shows as the non-finite amplitude checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(gam)):
+            g = (-1j * q * gam[j] - 1j * carried * np.sin(theta[j])) / np.cos(theta[j])
+            if not cmath.isfinite(g):
+                raise NoSolution(
+                    f"reference amplitude gtilde_{j + 1} is beyond float range; "
+                    "no reference beam exists"
+                )
+            gt[j] = g
+            carried = carried * np.cos(theta[j]) + 1j * g * np.sin(theta[j])
     return gt
 
 

@@ -19,6 +19,7 @@ do not depend on the installed scipy's optimizer.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -135,9 +136,11 @@ def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev):
     its test oracle, which it matches bit for bit in x, fun, nfev and success
     at the same options.  The simplex is kept as lists of floats, ordered by
     ``np.argsort`` of its values as in scipy (ties and NaNs included), and fun
-    sees each vertex as a new 1-d array.  A search stops at maxfev at once,
-    inside an iteration or a shrink; it succeeds unless maxfev or maxiter was
-    reached.  Returns an object with ``x``, ``fun`` (the least value of the
+    sees each vertex as a new 1-d array.  That sort need not be stable (numpy
+    2.4 on AVX-512 sorts 4 or more values by SIMD), so where values tie the
+    search path can depend on the numpy build and the CPU.  A search stops at
+    maxfev at once, inside an iteration or a shrink; it succeeds unless maxfev
+    or maxiter was reached.  Returns an object with ``x``, ``fun`` (the least value of the
     final simplex), ``nfev`` and ``success``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
@@ -156,7 +159,8 @@ def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev):
         return [(1 + t) * b - t * w for b, w in zip(xbar, sim[-1])]
 
     def ordered():
-        order = np.argsort(fsim)
+        # np.argsort's sort, without its wrapper's conversion of the list
+        order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     x0 = [float(v) for v in x0]
@@ -234,7 +238,7 @@ def optimize_coefficients(
 
     def neg_entropy(params):
         c = _poly(params[:K] * np.exp(1j * params[K:]))[::-1]
-        if not np.isfinite(c).all():
+        if not all(map(cmath.isfinite, c.tolist())):
             return 0.0
         try:
             return -entropy_of_coefficients(c, alpha, beta, chi).E

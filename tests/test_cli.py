@@ -156,6 +156,8 @@ PAST_FLOAT_RANGE_ARGV = [
      2, "invalid configuration: --gamma 1e+200 puts |gamma|^2 beyond float range"),
     (["design", "--coeffs", "1,-1", "--gamma", "1e200"],
      3, "scheme synthesis failed: the reference beams' total power"),
+    (["design", "--coeffs", "1,-3", "--gamma", "1e308"],
+     3, "scheme synthesis failed: reference amplitude gtilde_1 is beyond float range"),
     (["feasibility", "--K", "1", "--alpha", "1e200"],
      2, "invalid configuration: --alpha 1e+200 puts |alpha|^2 beyond float range"),
     (["feasibility", "--K", "1", "--gamma", "1e200"],

@@ -234,6 +234,21 @@ def root_sets(rng, K):
     yield np.exp(1j * (0.3 + 0.2 * (np.arange(K) - (K - 1) / 2.0)))
 
 
+EDGE_ROOT_SETS = {
+    "real-with-minus-zero-imag": [complex(0.5, -0.0), complex(-1.2, 0.0), complex(2.0, -0.0)],
+    "pair-with-minus-zero-real": [complex(-0.0, 0.7), complex(0.0, -0.7)],
+    "pair-one-ulp-from-conjugate": [complex(0.3, 0.7), complex(0.3, -np.nextafter(0.7, 1.0))],
+    "pair-real-parts-one-ulp-apart": [complex(0.3, 0.7), complex(np.nextafter(0.3, 1.0), -0.7)],
+    "repeated-pair": [complex(0.3, 0.7), complex(0.3, -0.7)] * 2,
+    "pair-and-a-repeated-half": [complex(0.3, 0.7)] * 2 + [complex(0.3, -0.7)],
+    "inf": [complex(np.inf, 0.0)],
+    "minus-inf-minus-zero": [complex(-np.inf, -0.0)],
+    "inf-pair": [complex(np.inf, 1.0), complex(np.inf, -1.0)],
+    "nan-real-part": [complex(np.nan, 0.0)],
+    "nan-imaginary-parts": [complex(0.5, np.nan), complex(0.5, np.nan)],
+}
+
+
 class TestLeanObjective:
     """The optimizer's objective and root expansion, bit for bit against the
     forms they replaced (tests/oracles.py): scan artifacts rest on it."""
@@ -256,6 +271,15 @@ class TestLeanObjective:
             assert got.dtype == want.dtype, roots
             assert np.array_equal(got, want), roots
             assert_same_entropy(got[::-1], math.sqrt(10), math.sqrt(10), 0.3)
+
+    @pytest.mark.parametrize("roots", EDGE_ROOT_SETS.values(), ids=EDGE_ROOT_SETS.keys())
+    def test_root_expansion_edge_cases_bitwise(self, roots):
+        # np.poly's real rule at signed zeros, near pairs, repeats, inf and
+        # NaN; the bytes compare NaNs too
+        roots = np.array(roots, dtype=complex)
+        got, want = entangle._poly(roots), poly_by_numpy(roots)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (got, want)
 
     def test_vanishing_state_raises_on_both_sides(self):
         for entropy in (entropy_of_coefficients, entropy_outer_sorted):
