@@ -91,9 +91,9 @@ def _poly(roots) -> np.ndarray:
     convolutions stay np.convolve's: its dot products may fuse multiply-adds,
     so scalar arithmetic would not round as np.poly does."""
     zs = roots.tolist()
-    # np.convolve makes this np.poly's writeable [1+0j] start (a read-only
-    # array would be copied there and reach another dot loop, which rounds
-    # inf roots apart); asarray gives [1+0j] for no roots
+    # a fresh start per call, as np.poly's np.ones(1): np.convolve copies a
+    # read-only operand, and the copy's dot loop expands inf roots to other
+    # bits; with no roots, asarray gives np.poly's [1+0j]
     a = [1 + 0j]
     for z in zs:
         a = np.convolve(a, [1, -z])

@@ -140,8 +140,8 @@ def minimize(fun, x0, *, xatol, fatol, maxiter, maxfev):
     2.4 on AVX-512 sorts 4 or more values by SIMD), so where values tie the
     search path can depend on the numpy build and the CPU.  A search stops at
     maxfev at once, inside an iteration or a shrink; it succeeds unless maxfev
-    or maxiter was reached.  Returns an object with ``x``, ``fun`` (the least value of the
-    final simplex), ``nfev`` and ``success``.
+    or maxiter was reached.  Returns an object with ``x``, ``fun`` (the
+    least value of the final simplex), ``nfev`` and ``success``.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nfev = 0
