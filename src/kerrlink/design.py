@@ -327,24 +327,15 @@ def semi_success_coeffs(roots: EliminationRoots, missing) -> TargetCoefficients:
     return TargetCoefficients.from_roots(kept)
 
 
-def _heralded_coeffs(roots: EliminationRoots) -> np.ndarray:
-    """Rows of ``semi_success_coeffs`` of each click pattern's silent detectors,
-    byte for byte, zero-padded to K + 1, in ``run_full_protocol``'s record
-    order.  Going breadth-first over the detectors, each prefix polynomial is
-    multiplied by (x - x_j) for its click child and kept for its silent one:
-    ``_poly``'s convolutions in its order, and its real rule on each row."""
+def _heralded_coeffs(roots: EliminationRoots, patterns) -> np.ndarray:
+    """One row per click pattern (True where that detector clicked): ``_poly``
+    of the pattern's clicked roots, lowest power first and zero-padded to
+    K + 1, byte for byte the ``semi_success_coeffs`` of its silent detectors."""
     x = roots.expanded() / roots.gamma
-    rows = [np.ones(1, dtype=complex)]
-    for z in x:
-        rows = [r for p in rows for r in (np.convolve(p, [1, -z]), p)]
+    rows = [_poly(x[np.array(clicked, bool)]) for clicked in patterns]
     c = np.zeros((len(rows), len(x) + 1), dtype=complex)
     for row, p in zip(c, rows):
         row[: len(p)] = p[::-1]
-    # a row's roots are closed under conjugation when every value occurs
-    # among them as often as its conjugate does
-    clicked = 1 - (np.arange(len(rows))[:, None] >> np.arange(len(x))[::-1] & 1)
-    excess = (x[:, None] == x).astype(int) - (x[:, None] == x.conj())
-    c.imag[~(clicked @ excess).any(1)] = 0.0
     return c
 
 

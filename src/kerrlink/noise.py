@@ -52,7 +52,7 @@ import numpy as np
 
 from .design import TargetCoefficients, _heralded_coeffs, solve_roots
 from .entangle import _rot_gram, pair_gram
-from .errors import DomainError
+from .errors import DegenerateLeadingCoefficient, DomainError
 from .fock import _nonvanishing_norm2
 
 DB_PER_KM = 0.20
@@ -241,13 +241,13 @@ def _nominal(c, K, alpha, beta, chi):
 
 def _dark_factors(key, c, G, N, target_roots: tuple, gamma: complex) -> float:
     """|c_K|^2/N sum_j miss_j, miss_j = 1 - |<target|silent_j>|^2 over the
-    state where only detector j stays silent, the ``_heralded_coeffs`` row at
-    index 2^(K-j); recorded under the nominal key plus the target's (x_m, l_m)
+    state where only detector j stays silent (``_heralded_coeffs`` of that
+    pattern); recorded under the nominal key plus the target's (x_m, l_m)
     roots and gamma."""
 
     def build():
         roots = solve_roots(target_roots, gamma)
-        ct = _heralded_coeffs(roots)[2 ** np.arange(roots.K - 1, -1, -1)]
+        ct = _heralded_coeffs(roots, ~np.eye(roots.K, dtype=bool))
         # every detector j at once: nt_j = ct_j^H G ct_j, ov_j = c^H G ct_j
         nt = np.real(np.sum(np.sum(np.conj(ct)[:, :, None] * G, axis=1) * ct, axis=1))
         ov = np.sum(ct * (np.conj(c) @ G), axis=1)
@@ -405,13 +405,19 @@ def success_probability(
     norm_squared: float = 1.0,
 ) -> float:
     """All-click probability with detector efficiency: (q^2 lambda |gamma|^2)^K N / |c_K|^2,
-    N = norm_squared the squared norm of the target state under c (1 if c is normalized)."""
+    N = norm_squared the squared norm of the target state under c (1 if c is normalized);
+    DegenerateLeadingCoefficient if |c_K|^2 is 0, also by underflow."""
     if not 0 < lambda_det <= 1:
         raise ValueError(f"lambda_det must lie in (0, 1], got {lambda_det}")
+    ck2 = abs(target.c[-1]) ** 2
+    if ck2 == 0:
+        raise DegenerateLeadingCoefficient(
+            f"|c_K|^2 = 0 (c_K = {target.c[-1]}): no all-click probability; "
+            "lower the target degree")
     K = target.K
     if q is None:
         q = 1.0 / math.sqrt(K)
-    ideal = (q**2 * abs(gamma) ** 2) ** K * norm_squared / abs(target.c[-1]) ** 2
+    ideal = (q**2 * abs(gamma) ** 2) ** K * norm_squared / ck2
     return lambda_det**K * float(ideal)
 
 
@@ -511,8 +517,10 @@ def budget_success(
 
     Uses q^2 = 1/K and the unit-|c_K| normalization of the design
     polynomial; a concrete target rescales this by norm_squared/|c_K|^2.
-    Returns 0 beyond the dark-count loss limit.
+    Returns 0 beyond the dark-count loss limit; ValueError for K < 1.
     """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if Lambda > darkcount_loss_limit(eps, lambda_det, zeta):
         return 0.0
     x = min_distinguishability(K, eps, dphi2)
@@ -528,8 +536,10 @@ def practical_cutoff_db(K: int, eps: float, lambda_det: float, dphi2: float) -> 
     Returns 0.0 when that |gamma|^2 exceeds PROBE_CAP, i.e. when even the
     capped p_K at 0 dB is below P_FLOOR.  The dark-count wall, past which
     budget_success is 0, is not applied here; it is reported separately
-    (darkcount_loss_limit).
+    (darkcount_loss_limit).  ValueError for K < 1.
     """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     g2 = K * P_FLOOR ** (1.0 / K) / lambda_det
     if g2 > PROBE_CAP:
         return 0.0

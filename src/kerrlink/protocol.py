@@ -340,8 +340,9 @@ def run_full_protocol(params: ProtocolParams):
     click or the silent one, multiplied in arm order.  One overlap builder
     (``_overlaps``) gives the Gram and each arm's pair of factors, once per
     run; going breadth-first over the arms, each prefix product yields its
-    two children, so that the kernels end in pattern order as slices of one
-    (2^K, S, S) stack, which the records' operators are."""
+    two children, so that the kernels end as slices of one (2^K, S, S) stack,
+    which the records' operators are, in the order of ``itertools.product(
+    (True, False), repeat=K)`` (True: clicked), known to no other code."""
     K = params.scheme.K
     n = 2**K
     _check_budget(params.trunc.n_max, "blocked route", _dense_bytes(params, n))
@@ -349,21 +350,18 @@ def run_full_protocol(params: ProtocolParams):
     S = len(probe)
     kernels = np.empty((n, S, S), complex)
     _overlaps(probe, kernels[-1])
+    click = kernels[0]
     for j, d in enumerate(arms):
-        # prefix r of this level sits in the slot of its first descendant,
-        # r * step, and the last prefix in the last slot; the arm's click
-        # factor is built in the slot that prefix's click child takes
+        # a prefix sits in the last slot of its patterns, kept by its silent
+        # child; its click child takes the last slot of their first half, and
+        # the last arm's first prefix takes slot 0, the click factor's, last
         step = n >> j
-        click = kernels[n - step]
         vac = _overlaps(d, click)
         click -= vac
-        for r in range(0, n - step, step):
-            w = kernels[r]
-            np.multiply(w, vac, out=kernels[r + step // 2])
-            w *= click
-        last = kernels[-1]
-        np.multiply(last, click, out=click)
-        last *= vac
+        for last in range(n - 1, 0, -step):
+            w = kernels[last]
+            np.multiply(w, click, out=kernels[last - step // 2])
+            w *= vac
         # the silent factor goes before the next arm's, or DensOp's check
         # tiles, come (_dense_bytes)
         del vac
@@ -438,7 +436,7 @@ def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
 
     The entanglement is the Schmidt entropy of the dominant eigenvector,
     lifted to (a, b); the oracle residual is 1 - the fidelity against the
-    target the pattern heralds (``design._heralded_coeffs``).  A record of
+    target its own pattern heralds (``design._heralded_coeffs``).  A record of
     negligible probability gets 0 for all three; for every other one they
     come from stacks: one build of the heralded targets, then per chunk of
     records one fidelity contraction of both targets over the kernels, one
@@ -453,8 +451,8 @@ def _metric_rows(params: ProtocolParams, tgt: FockVector, records) -> list:
     kernels = records[0].state.matrix.base
     probs = [r.probability for r in records]
     live = np.flatnonzero(np.array(probs) > P_NEGLIGIBLE)
-    own = _target_states(_heralded_coeffs(params.scheme.roots)[live],
-                         params.alpha, params.beta, params.chi, params.trunc)
+    heralded = _heralded_coeffs(params.scheme.roots, [records[i].pattern for i in live])
+    own = _target_states(heralded, params.alpha, params.beta, params.chi, params.trunc)
     n, S = kernels.shape[:2]
     chunk = max(1, (DENSE_BYTES_LIMIT - 16 * n * S**2) // (32 * S**2))
     metrics = np.zeros((n, 3))

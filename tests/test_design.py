@@ -379,12 +379,17 @@ SIX_PRESETS = ("bell-k1", "maxent-k2-low", "maxent-k2-high", "photon-correlated:
                "photon-correlated:1,3", "photon-correlated:2,4")
 
 
-def heralded_per_pattern(roots):
-    """``semi_success_coeffs`` of each click pattern's silent detectors, in
-    pattern order, zero-padded to K + 1 entries."""
-    K = roots.K
-    rows = np.zeros((2**K, K + 1), dtype=complex)
-    for row, clicked in zip(rows, itertools.product((True, False), repeat=K)):
+def all_patterns(K):
+    """Every click pattern of K detectors, in ``run_full_protocol``'s order."""
+    return itertools.product((True, False), repeat=K)
+
+
+def heralded_per_pattern(roots, patterns):
+    """``semi_success_coeffs`` of each click pattern's silent detectors, one
+    row per pattern, zero-padded to K + 1 entries."""
+    K, patterns = roots.K, list(patterns)
+    rows = np.zeros((len(patterns), K + 1), dtype=complex)
+    for row, clicked in zip(rows, patterns):
         c = semi_success_coeffs(roots, {j + 1 for j in range(K) if not clicked[j]}).c
         row[: len(c)] = c
     return rows
@@ -413,19 +418,21 @@ def random_root_sets(n, seed):
 
 
 class TestHeraldedCoeffs:
-    """The all-patterns build is semi_success_coeffs, bit for bit: the same
-    convolutions in the same order, and np.poly's real rule on each row."""
+    """The per-pattern build is semi_success_coeffs, bit for bit: each row is
+    ``_poly`` of its pattern's clicked roots, as that target is."""
 
     @pytest.mark.parametrize("name", SIX_PRESETS)
     def test_presets_match_semi_success_coeffs_bytewise(self, name):
         p = get_preset(name)
         roots = solve_roots(p.target, p.gamma)
-        assert _heralded_coeffs(roots).tobytes() == heralded_per_pattern(roots).tobytes()
+        got = _heralded_coeffs(roots, all_patterns(roots.K))
+        assert got.tobytes() == heralded_per_pattern(roots, all_patterns(roots.K)).tobytes()
 
     def test_random_roots_match_semi_success_coeffs_bytewise(self):
         self_conjugate = 0
         for roots in random_root_sets(2100, seed=25):
-            assert _heralded_coeffs(roots).tobytes() == heralded_per_pattern(roots).tobytes(), \
+            got = _heralded_coeffs(roots, all_patterns(roots.K))
+            assert got.tobytes() == heralded_per_pattern(roots, all_patterns(roots.K)).tobytes(), \
                 roots
             x = roots.expanded() / roots.gamma
             self_conjugate += roots.K > 2 and np.array_equal(np.sort(x), np.sort(x.conj())) \
@@ -433,6 +440,15 @@ class TestHeraldedCoeffs:
         # np.poly's real rule is met on products of several conjugate pairs
         # and real roots, where the convolutions leave round-off imaginary parts
         assert self_conjugate > 100
+
+    def test_rows_follow_the_patterns_asked_for(self):
+        # half the patterns in reversed order, the first of them asked twice
+        for roots in random_root_sets(300, seed=30):
+            reverse = list(all_patterns(roots.K))[::-1]
+            patterns = reverse[::2] + reverse[:1]
+            got = _heralded_coeffs(roots, patterns)
+            assert got.shape == (len(patterns), roots.K + 1)
+            assert got.tobytes() == heralded_per_pattern(roots, patterns).tobytes(), roots
 
 
 def same_network(s, T, q, gtilde, ref_net):

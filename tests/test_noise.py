@@ -847,6 +847,14 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(t, 0.3, 0.0)
 
+    @pytest.mark.parametrize("c_K", [0.0, 1e-200])
+    def test_vanishing_leading_coefficient_raises(self, c_K):
+        # a typed error, not numpy's divide-by-zero warning and inf; 1e-200
+        # squares to 0
+        t = TargetCoefficients(np.array([1.0, -1.0, c_K]))
+        with pytest.raises(DegenerateLeadingCoefficient, match=r"\|c_K\|\^2 = 0"):
+            success_probability(t, 0.3, 0.1)
+
 
 class TestFeasibility:
     def test_reference_detector_reach(self):
@@ -975,6 +983,16 @@ class TestBudgetSweeps:
         ps_f = [budget_success(1, lam, (1.0 - f) / 6.0, 1e-2, 1e-8, 2.5e-5)
                 for f in np.linspace(0.5, 0.95, 10)]
         assert all(b <= a for a, b in zip(ps_f, ps_f[1:]))
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_budget_success_needs_a_detector(self, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            budget_success(K, 1e-3, 1 / 60, 1e-2, 1e-8, 2.5e-5)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_practical_cutoff_needs_a_detector(self, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            practical_cutoff_db(K, 1 / 60, 1e-2, 2.5e-5)
 
     def test_attenuation_beyond_float_range(self):
         assert db_to_loss(3000.0) > 0

@@ -359,6 +359,14 @@ def k2_wide():
     return make_protocol(np.sqrt(160), np.sqrt(160), p.gamma, p.chi, p.target, delta=p.delta)
 
 
+def k3_wide():
+    """K = 3 at |alpha|^2 = 120 and chi = 0.08, the roots e^{i chi m} for
+    m = 1..3: n_max 205, so the eight block operators have 411 rows."""
+    chi = 0.08
+    t = TargetCoefficients.from_roots(np.exp(1j * chi * np.arange(1, 4)))
+    return make_protocol(np.sqrt(120), np.sqrt(120), 0.1, chi, t)
+
+
 def faint_probe_k3():
     """K = 3 at gamma = 1e-8: every pattern with two or three clicks has
     probability <= P_NEGLIGIBLE, so the live patterns (100, 010, 001, 000)
@@ -584,12 +592,15 @@ class TestMemoryBudget:
         peak, need = self.traced_peak(prot), _dense_bytes(prot, 2)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
-    def test_estimate_covers_the_traced_peak_at_k2(self):
-        # K = 2 at 515 block rows: the four operators and the silent factor
-        # dwarf everything else
-        prot = k2_wide()
-        assert 2 * prot.trunc.n_max + 1 == 515
-        peak, need = self.traced_peak(prot), _dense_bytes(prot, 4)
+    # K = 2 at 515 block rows and K = 3 at 411: the operators and the silent
+    # factor dwarf everything else; at K = 3 the click factor's slot 0 is
+    # taken by a click child only at the third arm
+    @pytest.mark.parametrize("make, rows", [(k2_wide, 515), (k3_wide, 411)],
+                             ids=["k2-515-rows", "k3-411-rows"])
+    def test_estimate_covers_the_traced_peak_at_k2(self, make, rows):
+        prot = make()
+        assert 2 * prot.trunc.n_max + 1 == rows
+        peak, need = self.traced_peak(prot), _dense_bytes(prot, 2**prot.scheme.K)
         assert peak <= need <= peak + 2**20, f"traced peak {peak} B, estimate {need} B"
 
     # both cases run the subspace side of _top_eigenpairs (79 and 515 rows)

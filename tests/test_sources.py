@@ -117,20 +117,26 @@ def _names_numpy(node, name):
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
 
-def root_solves(source):
-    """(line, scope) for every use of numpy's root solver; the scope is
-    Class.method in a class body, the function's name outside one, and ""
-    at module level."""
+def numpy_uses(source, name):
+    """(line, scope) for every use of numpy's function ``name``; the scope
+    is Class.method in a class body, the function's name outside one, and
+    "" at module level."""
     tree = ast.parse(source)
     methods = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for fn in cls.body
                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    out = [(n.lineno, "") for n in _own_nodes(tree) if _names_numpy(n, "roots")]
+    out = [(n.lineno, "") for n in _own_nodes(tree) if _names_numpy(n, name)]
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out += [(n.lineno, methods.get(fn, fn.name)) for n in _own_nodes(fn)
-                    if _names_numpy(n, "roots")]
+                    if _names_numpy(n, name)]
     return sorted(out)
+
+
+def library_numpy_uses(name):
+    """(file, scope) of every use of numpy's function ``name`` in src/."""
+    return [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+            for _, scope in numpy_uses(path.read_text(), name)]
 
 
 def poly_expansions(source):
@@ -202,8 +208,7 @@ class TestNoScipy:
 
 class TestOneRootSolve:
     def test_library_solves_roots_in_the_target_alone(self):
-        found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
-                 for _, scope in root_solves(path.read_text())]
+        found = library_numpy_uses("roots")
         assert found == [("design.py", "TargetCoefficients.roots")], found
 
     def test_rule_flags_each_solve(self):
@@ -218,12 +223,30 @@ class TestOneRootSolve:
             "        return numpy.roots(c)\n"
             "    return target.roots, g\n"
         )
-        assert root_solves(source) == [(2, ""), (5, "T.roots"), (8, "g")]
+        assert numpy_uses(source, "roots") == [(2, ""), (5, "T.roots"), (8, "g")]
 
 
 class TestOneRootExpansion:
     """Roots become coefficients through ``design._poly`` alone: np.poly's
-    convolutions in its order, held to np.poly bit for bit by the tests."""
+    convolutions in its order, held to np.poly bit for bit by the tests.
+    The one other convolution is of the held modes' Poisson weights, the
+    norms N_s of ``protocol._held_block``."""
+
+    def test_library_convolves_in_poly_and_the_poisson_norms_alone(self):
+        found = library_numpy_uses("convolve")
+        assert found == [("design.py", "_poly"), ("protocol.py", "_held_block")], found
+
+    def test_rule_flags_each_convolution(self):
+        source = (
+            "import numpy as np\n"
+            "from numpy import convolve as expand\n"
+            "def _poly(zs):\n"
+            "    return np.convolve(zs, [1])\n"
+            "class C:\n"
+            "    def rows(self, p, z):\n"
+            "        return [numpy.convolve(p, [1, -z]), np.polymul(p, z), p.convolve(z)]\n"
+        )
+        assert numpy_uses(source, "convolve") == [(2, ""), (4, "_poly"), (7, "C.rows")]
 
     def test_library_never_calls_np_poly(self):
         found = {path.name: poly_expansions(path.read_text())
