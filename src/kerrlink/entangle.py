@@ -46,9 +46,15 @@ class EntanglementReport:
 
 
 def _rot_gram(z2, bra_angles, ket_angles) -> np.ndarray:
-    """G[m, n] = <|z| e^{i bra[m]}  |  |z| e^{i ket[n]}> for |z|^2 = z2 (angle arrays)."""
-    ph = ket_angles[None, :] - bra_angles[:, None]
-    return np.exp(z2 * (np.exp(1j * ph) - 1))
+    """G[m, n] = <|z| e^{i bra[m]}  |  |z| e^{i ket[n]}> for |z|^2 = z2 (angle arrays):
+    exp(z2 (e^{i (ket[n] - bra[m])} - 1)), built in one array in place, bit for
+    bit the value of that formula written out."""
+    G = np.zeros((len(bra_angles), len(ket_angles)), dtype=complex)
+    np.subtract(ket_angles[None, :], bra_angles[:, None], out=G.imag)
+    np.exp(G, out=G)
+    G -= 1
+    G *= z2
+    return np.exp(G, out=G)
 
 
 @lru_cache(maxsize=256)

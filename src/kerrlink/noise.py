@@ -17,8 +17,11 @@ Kerr-stage loss, probe intensity and nonlinearity errors.
 
 Every channel is evaluated in the coherent-pair span through Gram overlaps.
 The exact budget sums its Poisson series as one contraction: one rotated
-mode-a Gram per term, stacked, then every term's overlap vector from one
-matmul and every quadratic form from one broadcast product and sum.
+mode-a Gram per term, each built in place (``entangle._rot_gram``) at that
+term's row of one broadcast array of ket angles and stacked, the stack times
+the mode-b Gram in place, then every term's overlap vector from one matmul
+and every quadratic form from one broadcast product and sum.  The label
+arrays n, n - m and (n - m)^2 are built once per K (``_labels``).
 
 What depends only on the operating point is built once into a bounded memo
 of read-only records that both budgets read (``_nominal``): the pair Gram G,
@@ -47,6 +50,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +160,17 @@ def eta_params(noise: NoiseParams, alpha, beta, chi_ac, chi_bc):
     return float(eta1), float(eta2)
 
 
+@lru_cache(maxsize=64)
+def _labels(K: int):
+    """Read-only pair labels n = 0..K, their differences d[m, n] = m - n and d^2."""
+    n = np.arange(K + 1, dtype=float)
+    d = n[:, None] - n[None, :]
+    d2 = d * d
+    for a in (n, d, d2):
+        a.flags.writeable = False
+    return n, d, d2
+
+
 def _check_poisson_mean(s: float) -> None:
     """DomainError unless the Poisson mean s = Lambda |gamma|^2 is finite and >= 0."""
     if not 0 <= s < math.inf:
@@ -171,23 +186,27 @@ def _poisson_weights(s: float):
     float range (s > ~709.78).
     """
     _check_poisson_mean(s)
-    ws = [1.0]
-    if s > 0:
-        try:
-            total = math.exp(s)
-        except OverflowError as err:
-            raise DomainError(
-                f"Poisson parameter Lambda |gamma|^2 = {s:g}: e^s is beyond float range"
-            ) from err
-        term, k = 1.0, 0
-        while True:
-            k += 1
-            term *= s / k
-            if k > s and term < SERIES_TOL * total:
-                break
-            ws.append(term)
+    if s == 0:
+        return np.ones(1)
+    try:
+        cut = SERIES_TOL * math.exp(s)
+    except OverflowError as err:
+        raise DomainError(
+            f"Poisson parameter Lambda |gamma|^2 = {s:g}: e^s is beyond float range"
+        ) from err
+    ws, term, k = [1.0], 1.0, 0
+    for k in range(1, int(s) + 1):  # up to the mode every term is kept
+        term *= s / k
+        ws.append(term)
+    while True:
+        k += 1
+        term *= s / k
+        if term < cut:
+            break
+        ws.append(term)
     w = np.array(ws)
-    return w / w.sum()
+    w /= w.sum()
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -360,37 +379,38 @@ def superop_pipeline_fidelity(
     """
     c = np.asarray(target.c, dtype=complex)
     K = target.K
-    n = np.arange(K + 1, dtype=float)
+    n, d, d2 = _labels(K)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     chi_ac = chi * (1.0 + noise.eps_ac)
     chi_bc = chi * (1.0 + noise.eps_bc)
     eta1, eta2 = eta_params(noise, alpha, beta, chi_ac, chi_bc)
 
-    d = n[:, None] - n[None, :]
-    rho = np.outer(c, np.conj(c)) * np.exp(1j * eta1 * d - eta2 * d * d)
+    rho = c[:, None] * c.conj() * np.exp(1j * eta1 * d - eta2 * d2)
 
     cb = c * np.exp(1j * eta1 * n)  # compensated reference, nominal labels
+    cb_h = cb.conj()
     G_nom = _nominal(c, K, alpha, beta, chi)[1]
-    norm_bra = _nonvanishing_norm2(
-        float(np.real(np.conj(cb) @ G_nom @ cb)), c, "compensated reference"
-    )
-    G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)
-    tr = _nonvanishing_norm2(float(np.real(np.sum(rho * G_act.T))), c, "noisy state")
+    norm_bra = _nonvanishing_norm2(float((cb_h @ G_nom @ cb).real), c, "compensated reference")
+    th, th_a, th_b = chi * n, chi_ac * n, chi_bc * n
+    G_act = _rot_gram(a2, th_a, th_a)
+    G_act *= _rot_gram(b2, th_b, th_b)
+    tr = _nonvanishing_norm2(float((rho * G_act.T).sum().real), c, "noisy state")
 
     w = _poisson_weights(noise.Lambda * abs(gamma) ** 2)
-    Gb = _rot_gram(b2, chi * n, chi_bc * n)
+    Gb = _rot_gram(b2, th, th_b)
     # one mode-a Gram per Poisson term k; its ket angles chi_ac n + chi_ac k
     # round differently from chi_ac (n + k), so they are written this way
-    bra, ket = chi * n, chi_ac * n
+    kets = th_a + chi_ac * np.arange(len(w), dtype=float)[:, None]
     Ga = np.empty((len(w), K + 1, K + 1), dtype=complex)
-    for k in range(len(w)):
-        Ga[k] = _rot_gram(a2, bra, ket + chi_ac * k)
-    u = np.conj(cb) @ (Ga * Gb)  # u[k, m] = <reference|pair_m rotated by k>
+    for k, ket in enumerate(kets):
+        Ga[k] = _rot_gram(a2, th, ket)
+    Ga *= Gb
+    u = cb_h @ Ga  # u[k, m] = <reference|pair_m rotated by k>
     # q[k] = Re(u_k rho u_k^H) from broadcast products and sums: a stacked
     # matmul or an einsum here pages in kernels that nothing else in the
     # budgets runs, ~0.3 MB more resident memory per process
-    q = np.real(np.sum(np.sum(u[:, :, None] * rho, axis=1) * np.conj(u), axis=1))
-    return float(np.sum(w * q)) / (norm_bra * tr)
+    q = ((u[:, :, None] * rho).sum(1) * u.conj()).sum(1).real
+    return float((w * q).sum()) / (norm_bra * tr)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +426,17 @@ def success_probability(
 ) -> float:
     """All-click probability with detector efficiency: (q^2 lambda |gamma|^2)^K N / |c_K|^2,
     N = norm_squared the squared norm of the target state under c (1 if c is normalized);
-    DegenerateLeadingCoefficient if |c_K|^2 is 0, also by underflow."""
+    ValueError for K < 1, DegenerateLeadingCoefficient if |c_K|^2 is 0, also by underflow."""
     if not 0 < lambda_det <= 1:
         raise ValueError(f"lambda_det must lie in (0, 1], got {lambda_det}")
+    K = target.K
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}: no detector to click")
     ck2 = abs(target.c[-1]) ** 2
     if ck2 == 0:
         raise DegenerateLeadingCoefficient(
             f"|c_K|^2 = 0 (c_K = {target.c[-1]}): no all-click probability; "
             "lower the target degree")
-    K = target.K
     if q is None:
         q = 1.0 / math.sqrt(K)
     ideal = (q**2 * abs(gamma) ** 2) ** K * norm_squared / ck2
@@ -441,10 +463,12 @@ def db_to_loss(db: float) -> float:
 
 
 def darkcount_loss_limit(eps: float, lambda_det: float, zeta: float) -> float:
-    """Largest channel loss compatible with the dark-count budget: 2 eps^2 lambda/zeta."""
+    """Largest channel loss compatible with the dark-count budget: 2 eps^2 lambda/zeta,
+    divided in Python floats, so a quotient past float range (a subnormal zeta)
+    is inf with no warning."""
     if zeta == 0:
         return math.inf
-    return 2.0 * eps**2 * lambda_det / zeta
+    return float(2.0 * eps**2 * lambda_det) / float(zeta)
 
 
 def _tightening(K: int) -> float:
@@ -455,14 +479,14 @@ def _tightening(K: int) -> float:
 
 def _probe_bound(eps: float, x: float, Lambda: float) -> float:
     """Probe-intensity bound eps/(x Lambda) on |gamma|^2; inf where x Lambda is
-    0, and 0 where it is beyond float range.
+    0, and 0 where it is beyond float range.  In Python floats, so a product or
+    quotient past float range is inf with no warning.
 
     The inequality |gamma|^2 Lambda <= eps/x is symmetric, so passing a
     |gamma|^2 as Lambda gives the largest loss that probe intensity allows.
     """
-    with np.errstate(over="ignore"):  # a numpy product past float range is inf
-        xl = x * Lambda
-    return math.inf if xl <= 0 else eps / xl
+    xl = float(x) * float(Lambda)
+    return math.inf if xl <= 0 else float(eps) / xl
 
 
 def feasibility_check(

@@ -13,6 +13,8 @@ it, and nothing in ``src/`` imports it:
   and normalizing their records themselves (``_oracle_record``),
   and the leading-order heralded state written as a product of elimination
   factors (``build_target_by_elimination``);
+* the rotated-label Gram as its two-line formula (``rot_gram_formula``),
+  which ``entangle._rot_gram`` builds in place and must match bit for bit;
 * the dense Fock forms of the discrete-phase channel and the dark-count
   mixture, which ``noise`` evaluates through Gram overlaps, and the two
   budgets' loops that ``noise`` writes as single contractions: the exact
@@ -72,7 +74,6 @@ from kerrlink.entangle import (
     EIG_FLOOR,
     EntanglementReport,
     _gram_root,
-    _rot_gram,
     pair_gram,
     schmidt_entropy,
 )
@@ -602,10 +603,18 @@ def dark_count_mixture(
     return DensOp(("a", "b"), mat, trunc)
 
 
+def rot_gram_formula(z2, bra_angles, ket_angles) -> np.ndarray:
+    """``entangle._rot_gram`` as the two-line formula, which the library's
+    in-place build must match bit for bit."""
+    ph = ket_angles[None, :] - bra_angles[:, None]
+    return np.exp(z2 * (np.exp(1j * ph) - 1))
+
+
 def pipeline_fidelity_per_term(target, noise, alpha, beta, gamma, chi) -> float:
     """``noise.superop_pipeline_fidelity`` with its Poisson series summed term
     by term: per k one rotated mode-a Gram, one overlap vector u and one
-    quadratic form u rho u^H, accumulated in a Python loop."""
+    quadratic form u rho u^H, accumulated in a Python loop; every rotated
+    Gram from ``rot_gram_formula``, with the library's arguments."""
     c = np.asarray(target.c, dtype=complex)
     n = np.arange(target.K + 1, dtype=float)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
@@ -617,13 +626,14 @@ def pipeline_fidelity_per_term(target, noise, alpha, beta, gamma, chi) -> float:
     cb = c * np.exp(1j * eta1 * n)
     G_a, G_b = pair_gram(target.K, alpha, beta, chi)
     norm_bra = float(np.real(np.conj(cb) @ (G_a * G_b) @ cb))
-    G_act = _rot_gram(a2, chi_ac * n, chi_ac * n) * _rot_gram(b2, chi_bc * n, chi_bc * n)
+    G_act = rot_gram_formula(a2, chi_ac * n, chi_ac * n) * rot_gram_formula(
+        b2, chi_bc * n, chi_bc * n)
     tr = float(np.real(np.sum(rho * G_act.T)))
     w = _poisson_weights(noise.Lambda * abs(gamma) ** 2)
-    Gb = _rot_gram(b2, chi * n, chi_bc * n)
+    Gb = rot_gram_formula(b2, chi * n, chi_bc * n)
     num = 0.0
     for k, wk in enumerate(w):
-        Gk = _rot_gram(a2, chi * n, chi_ac * n + chi_ac * k) * Gb
+        Gk = rot_gram_formula(a2, chi * n, chi_ac * n + chi_ac * k) * Gb
         u = np.conj(cb) @ Gk
         num += wk * float(np.real(u @ rho @ np.conj(u)))
     return num / (norm_bra * tr)

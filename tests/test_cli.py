@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +679,19 @@ class TestEntangleScan:
 
 
 class TestFeasibility:
+    @pytest.mark.parametrize("flag", ["--zeta", "--dphi2"])
+    def test_subnormal_inputs_run_with_warnings_as_errors(self, flag, tmp_path, capsys):
+        # 2 eps^2 lambda/zeta and eps/(x Lambda) overflow to inf quietly, so
+        # a subnormal zeta reads as a dark-count wall of inf dB, as zeta = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, (params, _, rows) = run_csv(tmp_path, ["feasibility", flag, "1e-320"])
+        capsys.readouterr()
+        assert rc == 0
+        bound = "darkcount_cutoff_dB_K1" if flag == "--zeta" else "practical_cutoff_dB_K1"
+        assert params[bound] == "inf"
+        assert rows
+
     def test_report_cutoffs_and_sweeps(self, tmp_path, capsys):
         rc, (params, header, rows) = run_csv(
             tmp_path,

@@ -33,6 +33,7 @@ from oracles import (
     poly_by_numpy,
     product_state,
     reduce_to_density,
+    rot_gram_formula,
 )
 
 
@@ -91,6 +92,17 @@ class TestGram:
             assert np.max(np.abs(G - G.conj().T)) < 1e-14
             assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-14
             assert np.min(np.linalg.eigvalsh(G)) > -1e-12
+
+    @pytest.mark.parametrize("K", range(6))
+    def test_in_place_build_is_the_formula_bit_for_bit(self, K):
+        rng = np.random.default_rng(K)
+        for _ in range(60):
+            z2 = float(rng.exponential() * 10.0 ** rng.uniform(-4, 3))
+            # signed angles of spread 1e-3 .. 1e2, bra and ket rows of one length
+            bra, ket = rng.normal(size=(2, K + 1)) * 10.0 ** rng.uniform(-3, 2)
+            for kets in (ket, bra):  # bra = ket: a zero diagonal angle
+                got = entangle._rot_gram(z2, bra, kets)
+                assert got.tobytes() == rot_gram_formula(z2, bra, kets).tobytes(), (z2, bra, kets)
 
 
 class TestEntropy:

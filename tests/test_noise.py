@@ -39,6 +39,7 @@ from kerrlink.noise import (
     superop_pipeline_fidelity,
 )
 from kerrlink.presets import get_preset
+import oracles
 from oracles import (
     _chi_error_term,
     apply_discrete_phase_channel,
@@ -592,6 +593,40 @@ class TestSingleContraction:
             assert abs(exact - want) <= 1e-11 * abs(want), (db, mix, exact, want)
             assert 0.0 <= exact <= 1.0, (db, mix, exact)
 
+    @pytest.mark.parametrize("preset", GRID_PRESETS)
+    def test_exact_f_is_at_most_one(self, preset):
+        # with no tolerance: the benchmark's check rejects an F one ulp above 1
+        p = get_preset(preset)
+        for db, mix in itertools.product((0, 30), GRID_MIXES):
+            exact = superop_pipeline_fidelity(
+                p.target, grid_noise(db, mix), p.alpha, p.beta, p.gamma, p.chi)
+            assert exact <= 1.0, (db, mix, exact)
+
+    @pytest.mark.parametrize("preset", GRID_PRESETS)
+    def test_gram_calls_are_the_per_term_oracles(self, preset, monkeypatch):
+        """Every rotated Gram of one exact-budget call, in count and argument
+        bytes, is one the per-term loop builds: one per Poisson term k at ket
+        angles chi_ac n + chi_ac k, which the benchmark traces as Gram keys."""
+        p = get_preset(preset)
+        args = (p.target, grid_noise(20, GRID_MIXES[2]), p.alpha, p.beta, p.gamma, p.chi)
+
+        def recorded(owner, name):
+            calls, build = [], getattr(owner, name)
+
+            def record(z2, bra, ket):
+                calls.append((float(z2), bra.tobytes(), ket.tobytes()))
+                return build(z2, bra, ket)
+
+            monkeypatch.setattr(owner, name, record)
+            return calls
+
+        got = recorded(noise_module, "_rot_gram")
+        want = recorded(oracles, "rot_gram_formula")
+        exact, per_term = superop_pipeline_fidelity(*args), pipeline_fidelity_per_term(*args)
+        assert len(got) > 10
+        assert got == want
+        assert abs(exact - per_term) <= 1e-11 * per_term
+
     def test_second_call_solves_no_roots(self, monkeypatch):
         calls = []
         np_roots = np.roots
@@ -846,6 +881,12 @@ class TestSuccessProbability:
         t = TargetCoefficients(np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             success_probability(t, 0.3, 0.0)
+
+    def test_degree_zero_target_is_a_value_error(self):
+        # the default q = 1/sqrt(K) has no value at K = 0
+        t = TargetCoefficients(np.array([1.0]))
+        with pytest.raises(ValueError, match="K must be >= 1, got 0"):
+            success_probability(t, 0.3, 0.1)
 
     @pytest.mark.parametrize("c_K", [0.0, 1e-200])
     def test_vanishing_leading_coefficient_raises(self, c_K):
